@@ -55,5 +55,3 @@ from .experiment import (
     sweep_resync_period,
     time_to_opposition,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -229,7 +229,6 @@ def dispatch(argv: Sequence[str]) -> int:
             _write_lines(sweep_csv_lines(rows), args.out)
         elif args.subcommand == "trace":
             sim = build_sim(scheme, params, emit_setpoints=True)
-            sim.inject_command(Verb.START, 0)
             if args.stop_s is not None:
                 sim.inject_command(Verb.STOP, args.stop_s)
             setpoints = servo_trace(sim, params.duration_s)

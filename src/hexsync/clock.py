@@ -38,11 +38,10 @@ class DriftingClock:
     ppm_error: Fraction
     tick_offset: int = 0
     epoch_true_s: Fraction = Fraction(0)
-    nominal_freq_hz: int = NOMINAL_FREQ_HZ
 
     @property
     def rate_ticks_per_s(self) -> Fraction:
-        return self.nominal_freq_hz * (1 + self.ppm_error / 10**6)
+        return NOMINAL_FREQ_HZ * (1 + self.ppm_error / 10**6)
 
 
 def make_clock(ppm_error, tick_offset: int = 0, epoch_true_s=0,
@@ -77,9 +76,18 @@ def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
     return clock.epoch_true_s + Fraction(k - clock.tick_offset) / clock.rate_ticks_per_s
 
 
+def true_time_of_local(clock: DriftingClock, local_s: Fraction) -> Fraction:
+    """First true time at which the clock's local reading reaches local_s.
+
+    The reading advances in whole ticks, so this is the instant of the
+    first tick at or past local_s.
+    """
+    return true_time_of_tick(clock, math.ceil(local_s * NOMINAL_FREQ_HZ))
+
+
 def local_seconds_at(clock: DriftingClock, t_true) -> Fraction:
     """The clock's local reading in seconds, quantized to whole ticks."""
-    return Fraction(ticks_at(clock, t_true), clock.nominal_freq_hz)
+    return Fraction(ticks_at(clock, t_true), NOMINAL_FREQ_HZ)
 
 
 def relative_drift_ppm(a: DriftingClock, b: DriftingClock) -> float:

@@ -39,6 +39,8 @@ _MODE_OF_SCHEME = {
     SchemeId.S2_SYNCHRONIZED: ControlMode.ASN,
 }
 
+MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
+
 
 @dataclass
 class ErrorTrace:
@@ -52,7 +54,7 @@ class ErrorTrace:
 class ExperimentResult:
     trace: ErrorTrace
     max_abs_error_us: float
-    fitted_slope_us_per_s: float
+    fitted_slope_us_per_s: Optional[float]
     analytic_bound_us: Optional[float]
     opposition_eta_s: Optional[float]
 
@@ -72,6 +74,7 @@ class SchemeParams:
 
 def build_sim(scheme: SchemeId, params: SchemeParams,
               emit_setpoints: bool = False) -> Sim:
+    """Build the scheme's simulation with its Start command queued at t = 0."""
     config = SimConfig(
         root=NodeSpec("root", params.ppm_root),
         children=(NodeSpec("m1", params.ppm_m1), NodeSpec("m2", params.ppm_m2)),
@@ -82,7 +85,9 @@ def build_sim(scheme: SchemeId, params: SchemeParams,
         sample_every=params.sample_every,
         emit_setpoints=emit_setpoints,
     )
-    return make_sim(config, params.seed)
+    sim = make_sim(config, params.seed)
+    sim.inject_command(Verb.START, 0)
+    return sim
 
 
 def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
@@ -90,7 +95,6 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     if params.duration_s < params.gait.period_s:
         raise ValueError("duration must cover at least one gait period")
     sim = build_sim(scheme, params)
-    sim.inject_command(Verb.START, 0)
     sim.run_until(params.duration_s)
 
     trace = ErrorTrace(
@@ -115,39 +119,39 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     if scheme is SchemeId.S2_SYNCHRONIZED:
         bound = analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
                                   params.resync_period_s)
-    eta = time_to_opposition(slope, params.gait.period_s)
+    eta = None if slope is None else time_to_opposition(slope, params.gait.period_s)
     return ExperimentResult(trace, max_abs, slope, bound, eta)
 
 
-def fit_drift_slope(trace: ErrorTrace, min_window_samples: int = 3) -> float:
+def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
     """Least-squares slope of error vs time, in us/s.
 
     With resync marks present the fit runs within each inter-resync window
     and the per-window slopes are averaged, so the sawtooth resets do not
-    bias the estimate.
+    bias the estimate. If no window holds MIN_WINDOW_SAMPLES samples, the
+    resyncs are denser than the sampling and there is no drift to fit:
+    the result is None.
     """
     samples = trace.samples
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit a slope")
-    ts = np.array([s[0] for s in samples])
-    es = np.array([s[2] for s in samples])
-    global_slope = float(np.polyfit(ts, es, 1)[0])
     if not trace.resync_marks:
-        return global_slope
+        ts = np.array([s[0] for s in samples])
+        es = np.array([s[2] for s in samples])
+        return float(np.polyfit(ts, es, 1)[0])
 
     marks = sorted(set(trace.resync_marks))
     edges = [-np.inf] + marks + [np.inf]
     slopes = []
     for lo, hi in zip(edges, edges[1:]):
         window = [(t, e) for t, _, e in samples if lo < t <= hi]
-        if len(window) < min_window_samples:
+        if len(window) < MIN_WINDOW_SAMPLES:
             continue
         wts = np.array([w[0] for w in window])
         wes = np.array([w[1] for w in window])
         slopes.append(float(np.polyfit(wts, wes, 1)[0]))
     if not slopes:
-        # resyncs denser than the sampling cadence: no window is fittable
-        return global_slope
+        return None
     return float(np.mean(slopes))
 
 

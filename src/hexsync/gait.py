@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .clock import as_seconds, local_seconds_at, true_time_of_tick
+from .clock import DriftingClock, as_seconds, local_seconds_at, true_time_of_local
 from .tsch import MoteState, asn_at, slot_boundary_true_time
 
 
@@ -84,11 +84,11 @@ class GaitConfig:
             raise ValueError("phase offsets must lie in [0, 1)")
         if any(b <= a for a, b in zip(offs, offs[1:])):
             raise ValueError("phase offsets must be strictly increasing")
-        default = offs == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-        if default and (self.period_slots < 4 or self.period_slots % 4):
-            raise ValueError("period_slots must be >= 4 and divisible by 4")
         if self.period_slots < 4:
             raise ValueError("period_slots must be >= 4")
+        default = offs == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        if default and self.period_slots % 4:
+            raise ValueError("period_slots must be divisible by 4 with the default offsets")
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,19 @@ def events_for_controller(schedule: Sequence[GaitEvent],
     return [e for e in schedule if e.joint_group is group]
 
 
+def next_period_index(clock: DriftingClock, t_true, period_s: float) -> int:
+    """Index n of the first whole period, local time n * period_s, that
+    begins strictly after the clock's reading at t_true."""
+    local = local_seconds_at(clock, as_seconds(t_true))
+    return math.floor(local / Fraction(period_s)) + 1
+
+
 def arm_free_running(node: MoteState, config: GaitConfig, t_deliver) -> None:
     """Arm the gait against the node's local clock at the next whole period."""
     config.validate()
-    local = local_seconds_at(node.clock, as_seconds(t_deliver))
-    n0 = math.floor(local / Fraction(config.period_s)) + 1
     node.gait = GaitArmState(config=config, ref=TimeRef.FREE_RUNNING,
-                             arm_period_index=n0)
+                             arm_period_index=next_period_index(
+                                 node.clock, t_deliver, config.period_s))
 
 
 def arm_asn_ref(node: MoteState, config: GaitConfig, t_deliver) -> None:
@@ -178,18 +184,9 @@ def arm_asn_ref(node: MoteState, config: GaitConfig, t_deliver) -> None:
     node.gait = GaitArmState(config=config, ref=TimeRef.ASN, arm_asn=arm_asn)
 
 
-def period_start_true_time(node: MoteState, k: int, ref: Optional[TimeRef] = None) -> Fraction:
+def period_start_true_time(node: MoteState, k: int) -> Fraction:
     """True time of the node's believed start of gait period k."""
-    arm = node.gait
-    if arm is None:
-        raise ValueError(f"gait not armed on {node.node_id}")
-    if ref is None:
-        ref = arm.ref
-    if ref is TimeRef.FREE_RUNNING:
-        target_local = (arm.arm_period_index + k) * Fraction(arm.config.period_s)
-        target_ticks = target_local * node.clock.nominal_freq_hz
-        return true_time_of_tick(node.clock, math.ceil(target_ticks))
-    return slot_boundary_true_time(node, arm.arm_asn + k * arm.config.period_slots)
+    return gait_event_true_time(node, k, 0)
 
 
 def period_index_at(node: MoteState, t_true) -> int:
@@ -205,16 +202,15 @@ def period_index_at(node: MoteState, t_true) -> int:
     return max(0, k)
 
 
-def gait_sync_error(m1: MoteState, m2: MoteState, k: int,
-                    ref: Optional[TimeRef] = None) -> float:
+def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     """Believed-time difference (us) between the controllers for period k.
 
     Positive when M1's clock runs fast (its believed period start arrives
     earlier in true time than M2's), so the error slope in us per true
     second equals ppm(M1) - ppm(M2).
     """
-    return float((period_start_true_time(m2, k, ref)
-                  - period_start_true_time(m1, k, ref)) * 10**6)
+    return float((period_start_true_time(m2, k)
+                  - period_start_true_time(m1, k)) * 10**6)
 
 
 def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fraction:
@@ -224,9 +220,8 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fra
         raise ValueError(f"gait not armed on {node.node_id}")
     cfg = arm.config
     if arm.ref is TimeRef.FREE_RUNNING:
-        target_local = (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s)
-        return true_time_of_tick(node.clock,
-                                 math.ceil(target_local * node.clock.nominal_freq_hz))
+        return true_time_of_local(
+            node.clock, (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s))
     offset_slots = math.floor(phase_offset * cfg.period_slots)
     return slot_boundary_true_time(node, arm.arm_asn + k * cfg.period_slots + offset_slots)
 

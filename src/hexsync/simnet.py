@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_seconds, local_seconds_at, make_clock, true_time_of_tick
+from .clock import as_seconds, make_clock, true_time_of_local
 from .gait import (
     Controller,
     GaitConfig,
@@ -39,10 +38,10 @@ from .tsch import (
 
 
 class EventKind(Enum):
-    SLOT_BOUNDARY = "slot-boundary"
     MESSAGE_DELIVERY = "message-delivery"
     KEEPALIVE_DUE = "keepalive-due"
-    GAIT_EVENT = "gait-event"
+    ROOT_PERIOD = "root-period"            # centralized: root starts gait period k
+    CONTROLLER_PHASE = "controller-phase"  # a child fires one phase of period k
     SAMPLE_POINT = "sample-point"
     COMMAND_INJECTION = "command-injection"
 
@@ -50,7 +49,6 @@ class EventKind(Enum):
 class MessageKind(Enum):
     COMMAND = "command"
     KEEP_ALIVE = "keep-alive"
-    ACK = "ack"
     SERVO_COMMAND = "servo-command"
 
 
@@ -95,7 +93,6 @@ class LinkModel:
 class NodeSpec:
     node_id: str
     ppm: float = 0.0
-    tick_offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,10 @@ class Sim:
         self.mode = config.mode
         # Free-running control deliberately leaves child timebases alone.
         self.resync_enabled = config.mode is not ControlMode.FREE_RUNNING
-        self.keepalive_enabled = self.resync_enabled
 
-        self.root = make_mote(config.root.node_id,
-                              make_clock(config.root.ppm, config.root.tick_offset))
+        self.root = make_mote(config.root.node_id, make_clock(config.root.ppm))
         self.children: List[MoteState] = [
-            make_mote(c.node_id, make_clock(c.ppm, c.tick_offset),
+            make_mote(c.node_id, make_clock(c.ppm),
                       parent_id=config.root.node_id,
                       keepalive_period_s=config.keepalive_period_s)
             for c in config.children
@@ -177,7 +172,7 @@ class Sim:
         self._root_arm_index: Optional[int] = None
         self._s0_applied: Dict[int, Dict[Controller, Fraction]] = {}
 
-        if self.keepalive_enabled:
+        if self.resync_enabled:
             for child in self.children:
                 self._push(next_keepalive_due(child), EventKind.KEEPALIVE_DUE,
                            (child.node_id,))
@@ -234,24 +229,12 @@ class Sim:
         while self._heap and self._heap[0].time_true_s <= te:
             ev = heapq.heappop(self._heap)
             self.now = ev.time_true_s
-            self._dispatch(ev)
+            self._HANDLERS[ev.kind](self, *ev.payload)
             processed += 1
         self.now = te
         return processed
 
     # -- event handlers ----------------------------------------------------
-
-    def _dispatch(self, ev: SimEvent) -> None:
-        if ev.kind is EventKind.COMMAND_INJECTION:
-            self._handle_injection(ev.payload[0])
-        elif ev.kind is EventKind.MESSAGE_DELIVERY:
-            self._handle_delivery(ev.payload[0])
-        elif ev.kind is EventKind.KEEPALIVE_DUE:
-            self._handle_keepalive_due(ev.payload[0])
-        elif ev.kind is EventKind.SAMPLE_POINT:
-            self._handle_sample(*ev.payload)
-        elif ev.kind is EventKind.GAIT_EVENT:
-            self._handle_gait_event(*ev.payload)
 
     def _handle_injection(self, verb: Verb) -> None:
         for child in self.children:
@@ -360,14 +343,11 @@ class Sim:
             offset = self.config.gait.event_offsets[phase]
             t = gaitmod.gait_event_true_time(child, k, Fraction(offset))
             last = phase == phases[-1]
-            self._push(t, EventKind.GAIT_EVENT,
-                       ("child", child.node_id, self._gen, k, phase, last))
+            self._push(t, EventKind.CONTROLLER_PHASE,
+                       (child.node_id, self._gen, k, phase, last))
 
-    def _handle_gait_event(self, which: str, node_id: str, gen: int,
-                           k: int, phase: int, last: bool) -> None:
-        if which == "root":
-            self._handle_root_period(gen, k)
-            return
+    def _handle_controller_phase(self, node_id: str, gen: int,
+                                 k: int, phase: int, last: bool) -> None:
         child = self.nodes[node_id]
         if gen != self._gen or child.gait is None:
             return
@@ -387,21 +367,17 @@ class Sim:
 
     def _root_apply_command(self, verb: Verb) -> None:
         if verb is Verb.START:
-            local = local_seconds_at(self.root.clock, self.now)
-            period = Fraction(self.config.gait.period_s)
-            self._root_arm_index = math.floor(local / period) + 1
+            self._root_arm_index = gaitmod.next_period_index(
+                self.root.clock, self.now, self.config.gait.period_s)
             self._gen += 1
-            self._push(self._root_period_time(0), EventKind.GAIT_EVENT,
-                       ("root", self.root.node_id, self._gen, 0, 0, True))
+            self._push(self._root_period_time(0), EventKind.ROOT_PERIOD, (self._gen, 0))
         elif verb is Verb.STOP:
             self._root_arm_index = None
             self._gen += 1
 
     def _root_period_time(self, k: int) -> Fraction:
-        period = Fraction(self.config.gait.period_s)
-        target = (self._root_arm_index + k) * period
-        return true_time_of_tick(self.root.clock,
-                                 math.ceil(target * self.root.clock.nominal_freq_hz))
+        return true_time_of_local(
+            self.root.clock, (self._root_arm_index + k) * Fraction(self.config.gait.period_s))
 
     def _handle_root_period(self, gen: int, k: int) -> None:
         if gen != self._gen or self._root_arm_index is None:
@@ -410,8 +386,7 @@ class Sim:
         for child in self.children:
             self.send(Message(MessageKind.SERVO_COMMAND, self.root.node_id,
                               child.node_id, self.now, body=k))
-        self._push(self._root_period_time(k + 1), EventKind.GAIT_EVENT,
-                   ("root", self.root.node_id, gen, k + 1, 0, True))
+        self._push(self._root_period_time(k + 1), EventKind.ROOT_PERIOD, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState, k: int) -> None:
         ctrl = self.controller_of[child.node_id]
@@ -426,6 +401,16 @@ class Sim:
             t = max(applied.values())
             self.samples.append((round(float(t), 6), k, round(err, 3)))
             del self._s0_applied[k]
+
+    # event kind -> handler; an event's payload is its handler's arguments
+    _HANDLERS = {
+        EventKind.COMMAND_INJECTION: _handle_injection,
+        EventKind.MESSAGE_DELIVERY: _handle_delivery,
+        EventKind.KEEPALIVE_DUE: _handle_keepalive_due,
+        EventKind.SAMPLE_POINT: _handle_sample,
+        EventKind.ROOT_PERIOD: _handle_root_period,
+        EventKind.CONTROLLER_PHASE: _handle_controller_phase,
+    }
 
 
 def make_sim(config: SimConfig, seed: int) -> Sim:

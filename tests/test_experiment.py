@@ -87,6 +87,23 @@ def test_fit_slope_windows_ignore_sawtooth_resets():
     assert fit_drift_slope(trace) == pytest.approx(-3.0, abs=1e-9)
 
 
+def test_centralized_run_reports_no_slope():
+    # a resync mark on every delivery leaves no window to fit: link jitter
+    # alone must not pass for a drift slope or an opposition time
+    result = run_scheme(SchemeId.S0_CENTRALIZED, SchemeParams(ppm_m1=-3.0))
+    assert len(result.trace.resync_marks) > len(result.trace.samples)
+    assert result.fitted_slope_us_per_s is None
+    assert result.opposition_eta_s is None
+
+
+def test_resyncs_denser_than_samples_report_no_slope():
+    result = run_scheme(SchemeId.S2_SYNCHRONIZED,
+                        SchemeParams(ppm_m1=-3.0, resync_period_s=1.0, duration_s=60))
+    assert result.trace.resync_marks
+    assert result.fitted_slope_us_per_s is None
+    assert result.opposition_eta_s is None
+
+
 def test_time_to_opposition_matches_28_hours():
     eta = time_to_opposition(5.0, 1.0)
     assert eta == pytest.approx(100_000, rel=1e-9)

@@ -84,6 +84,11 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GaitConfig(period_slots=66).validate()  # not divisible by 4
     with pytest.raises(ValueError):
+        GaitConfig(period_slots=2).validate()  # fewer than 4 slots
+    with pytest.raises(ValueError):
+        GaitConfig(period_slots=2, event_offsets=(Fraction(0), Fraction(1, 8),
+                                                  Fraction(1, 2), Fraction(5, 8))).validate()
+    with pytest.raises(ValueError):
         GaitConfig(event_offsets=(Fraction(0), Fraction(1, 2),
                                   Fraction(1, 4), Fraction(3, 4))).validate()
     with pytest.raises(ValueError):
