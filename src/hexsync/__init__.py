@@ -34,11 +34,11 @@ from .gait import (
     servo_trace,
 )
 from .simnet import (
-    ControlMode,
     LinkModel,
     Message,
     MessageKind,
     NodeSpec,
+    SchemeId,
     Sim,
     SimConfig,
     Verb,
@@ -47,7 +47,6 @@ from .simnet import (
 from .experiment import (
     ErrorTrace,
     ExperimentResult,
-    SchemeId,
     SchemeParams,
     analytic_bound_us,
     fit_drift_slope,

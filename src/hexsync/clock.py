@@ -31,38 +31,32 @@ def as_seconds(t) -> Fraction:
 class DriftingClock:
     """A crystal oscillator running at 32768 * (1 + ppm_error/1e6) Hz.
 
-    tick_offset shifts the tick count (resynchronization adjusts it);
-    epoch_true_s is the true time at which the unshifted count was zero.
+    The tick count is zero at true time 0. Resynchronization never touches
+    the clock: it re-pins a node's slot grid against it (tsch.MoteState).
     """
 
     ppm_error: Fraction
-    tick_offset: int = 0
-    epoch_true_s: Fraction = Fraction(0)
 
     @property
     def rate_ticks_per_s(self) -> Fraction:
         return NOMINAL_FREQ_HZ * (1 + self.ppm_error / 10**6)
 
 
-def make_clock(ppm_error, tick_offset: int = 0, epoch_true_s=0,
-               ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
+def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
     """Build a clock, rejecting ppm errors outside the crystal's spec."""
     ppm = as_seconds(ppm_error)
     if abs(ppm) > Fraction(ppm_max):
         raise ValueError(
             f"ppm_error {float(ppm)} outside +/-{ppm_max} ppm crystal tolerance")
-    return DriftingClock(ppm, int(tick_offset), as_seconds(epoch_true_s))
+    return DriftingClock(ppm)
 
 
 def ticks_at(clock: DriftingClock, t_true) -> int:
-    """Tick count at true time t_true.
-
-    floor(rate * (t - epoch)) + tick_offset, evaluated exactly.
-    """
+    """Tick count at true time t_true: floor(rate * t), evaluated exactly."""
     t = as_seconds(t_true)
-    if t < clock.epoch_true_s:
+    if t < 0:
         raise ValueError(f"t_true {float(t)} precedes clock epoch")
-    return math.floor(clock.rate_ticks_per_s * (t - clock.epoch_true_s)) + clock.tick_offset
+    return math.floor(clock.rate_ticks_per_s * t)
 
 
 def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
@@ -71,9 +65,9 @@ def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
     Exact algebraic inverse of ticks_at: the round trip
     ticks_at(clock, true_time_of_tick(clock, k)) == k holds identically.
     """
-    if k < clock.tick_offset:
-        raise ValueError(f"tick {k} precedes tick_offset {clock.tick_offset}")
-    return clock.epoch_true_s + Fraction(k - clock.tick_offset) / clock.rate_ticks_per_s
+    if k < 0:
+        raise ValueError(f"tick {k} precedes the clock's epoch")
+    return Fraction(k) / clock.rate_ticks_per_s
 
 
 def true_time_of_local(clock: DriftingClock, local_s: Fraction) -> Fraction:

@@ -9,7 +9,6 @@ resync period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,27 +16,14 @@ import numpy as np
 from .clock import TICK_US
 from .gait import GaitConfig
 from .simnet import (
-    ControlMode,
     LinkModel,
     NodeSpec,
+    SchemeId,
     Sim,
     SimConfig,
     Verb,
     make_sim,
 )
-
-
-class SchemeId(Enum):
-    S0_CENTRALIZED = "centralized"
-    S1_OPEN_LOOP = "open-loop"
-    S2_SYNCHRONIZED = "synchronized"
-
-
-_MODE_OF_SCHEME = {
-    SchemeId.S0_CENTRALIZED: ControlMode.CENTRALIZED,
-    SchemeId.S1_OPEN_LOOP: ControlMode.FREE_RUNNING,
-    SchemeId.S2_SYNCHRONIZED: ControlMode.ASN,
-}
 
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
 
@@ -78,7 +64,7 @@ def build_sim(scheme: SchemeId, params: SchemeParams,
     config = SimConfig(
         root=NodeSpec("root", params.ppm_root),
         children=(NodeSpec("m1", params.ppm_m1), NodeSpec("m2", params.ppm_m2)),
-        mode=_MODE_OF_SCHEME[scheme],
+        mode=scheme,
         gait=params.gait,
         link=params.link,
         keepalive_period_s=params.resync_period_s,

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .clock import DriftingClock, as_seconds, local_seconds_at, true_time_of_local
+from .clock import as_seconds, local_seconds_at, true_time_of_local
 from .tsch import MoteState, asn_at, slot_boundary_true_time
 
 
@@ -114,8 +114,10 @@ class GaitArmState:
     """Per-node arming record created when a Start command is applied."""
     config: GaitConfig
     ref: TimeRef
-    arm_asn: int = 0            # ASN reference: period 0 starts at this slot
-    arm_period_index: int = 0   # free-running: period 0 starts at local arm_period_index * period_s
+    # Period 0 is whole period arm_period_index counted on ref: it starts at
+    # local time arm_period_index * period_s, or at slot
+    # arm_period_index * period_slots.
+    arm_period_index: int = 0
     # Turn state: whether knee sweep is reversed per body side, plus a
     # pending change that takes effect at a later period index.
     swap_left: bool = False
@@ -161,27 +163,34 @@ def events_for_controller(schedule: Sequence[GaitEvent],
     return [e for e in schedule if e.joint_group is group]
 
 
-def next_period_index(clock: DriftingClock, t_true, period_s: float) -> int:
-    """Index n of the first whole period, local time n * period_s, that
-    begins strictly after the clock's reading at t_true."""
-    local = local_seconds_at(clock, as_seconds(t_true))
-    return math.floor(local / Fraction(period_s)) + 1
+def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) -> int:
+    """Whole gait periods the node's time reference has counted at t_true.
+
+    The two references differ only in what they count: periods of
+    period_s on the free-running local clock, or periods of period_slots
+    on the network's ASN.
+    """
+    t = as_seconds(t_true)
+    if ref is TimeRef.FREE_RUNNING:
+        return math.floor(local_seconds_at(node.clock, t) / Fraction(config.period_s))
+    return asn_at(node, t) // config.period_slots
+
+
+def _arm(node: MoteState, config: GaitConfig, ref: TimeRef, t_deliver) -> None:
+    """Arm the gait so that period 0 is the next whole period counted on ref."""
+    config.validate()
+    count = whole_periods_at(node, ref, config, t_deliver)
+    node.gait = GaitArmState(config=config, ref=ref, arm_period_index=count + 1)
 
 
 def arm_free_running(node: MoteState, config: GaitConfig, t_deliver) -> None:
     """Arm the gait against the node's local clock at the next whole period."""
-    config.validate()
-    node.gait = GaitArmState(config=config, ref=TimeRef.FREE_RUNNING,
-                             arm_period_index=next_period_index(
-                                 node.clock, t_deliver, config.period_s))
+    _arm(node, config, TimeRef.FREE_RUNNING, t_deliver)
 
 
 def arm_asn_ref(node: MoteState, config: GaitConfig, t_deliver) -> None:
     """Arm the gait against the ASN at the next whole-period slot multiple."""
-    config.validate()
-    asn = asn_at(node, as_seconds(t_deliver))
-    arm_asn = (asn // config.period_slots + 1) * config.period_slots
-    node.gait = GaitArmState(config=config, ref=TimeRef.ASN, arm_asn=arm_asn)
+    _arm(node, config, TimeRef.ASN, t_deliver)
 
 
 def period_start_true_time(node: MoteState, k: int) -> Fraction:
@@ -194,12 +203,7 @@ def period_index_at(node: MoteState, t_true) -> int:
     arm = node.gait
     if arm is None:
         raise ValueError(f"gait not armed on {node.node_id}")
-    if arm.ref is TimeRef.FREE_RUNNING:
-        local = local_seconds_at(node.clock, as_seconds(t_true))
-        k = math.floor(local / Fraction(arm.config.period_s)) - arm.arm_period_index
-    else:
-        k = (asn_at(node, t_true) - arm.arm_asn) // arm.config.period_slots
-    return max(0, k)
+    return max(0, whole_periods_at(node, arm.ref, arm.config, t_true) - arm.arm_period_index)
 
 
 def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
@@ -223,7 +227,8 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fra
         return true_time_of_local(
             node.clock, (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s))
     offset_slots = math.floor(phase_offset * cfg.period_slots)
-    return slot_boundary_true_time(node, arm.arm_asn + k * cfg.period_slots + offset_slots)
+    return slot_boundary_true_time(
+        node, (arm.arm_period_index + k) * cfg.period_slots + offset_slots)
 
 
 def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,

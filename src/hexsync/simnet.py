@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_seconds, make_clock, true_time_of_local
+from .clock import as_seconds, make_clock
 from .gait import (
     Controller,
     GaitConfig,
@@ -60,10 +60,10 @@ class Verb(Enum):
     RIGHT = "right"
 
 
-class ControlMode(Enum):
-    CENTRALIZED = "centralized"      # root times the gait, children just apply
-    FREE_RUNNING = "free-running"    # children time the gait on local clocks
-    ASN = "asn"                      # children time the gait on the shared ASN
+class SchemeId(Enum):
+    S0_CENTRALIZED = "centralized"     # root times the gait, children just apply
+    S1_OPEN_LOOP = "open-loop"         # children time the gait on local clocks
+    S2_SYNCHRONIZED = "synchronized"   # children time the gait on the shared ASN
 
 
 @dataclass
@@ -99,7 +99,7 @@ class NodeSpec:
 class SimConfig:
     root: NodeSpec
     children: Tuple[NodeSpec, ...]
-    mode: ControlMode = ControlMode.ASN
+    mode: SchemeId = SchemeId.S2_SYNCHRONIZED
     gait: GaitConfig = field(default_factory=GaitConfig)
     link: LinkModel = field(default_factory=LinkModel)
     keepalive_period_s: float = 30.0
@@ -135,7 +135,7 @@ class Sim:
         self.seed = int(seed)
         self.mode = config.mode
         # Free-running control deliberately leaves child timebases alone.
-        self.resync_enabled = config.mode is not ControlMode.FREE_RUNNING
+        self.resync_enabled = config.mode is not SchemeId.S1_OPEN_LOOP
 
         self.root = make_mote(config.root.node_id, make_clock(config.root.ppm))
         self.children: List[MoteState] = [
@@ -168,8 +168,7 @@ class Sim:
         }
         self._sampler_t0: Optional[Fraction] = None
         self._sample_period: Optional[Fraction] = None
-        # centralized mode: root-side gait timing and per-period apply times
-        self._root_arm_index: Optional[int] = None
+        # centralized: per-period apply times of each controller
         self._s0_applied: Dict[int, Dict[Controller, Fraction]] = {}
 
         if self.resync_enabled:
@@ -240,7 +239,7 @@ class Sim:
         for child in self.children:
             self.send(Message(MessageKind.COMMAND, self.root.node_id,
                               child.node_id, self.now, body=verb))
-        if self.mode is ControlMode.CENTRALIZED:
+        if self.mode is SchemeId.S0_CENTRALIZED:
             self._root_apply_command(verb)
 
     def _handle_delivery(self, msg: Message) -> None:
@@ -270,10 +269,10 @@ class Sim:
     # -- gait control ------------------------------------------------------
 
     def _apply_command(self, child: MoteState, verb: Verb) -> None:
-        if self.mode is ControlMode.CENTRALIZED:
+        if self.mode is SchemeId.S0_CENTRALIZED:
             return  # root-side timing handles everything
         if verb is Verb.START:
-            if self.mode is ControlMode.FREE_RUNNING:
+            if self.mode is SchemeId.S1_OPEN_LOOP:
                 gaitmod.arm_free_running(child, self.config.gait, self.now)
             else:
                 gaitmod.arm_asn_ref(child, self.config.gait, self.now)
@@ -303,24 +302,18 @@ class Sim:
         they straddle a period multiple the later origin wins on both.
         """
         arms = [c.gait for c in self.children]
-        if arms[0].ref is TimeRef.ASN:
-            common = max(a.arm_asn for a in arms)
-            for a in arms:
-                a.arm_asn = common
-        else:
-            common = max(a.arm_period_index for a in arms)
-            for a in arms:
-                a.arm_period_index = common
+        common = max(a.arm_period_index for a in arms)
+        for a in arms:
+            a.arm_period_index = common
 
     def _start_sampler(self) -> None:
         cfg = self.config.gait
         m1 = self.children[0].gait
         if m1.ref is TimeRef.ASN:
             period = cfg.period_slots * SLOT_LENGTH_S
-            t0 = m1.arm_asn * SLOT_LENGTH_S
         else:
             period = as_seconds(cfg.period_s)
-            t0 = m1.arm_period_index * period
+        t0 = m1.arm_period_index * period
         self._sampler_t0 = t0
         self._sample_period = period
         self._push(t0 + period / 2, EventKind.SAMPLE_POINT, (self._gen, 0))
@@ -367,26 +360,23 @@ class Sim:
 
     def _root_apply_command(self, verb: Verb) -> None:
         if verb is Verb.START:
-            self._root_arm_index = gaitmod.next_period_index(
-                self.root.clock, self.now, self.config.gait.period_s)
+            gaitmod.arm_free_running(self.root, self.config.gait, self.now)
             self._gen += 1
-            self._push(self._root_period_time(0), EventKind.ROOT_PERIOD, (self._gen, 0))
+            self._push(gaitmod.period_start_true_time(self.root, 0),
+                       EventKind.ROOT_PERIOD, (self._gen, 0))
         elif verb is Verb.STOP:
-            self._root_arm_index = None
+            self.root.gait = None
             self._gen += 1
-
-    def _root_period_time(self, k: int) -> Fraction:
-        return true_time_of_local(
-            self.root.clock, (self._root_arm_index + k) * Fraction(self.config.gait.period_s))
 
     def _handle_root_period(self, gen: int, k: int) -> None:
-        if gen != self._gen or self._root_arm_index is None:
+        if gen != self._gen or self.root.gait is None:
             return
         # nominally simultaneous per-period commands to both controllers
         for child in self.children:
             self.send(Message(MessageKind.SERVO_COMMAND, self.root.node_id,
                               child.node_id, self.now, body=k))
-        self._push(self._root_period_time(k + 1), EventKind.ROOT_PERIOD, (gen, k + 1))
+        self._push(gaitmod.period_start_true_time(self.root, k + 1),
+                   EventKind.ROOT_PERIOD, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState, k: int) -> None:
         ctrl = self.controller_of[child.node_id]

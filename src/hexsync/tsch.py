@@ -33,9 +33,8 @@ class MoteState:
 
     asn_origin / origin_local_ticks pin the node's slot grid: slot
     asn_origin begins at local tick origin_local_ticks. Resynchronization
-    rewrites this alignment against the unchanged local clock, which is
-    observably equivalent to shifting the clock's tick offset but leaves
-    free-running local-time readings untouched.
+    rewrites this alignment against the unchanged local clock, so
+    free-running local-time readings are untouched by it.
     """
 
     node_id: str
@@ -66,10 +65,7 @@ def slot_boundary_true_time(node: MoteState, asn: int) -> Fraction:
     origin at the *next* parent boundary) resolve too.
     """
     target_ticks = node.origin_local_ticks + (asn - node.asn_origin) * TICKS_PER_SLOT
-    k = math.floor(target_ticks)
-    if k < node.clock.tick_offset:
-        raise ValueError(f"slot {asn} precedes the clock's representable range")
-    return true_time_of_tick(node.clock, k)
+    return true_time_of_tick(node.clock, math.floor(target_ticks))
 
 
 def asn_at(node: MoteState, t_true) -> int:

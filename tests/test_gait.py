@@ -124,7 +124,7 @@ def test_asn_ref_bounded_after_resync():
     root = make_mote("root", make_clock(0))
     m1 = armed_mote(-3, TimeRef.ASN, node_id="m1")
     m2 = armed_mote(0, TimeRef.ASN, node_id="m2")
-    m1.gait.arm_asn = m2.gait.arm_asn = 68
+    m1.gait.arm_period_index = m2.gait.arm_period_index = 1
     resync_to_parent(m1, root, 30.0)
     resync_to_parent(m2, root, 30.0)
     k = 30  # within the same resync window
@@ -134,7 +134,7 @@ def test_asn_ref_bounded_after_resync():
 def test_identical_clocks_zero_error():
     m1 = armed_mote(0, TimeRef.ASN, node_id="m1")
     m2 = armed_mote(0, TimeRef.ASN, node_id="m2")
-    m1.gait.arm_asn = m2.gait.arm_asn = 68
+    m1.gait.arm_period_index = m2.gait.arm_period_index = 1
     for k in (0, 17, 350):
         assert abs(gait_sync_error(m1, m2, k)) < 2 * TICK_US
 
@@ -148,7 +148,7 @@ def test_scheme_equivalence_at_zero_drift():
         t_free = float(period_start_true_time(free, k))
         t_slot = float(period_start_true_time(slotted, k))
         assert abs(t_free - (free.gait.arm_period_index + k) * 1.0) < TICK_US / 1e6
-        assert abs(t_slot - (slotted.gait.arm_asn + k * 68) * 0.015) < TICK_US / 1e6
+        assert abs(t_slot - (slotted.gait.arm_period_index + k) * 68 * 0.015) < TICK_US / 1e6
 
 
 @pytest.mark.parametrize("error_us,period_s,expected", [

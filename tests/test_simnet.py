@@ -7,11 +7,11 @@ import pytest
 from hexsync.clock import TICK_US, as_seconds
 from hexsync.gait import GaitConfig, servo_trace
 from hexsync.simnet import (
-    ControlMode,
     LinkModel,
     Message,
     MessageKind,
     NodeSpec,
+    SchemeId,
     SimConfig,
     Verb,
     make_sim,
@@ -21,7 +21,7 @@ from hexsync.tsch import pairwise_sync_error, slot_boundary_true_time
 SLOT = 0.015
 
 
-def config(mode=ControlMode.ASN, ppm_m1=-3.0, ppm_m2=0.0, ppm_root=0.0,
+def config(mode=SchemeId.S2_SYNCHRONIZED, ppm_m1=-3.0, ppm_m2=0.0, ppm_root=0.0,
            link=None, keepalive=30.0, emit_setpoints=False):
     return SimConfig(
         root=NodeSpec("root", ppm_root),
@@ -104,7 +104,7 @@ def test_resync_coupling_never_worsens_error_to_root():
 
 
 def test_free_running_mode_never_resyncs():
-    sim = make_sim(config(mode=ControlMode.FREE_RUNNING), 1)
+    sim = make_sim(config(mode=SchemeId.S1_OPEN_LOOP), 1)
     sim.inject_command(Verb.START, 0)
     sim.run_until(200)
     assert sim.resync_marks == []
