@@ -12,6 +12,7 @@ line-oriented key=value file can set defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
@@ -110,7 +111,21 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
                 setattr(args, key, value.strip())
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"--{flag} must be a finite number, got {value}")
+    return value
+
+
 def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]:
+    """Build the run's parameters. Values from argv and from --config both
+    arrive here, so every non-finite number and unknown scheme is caught."""
+    for key, value in vars(args).items():
+        if isinstance(value, float):
+            _finite(key.replace("_", "-"), value)
+    if args.scheme not in _SCHEME_BY_NAME:
+        raise ValueError(f"--scheme must be one of {', '.join(sorted(_SCHEME_BY_NAME))}, "
+                         f"got {args.scheme!r}")
     scheme = _SCHEME_BY_NAME[args.scheme]
     ppm_m1 = args.ppm_m1 if args.ppm_m1 is not None else _DEFAULT_PPM_M1[scheme]
     gait = GaitConfig(period_slots=args.gait_period_slots,
@@ -224,7 +239,8 @@ def dispatch(argv: Sequence[str]) -> int:
             if args.plot:
                 print(render_ascii_plot(result.trace), file=sys.stderr)
         elif args.subcommand == "sweep":
-            periods = [float(p) for p in args.periods.split(",") if p.strip()]
+            periods = [_finite("periods", float(p))
+                       for p in args.periods.split(",") if p.strip()]
             rows = sweep_resync_period(periods, params)
             _write_lines(sweep_csv_lines(rows), args.out)
         elif args.subcommand == "trace":

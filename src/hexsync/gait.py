@@ -75,8 +75,8 @@ class GaitConfig:
     knee_forward_deg: float = -25.0
 
     def validate(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not 0 < self.period_s < math.inf:
+            raise ValueError("period_s must be positive and finite")
         offs = [Fraction(o) for o in self.event_offsets]
         if len(offs) != 4:
             raise ValueError("exactly four phase offsets required")

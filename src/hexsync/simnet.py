@@ -130,6 +130,8 @@ class Sim:
         config.gait.validate()
         if config.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if config.keepalive_period_s <= 0:
+            raise ValueError("keepalive_period_s must be positive")
 
         self.config = config
         self.seed = int(seed)

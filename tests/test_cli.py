@@ -45,6 +45,27 @@ def test_unwritable_output_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--duration-s", "inf"], None),
+    (["run", "--jitter-s", "inf"], None),
+    (["sweep", "--periods", "inf"], None),
+    (["trace", "--stop-s", "inf"], None),
+    (["run", "--gait-period-s", "nan"], None),
+    (["run"], "scheme=bogus\n"),
+    (["run"], "duration-s=inf\n"),
+    (["run", "--resync-period-s", "0", "--jitter-s", "0"], None),
+    (["run", "--resync-period-s", "-1"], None),
+    (["sweep", "--periods", "-5"], None),
+])
+def test_bad_values_exit_one_without_traceback(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert dispatch(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("hexsync: error:")
+
+
 def test_open_loop_run_reaches_two_ms(tmp_path):
     code, out = run_cli(tmp_path, "run", "--scheme", "open-loop",
                         "--duration-s", "400", "--ppm-m1", "-5")

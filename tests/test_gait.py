@@ -21,6 +21,7 @@ from hexsync.gait import (
     classify_gait,
     events_for_controller,
     gait_sync_error,
+    period_index_at,
     period_start_true_time,
 )
 from hexsync.tsch import make_mote, resync_to_parent
@@ -94,6 +95,9 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GaitConfig(event_offsets=(Fraction(0), Fraction(1, 4),
                                   Fraction(1, 2), Fraction(1))).validate()
+    for period_s in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            GaitConfig(period_s=period_s).validate()
 
 
 def test_free_running_period_starts_nominal():
@@ -149,6 +153,26 @@ def test_scheme_equivalence_at_zero_drift():
         t_slot = float(period_start_true_time(slotted, k))
         assert abs(t_free - (free.gait.arm_period_index + k) * 1.0) < TICK_US / 1e6
         assert abs(t_slot - (slotted.gait.arm_period_index + k) * 68 * 0.015) < TICK_US / 1e6
+
+
+@given(ref=st.sampled_from(list(TimeRef)),
+       ppm=st.sampled_from([-10, -3.7, 0, 1.1, 10]),
+       resync=st.booleans(),
+       t_arm=st.floats(min_value=0, max_value=1e5, allow_nan=False, allow_infinity=False))
+@settings(max_examples=40, deadline=None)
+def test_period_index_inverts_period_start(ref, ppm, resync, t_arm):
+    # both references count whole periods from one origin, so period k
+    # begins exactly where period_index_at first reads k
+    node = make_mote("m", make_clock(ppm), parent_id="root")
+    if resync:
+        resync_to_parent(node, make_mote("root", make_clock(0)), t_arm)
+    arm = arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref
+    arm(node, GaitConfig(), t_arm)
+    one_ns = Fraction(1, 10**9)
+    for k in range(1, 501):
+        t = period_start_true_time(node, k)
+        assert period_index_at(node, t) == k
+        assert period_index_at(node, t - one_ns) == k - 1
 
 
 @pytest.mark.parametrize("error_us,period_s,expected", [
