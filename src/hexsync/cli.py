@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,47 +42,53 @@ SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
 SERVO_HEADER = "true_time_s,controller,servo_id,angle_deg"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
+    """The hexsync argument parser. With explicit_only, every subcommand
+    argument defaults to SUPPRESS, so a parse returns only what argv set."""
     parser = argparse.ArgumentParser(
         prog="hexsync",
         description="Simulate decentralized hexapod gait control over a "
                     "time-synchronized three-node wireless network.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add(p, *flags, **kwargs):
+        if explicit_only:
+            kwargs["default"] = argparse.SUPPRESS
+        p.add_argument(*flags, **kwargs)
+
     def add_common(p):
-        p.add_argument("--scheme", choices=sorted(_SCHEME_BY_NAME),
-                       default="synchronized")
-        p.add_argument("--duration-s", type=float, default=400.0)
-        p.add_argument("--ppm-m1", type=float, default=None,
-                       help="hip controller clock error (default: per scheme)")
-        p.add_argument("--ppm-m2", type=float, default=0.0)
-        p.add_argument("--ppm-root", type=float, default=0.0)
-        p.add_argument("--resync-period-s", type=float, default=30.0)
-        p.add_argument("--gait-period-s", type=float, default=1.0)
-        p.add_argument("--gait-period-slots", type=int, default=68)
-        p.add_argument("--base-latency-s", type=float, default=0.0)
-        p.add_argument("--jitter-s", type=float, default=0.015)
-        p.add_argument("--drop-prob", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--sample-every", type=int, default=1)
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying flag defaults")
+        add(p, "--scheme", choices=sorted(_SCHEME_BY_NAME), default="synchronized")
+        add(p, "--duration-s", type=float, default=400.0)
+        add(p, "--ppm-m1", type=float, default=None,
+            help="hip controller clock error (default: per scheme)")
+        add(p, "--ppm-m2", type=float, default=0.0)
+        add(p, "--ppm-root", type=float, default=0.0)
+        add(p, "--resync-period-s", type=float, default=30.0)
+        add(p, "--gait-period-s", type=float, default=1.0)
+        add(p, "--gait-period-slots", type=int, default=68)
+        add(p, "--base-latency-s", type=float, default=0.0)
+        add(p, "--jitter-s", type=float, default=0.015)
+        add(p, "--drop-prob", type=float, default=0.0)
+        add(p, "--seed", type=int, default=1)
+        add(p, "--sample-every", type=int, default=1)
+        add(p, "--out", default=None, help="output CSV path (default stdout)")
+        add(p, "--config", default=None,
+            help="key=value file supplying flag defaults")
 
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_common(run_p)
-    run_p.add_argument("--plot", action="store_true",
-                       help="print an ASCII error-vs-time plot to stderr")
+    add(run_p, "--plot", action="store_true",
+        help="print an ASCII error-vs-time plot to stderr")
 
     sweep_p = sub.add_parser("sweep", help="sweep the worst-case resync period")
     add_common(sweep_p)
-    sweep_p.add_argument("--periods", default="30,10",
-                         help="comma-separated resync periods in seconds")
+    add(sweep_p, "--periods", default="30,10",
+        help="comma-separated resync periods in seconds")
 
     trace_p = sub.add_parser("trace", help="write the servo setpoint trace")
     add_common(trace_p)
-    trace_p.add_argument("--stop-s", type=float, default=None,
-                         help="inject a Stop command at this time")
+    add(trace_p, "--stop-s", type=float, default=None,
+        help="inject a Stop command at this time")
     return parser
 
 
@@ -89,8 +96,9 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
     """Fill in defaults from a key=value file; explicit flags keep priority."""
     if not args.config:
         return
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+    # argparse itself says which flags argv set, so an abbreviation such as
+    # --dur for --duration-s counts as explicit too
+    explicit = set(vars(_build_parser(explicit_only=True).parse_args(list(argv))))
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -147,11 +155,14 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
 def trace_csv_lines(trace: ErrorTrace) -> List[str]:
     lines = [TRACE_HEADER]
     marks = sorted(trace.resync_marks)
-    prev = float("-inf")
+    # a row is flagged when a mark m has prev < m <= t: more marks lie at or
+    # before t than at or before the previous sample's time
+    marks_to_prev = bisect_right(marks, float("-inf"))
     for t, k, err in trace.samples:
-        resynced = any(prev < m <= t for m in marks)
+        marks_to_t = bisect_right(marks, t)
+        resynced = marks_to_t > marks_to_prev
         lines.append(f"{t:.6f},{k},{err:.3f},{1 if resynced else 0}")
-        prev = t
+        marks_to_prev = marks_to_t
     return lines
 
 

@@ -1,16 +1,20 @@
 """Free-running 32.768 kHz crystal model with parts-per-million frequency error.
 
 All timing error in the simulator originates here. A clock maps true
-(simulation) time to an integer tick count. Conversions are evaluated in
-closed form with exact rational arithmetic, never by stepping ticks, so a
-query at t = 1e6 s is as cheap and as exact as one at t = 1 s.
+(simulation) time to an integer tick count. Its rate is stored once, when
+the clock is made, as a reduced integer pair rate_num / rate_den ticks per
+true second, built exactly from the ppm value. Every conversion is then a
+single integer floor or ceil division, never a stepping of ticks and never
+Fraction arithmetic, so a query at t = 1e6 s is as cheap and as exact as one
+at t = 1 s. A returned true time is an exact Fraction built once from an
+integer pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 NOMINAL_FREQ_HZ = 32768
 TICK_S = Fraction(1, NOMINAL_FREQ_HZ)
@@ -27,19 +31,32 @@ def as_seconds(t) -> Fraction:
     return t if isinstance(t, Fraction) else Fraction(t)
 
 
-@dataclass
+def as_ratio(t) -> Tuple[int, int]:
+    """A time value as its exact (numerator, denominator) pair, denominator > 0.
+
+    Equal to as_seconds(t)'s numerator and denominator, without building
+    a Fraction for an int or a float.
+    """
+    if isinstance(t, float):
+        return t.as_integer_ratio()
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+@dataclass(frozen=True)
 class DriftingClock:
     """A crystal oscillator running at 32768 * (1 + ppm_error/1e6) Hz.
 
-    The tick count is zero at true time 0. Resynchronization never touches
-    the clock: it re-pins a node's slot grid against it (tsch.MoteState).
+    rate_num / rate_den is that rate in ticks per true second, in lowest
+    terms. The tick count is zero at true time 0. Resynchronization never
+    touches the clock: it re-pins a node's slot grid against it
+    (tsch.MoteState).
     """
 
     ppm_error: Fraction
-
-    @property
-    def rate_ticks_per_s(self) -> Fraction:
-        return NOMINAL_FREQ_HZ * (1 + self.ppm_error / 10**6)
+    rate_num: int
+    rate_den: int
 
 
 def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
@@ -48,15 +65,17 @@ def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
     if abs(ppm) > Fraction(ppm_max):
         raise ValueError(
             f"ppm_error {float(ppm)} outside +/-{ppm_max} ppm crystal tolerance")
-    return DriftingClock(ppm)
+    den = 10**6 * ppm.denominator
+    rate = Fraction(NOMINAL_FREQ_HZ * (den + ppm.numerator), den)
+    return DriftingClock(ppm, rate.numerator, rate.denominator)
 
 
 def ticks_at(clock: DriftingClock, t_true) -> int:
     """Tick count at true time t_true: floor(rate * t), evaluated exactly."""
-    t = as_seconds(t_true)
-    if t < 0:
-        raise ValueError(f"t_true {float(t)} precedes clock epoch")
-    return math.floor(clock.rate_ticks_per_s * t)
+    num, den = as_ratio(t_true)
+    if num < 0:
+        raise ValueError(f"t_true {num / den} precedes clock epoch")
+    return clock.rate_num * num // (clock.rate_den * den)
 
 
 def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
@@ -67,16 +86,29 @@ def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"tick {k} precedes the clock's epoch")
-    return Fraction(k) / clock.rate_ticks_per_s
+    return Fraction(k * clock.rate_den, clock.rate_num)
 
 
-def true_time_of_local(clock: DriftingClock, local_s: Fraction) -> Fraction:
-    """First true time at which the clock's local reading reaches local_s.
+def tick_of_local(local_num: int, local_den: int = 1) -> int:
+    """First tick at which a local reading reaches local_num / local_den s.
 
-    The reading advances in whole ticks, so this is the instant of the
-    first tick at or past local_s.
+    The reading advances in whole ticks, so this is the ceiling of the
+    target in ticks. It is the one conversion from a local-time target to
+    a tick; true_time_of_tick then places that tick in true time.
     """
-    return true_time_of_tick(clock, math.ceil(local_s * NOMINAL_FREQ_HZ))
+    return -(-local_num * NOMINAL_FREQ_HZ // local_den)
+
+
+def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:
+    """True time of tick kb on clock b minus that of tick ka on clock a, in us.
+
+    Equal to float((true_time_of_tick(b, kb) - true_time_of_tick(a, ka)) * 1e6):
+    both round the same rational correctly.
+    """
+    if ka < 0 or kb < 0:
+        raise ValueError(f"ticks {ka}, {kb} precede the clocks' epoch")
+    return ((kb * b.rate_den * a.rate_num - ka * a.rate_den * b.rate_num) * 10**6
+            / (a.rate_num * b.rate_num))
 
 
 def local_seconds_at(clock: DriftingClock, t_true) -> Fraction:

@@ -8,6 +8,7 @@ resync period.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,11 +127,14 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
         es = np.array([s[2] for s in samples])
         return float(np.polyfit(ts, es, 1)[0])
 
+    # window i holds the samples with marks[i-1] < t <= marks[i], in sample
+    # order; the first and last windows are open-ended
     marks = sorted(set(trace.resync_marks))
-    edges = [-np.inf] + marks + [np.inf]
+    windows: List[List[Tuple[float, float]]] = [[] for _ in range(len(marks) + 1)]
+    for t, _, e in samples:
+        windows[bisect_left(marks, t)].append((t, e))
     slopes = []
-    for lo, hi in zip(edges, edges[1:]):
-        window = [(t, e) for t, _, e in samples if lo < t <= hi]
+    for window in windows:
         if len(window) < MIN_WINDOW_SAMPLES:
             continue
         wts = np.array([w[0] for w in window])

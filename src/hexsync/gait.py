@@ -15,8 +15,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .clock import as_seconds, local_seconds_at, true_time_of_local
-from .tsch import MoteState, asn_at, slot_boundary_true_time
+from .clock import (
+    NOMINAL_FREQ_HZ,
+    as_ratio,
+    as_seconds,
+    tick_gap_us,
+    tick_of_local,
+    ticks_at,
+    true_time_of_tick,
+)
+from .tsch import MoteState, asn_at, slot_boundary_tick
 
 
 class Tripod(Enum):
@@ -170,10 +178,11 @@ def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) 
     period_s on the free-running local clock, or periods of period_slots
     on the network's ASN.
     """
-    t = as_seconds(t_true)
     if ref is TimeRef.FREE_RUNNING:
-        return math.floor(local_seconds_at(node.clock, t) / Fraction(config.period_s))
-    return asn_at(node, t) // config.period_slots
+        # floor(local seconds / period_s), local seconds = ticks / NOMINAL_FREQ_HZ
+        p_num, p_den = as_ratio(config.period_s)
+        return ticks_at(node.clock, t_true) * p_den // (NOMINAL_FREQ_HZ * p_num)
+    return asn_at(node, t_true) // config.period_slots
 
 
 def _arm(node: MoteState, config: GaitConfig, ref: TimeRef, t_deliver) -> None:
@@ -213,22 +222,34 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     earlier in true time than M2's), so the error slope in us per true
     second equals ppm(M1) - ppm(M2).
     """
-    return float((period_start_true_time(m2, k)
-                  - period_start_true_time(m1, k)) * 10**6)
+    return tick_gap_us(m1.clock, _event_tick(m1, k, 0), m2.clock, _event_tick(m2, k, 0))
 
 
-def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fraction:
-    """True time at which the node fires a period-k event at the given phase."""
+def _event_tick(node: MoteState, k: int, phase_offset) -> int:
+    """Local tick at which the node fires a period-k event at the given phase.
+
+    Free-running: the first tick at local time
+    (arm_period_index + k + phase_offset) * period_s. ASN: the boundary
+    tick of slot (arm_period_index + k) * period_slots
+    + floor(phase_offset * period_slots).
+    """
     arm = node.gait
     if arm is None:
         raise ValueError(f"gait not armed on {node.node_id}")
     cfg = arm.config
+    o_num, o_den = as_ratio(phase_offset)
     if arm.ref is TimeRef.FREE_RUNNING:
-        return true_time_of_local(
-            node.clock, (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s))
-    offset_slots = math.floor(phase_offset * cfg.period_slots)
-    return slot_boundary_true_time(
-        node, (arm.arm_period_index + k) * cfg.period_slots + offset_slots)
+        p_num, p_den = as_ratio(cfg.period_s)
+        return tick_of_local(((arm.arm_period_index + k) * o_den + o_num) * p_num,
+                             o_den * p_den)
+    return slot_boundary_tick(
+        node, (arm.arm_period_index + k) * cfg.period_slots
+        + o_num * cfg.period_slots // o_den)
+
+
+def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fraction:
+    """True time at which the node fires a period-k event at the given phase."""
+    return true_time_of_tick(node.clock, _event_tick(node, k, phase_offset))
 
 
 def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
@@ -240,6 +261,7 @@ def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
     """
     legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
     base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
+    true_time_s = float(as_seconds(t_true))
     out = []
     for leg in legs:
         angle = event.target_angle_deg
@@ -248,7 +270,7 @@ def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
             swapped = (swap_left and leg in LEFT_LEGS) or (swap_right and leg in RIGHT_LEGS)
             if swapped:
                 angle = -angle
-        out.append(ServoSetpoint(true_time_s=float(as_seconds(t_true)),
+        out.append(ServoSetpoint(true_time_s=true_time_s,
                                  controller=controller,
                                  servo_id=base + leg,
                                  angle_deg=angle))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_seconds, make_clock
+from .clock import as_ratio, as_seconds, make_clock
 from .gait import (
     Controller,
     GaitConfig,
@@ -107,14 +107,6 @@ class SimConfig:
     emit_setpoints: bool = False
 
 
-@dataclass(order=True)
-class SimEvent:
-    time_true_s: Fraction
-    seq: int
-    kind: EventKind = field(compare=False)
-    payload: tuple = field(compare=False, default=())
-
-
 class Sim:
     """A single deterministic simulation; mutate only through its event loop."""
 
@@ -154,7 +146,8 @@ class Sim:
                               self.children[1].node_id: Controller.M2}
 
         self.now: Fraction = Fraction(0)
-        self._heap: List[SimEvent] = []
+        # (time, seq, kind, payload); seq breaks time ties in insertion order
+        self._heap: List[Tuple[Fraction, int, EventKind, tuple]] = []
         self._seq = 0
         self._msg_index = 0
         self._gen = 0  # bumped on any arm/disarm; stale queued events are skipped
@@ -168,8 +161,10 @@ class Sim:
             Controller.M1: events_for_controller(self._schedule, Controller.M1),
             Controller.M2: events_for_controller(self._schedule, Controller.M2),
         }
-        self._sampler_t0: Optional[Fraction] = None
-        self._sample_period: Optional[Fraction] = None
+        # set when both children are armed; sample k sits mid-period, at
+        # (_sample_origin + k + 1/2) * period, period = num / den seconds
+        self._sample_origin = 0
+        self._sample_period: Optional[Tuple[int, int]] = None
         # centralized: per-period apply times of each controller
         self._s0_applied: Dict[int, Dict[Controller, Fraction]] = {}
 
@@ -182,7 +177,7 @@ class Sim:
 
     def _push(self, t: Fraction, kind: EventKind, payload: tuple) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, SimEvent(as_seconds(t), self._seq, kind, payload))
+        heapq.heappush(self._heap, (as_seconds(t), self._seq, kind, payload))
 
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
@@ -227,10 +222,10 @@ class Sim:
         if te < self.now:
             raise ValueError("t_end precedes current simulation time")
         processed = 0
-        while self._heap and self._heap[0].time_true_s <= te:
-            ev = heapq.heappop(self._heap)
-            self.now = ev.time_true_s
-            self._HANDLERS[ev.kind](self, *ev.payload)
+        heap = self._heap
+        while heap and heap[0][0] <= te:
+            self.now, _, kind, payload = heapq.heappop(heap)
+            self._HANDLERS[kind](self, *payload)
             processed += 1
         self.now = te
         return processed
@@ -312,13 +307,15 @@ class Sim:
         cfg = self.config.gait
         m1 = self.children[0].gait
         if m1.ref is TimeRef.ASN:
-            period = cfg.period_slots * SLOT_LENGTH_S
+            self._sample_period = as_ratio(cfg.period_slots * SLOT_LENGTH_S)
         else:
-            period = as_seconds(cfg.period_s)
-        t0 = m1.arm_period_index * period
-        self._sampler_t0 = t0
-        self._sample_period = period
-        self._push(t0 + period / 2, EventKind.SAMPLE_POINT, (self._gen, 0))
+            self._sample_period = as_ratio(cfg.period_s)
+        self._sample_origin = m1.arm_period_index
+        self._push(self._sample_time(0), EventKind.SAMPLE_POINT, (self._gen, 0))
+
+    def _sample_time(self, k: int) -> Fraction:
+        p_num, p_den = self._sample_period
+        return Fraction((2 * (self._sample_origin + k) + 1) * p_num, 2 * p_den)
 
     def _handle_sample(self, gen: int, k: int) -> None:
         if gen != self._gen:
@@ -328,8 +325,7 @@ class Sim:
         err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
         self.samples.append((round(float(self.now), 6), k, round(err, 3)))
         k_next = k + self.config.sample_every
-        self._push(self._sampler_t0 + k_next * self._sample_period + self._sample_period / 2,
-                   EventKind.SAMPLE_POINT, (gen, k_next))
+        self._push(self._sample_time(k_next), EventKind.SAMPLE_POINT, (gen, k_next))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
         ctrl = self.controller_of[child.node_id]

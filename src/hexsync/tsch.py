@@ -3,13 +3,13 @@
 Slot boundaries are defined in continuous local seconds (boundary for slot
 number n sits at local time (n - asn_origin) * 0.015 s past the node's
 alignment origin) and quantized down to the node's tick grid when converted
-to true time. 15 ms is 491.52 ticks, so consecutive boundaries land 15 ms
-apart in local time only to within one tick.
+to true time. 15 ms is 491.52 = 12288/25 ticks, so consecutive boundaries
+land 15 ms apart in local time only to within one tick. Slot and tick
+conversions are single integer floor or ceil divisions by that ratio.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,12 +18,15 @@ from .clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
     as_seconds,
+    tick_gap_us,
     ticks_at,
     true_time_of_tick,
 )
 
 SLOT_LENGTH_S = Fraction(15, 1000)
 TICKS_PER_SLOT = SLOT_LENGTH_S * NOMINAL_FREQ_HZ  # 491.52, not an integer
+_SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator      # 12288
+_SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator    # 25
 DEFAULT_KEEPALIVE_PERIOD_S = 30.0
 
 
@@ -57,22 +60,27 @@ def make_mote(node_id: str, clock: DriftingClock, parent_id: Optional[str] = Non
                      keepalive_period_s=as_seconds(keepalive_period_s))
 
 
-def slot_boundary_true_time(node: MoteState, asn: int) -> Fraction:
-    """True time at which the node's local time first reaches slot asn's start.
+def slot_boundary_tick(node: MoteState, asn: int) -> int:
+    """The node's local tick at slot asn's start, quantized down to whole ticks.
 
     The grid extends backwards on the same 15 ms spacing, so slots shortly
     before the alignment origin (reachable right after a resync pins the
     origin at the *next* parent boundary) resolve too.
     """
-    target_ticks = node.origin_local_ticks + (asn - node.asn_origin) * TICKS_PER_SLOT
-    return true_time_of_tick(node.clock, math.floor(target_ticks))
+    return (node.origin_local_ticks
+            + (asn - node.asn_origin) * _SLOT_TICKS_NUM // _SLOT_TICKS_DEN)
+
+
+def slot_boundary_true_time(node: MoteState, asn: int) -> Fraction:
+    """True time at which the node's local time first reaches slot asn's start."""
+    return true_time_of_tick(node.clock, slot_boundary_tick(node, asn))
 
 
 def asn_at(node: MoteState, t_true) -> int:
     """Largest slot number whose boundary is at or before t_true."""
-    t = as_seconds(t_true)
-    elapsed_ticks = ticks_at(node.clock, t) + 1 - node.origin_local_ticks
-    return node.asn_origin + math.ceil(elapsed_ticks / TICKS_PER_SLOT) - 1
+    elapsed_ticks = ticks_at(node.clock, t_true) + 1 - node.origin_local_ticks
+    # asn_origin + ceil(elapsed_ticks / TICKS_PER_SLOT) - 1
+    return node.asn_origin - (-elapsed_ticks * _SLOT_TICKS_DEN // _SLOT_TICKS_NUM) - 1
 
 
 def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:
@@ -87,17 +95,18 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:
         raise ValueError("root has no time-source parent to resync to")
     t = as_seconds(t_true)
     parent_asn = asn_at(parent, t)
-    parent_next = slot_boundary_true_time(parent, parent_asn + 1)
+    parent_tick = slot_boundary_tick(parent, parent_asn + 1)
     child.asn_origin = parent_asn + 1
-    child.origin_local_ticks = ticks_at(child.clock, parent_next)
+    child.origin_local_ticks = ticks_at(
+        child.clock, true_time_of_tick(parent.clock, parent_tick))
     child.last_resync_true_s = t
-    own_next = slot_boundary_true_time(child, child.asn_origin)
-    return float((parent_next - own_next) * 10**6)
+    # the child's own next boundary is its origin tick
+    return tick_gap_us(child.clock, child.origin_local_ticks, parent.clock, parent_tick)
 
 
 def pairwise_sync_error(a: MoteState, b: MoteState, asn: int) -> float:
     """Signed true-time difference (us) between two nodes' boundary for one slot."""
-    return float((slot_boundary_true_time(a, asn) - slot_boundary_true_time(b, asn)) * 10**6)
+    return tick_gap_us(b.clock, slot_boundary_tick(b, asn), a.clock, slot_boundary_tick(a, asn))
 
 
 def next_keepalive_due(node: MoteState) -> Fraction:

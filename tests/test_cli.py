@@ -175,3 +175,13 @@ def test_ascii_plot_rejects_tiny_canvas():
                        scheme=SchemeId.S1_OPEN_LOOP, config={})
     with pytest.raises(ValueError):
         render_ascii_plot(trace, width=4, height=4)
+
+
+@pytest.mark.parametrize("flag", [["--dur", "20"], ["--duration-s=20"]])
+def test_abbreviated_or_joined_flag_beats_config_file(tmp_path, flag):
+    # argparse accepts both spellings, so both count as explicit
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("duration-s=50\n")
+    out = tmp_path / "out.csv"
+    assert dispatch(["run", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+    assert read_trace_csv(str(out))[-1][0] < 21
