@@ -157,7 +157,7 @@ def trace_csv_lines(trace: ErrorTrace) -> List[str]:
     marks = sorted(trace.resync_marks)
     # a row is flagged when a mark m has prev < m <= t: more marks lie at or
     # before t than at or before the previous sample's time
-    marks_to_prev = bisect_right(marks, float("-inf"))
+    marks_to_prev = 0
     for t, k, err in trace.samples:
         marks_to_t = bisect_right(marks, t)
         resynced = marks_to_t > marks_to_prev

@@ -2,8 +2,8 @@
 
 All timing error in the simulator originates here. A clock maps true
 (simulation) time to an integer tick count. Its rate is stored once, when
-the clock is made, as a reduced integer pair rate_num / rate_den ticks per
-true second, built exactly from the ppm value. Every conversion is then a
+the clock is built, as a reduced integer pair rate_num / rate_den ticks per
+true second, derived exactly from the ppm value. Every conversion is then a
 single integer floor or ceil division, never a stepping of ticks and never
 Fraction arithmetic, so a query at t = 1e6 s is as cheap and as exact as one
 at t = 1 s. A returned true time is an exact Fraction built once from an
@@ -12,7 +12,7 @@ integer pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
@@ -49,14 +49,21 @@ class DriftingClock:
     """A crystal oscillator running at 32768 * (1 + ppm_error/1e6) Hz.
 
     rate_num / rate_den is that rate in ticks per true second, in lowest
-    terms. The tick count is zero at true time 0. Resynchronization never
-    touches the clock: it re-pins a node's slot grid against it
-    (tsch.MoteState).
+    terms, derived from ppm_error when the clock is built. The tick count is
+    zero at true time 0. Resynchronization never touches the clock: it
+    re-pins a node's slot grid against it (tsch.MoteState).
     """
 
     ppm_error: Fraction
-    rate_num: int
-    rate_den: int
+    rate_num: int = field(init=False, repr=False, compare=False)
+    rate_den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ppm = as_seconds(self.ppm_error)
+        den = 10**6 * ppm.denominator
+        rate = Fraction(NOMINAL_FREQ_HZ * (den + ppm.numerator), den)
+        object.__setattr__(self, "rate_num", rate.numerator)
+        object.__setattr__(self, "rate_den", rate.denominator)
 
 
 def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
@@ -65,9 +72,7 @@ def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
     if abs(ppm) > Fraction(ppm_max):
         raise ValueError(
             f"ppm_error {float(ppm)} outside +/-{ppm_max} ppm crystal tolerance")
-    den = 10**6 * ppm.denominator
-    rate = Fraction(NOMINAL_FREQ_HZ * (den + ppm.numerator), den)
-    return DriftingClock(ppm, rate.numerator, rate.denominator)
+    return DriftingClock(ppm)
 
 
 def ticks_at(clock: DriftingClock, t_true) -> int:
@@ -97,6 +102,15 @@ def tick_of_local(local_num: int, local_den: int = 1) -> int:
     a tick; true_time_of_tick then places that tick in true time.
     """
     return -(-local_num * NOMINAL_FREQ_HZ // local_den)
+
+
+def local_periods_at(clock: DriftingClock, t_true, period_s) -> int:
+    """Whole periods of period_s local seconds the clock has counted at t_true.
+
+    floor(local_seconds_at(clock, t_true) / period_s), evaluated exactly.
+    """
+    p_num, p_den = as_ratio(period_s)
+    return ticks_at(clock, t_true) * p_den // (NOMINAL_FREQ_HZ * p_num)
 
 
 def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:

@@ -16,12 +16,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .clock import (
-    NOMINAL_FREQ_HZ,
     as_ratio,
     as_seconds,
+    local_periods_at,
     tick_gap_us,
     tick_of_local,
-    ticks_at,
     true_time_of_tick,
 )
 from .tsch import MoteState, asn_at, slot_boundary_tick
@@ -179,9 +178,7 @@ def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) 
     on the network's ASN.
     """
     if ref is TimeRef.FREE_RUNNING:
-        # floor(local seconds / period_s), local seconds = ticks / NOMINAL_FREQ_HZ
-        p_num, p_den = as_ratio(config.period_s)
-        return ticks_at(node.clock, t_true) * p_den // (NOMINAL_FREQ_HZ * p_num)
+        return local_periods_at(node.clock, t_true, config.period_s)
     return asn_at(node, t_true) // config.period_slots
 
 

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from hexsync.clock import (
     NOMINAL_FREQ_HZ,
+    DriftingClock,
+    local_periods_at,
+    local_seconds_at,
     make_clock,
     tick_gap_us,
     tick_of_local,
@@ -114,6 +117,26 @@ def test_rate_pair_is_the_reduced_exact_rate(ppm):
     c = make_clock(ppm)
     assert Fraction(c.rate_num, c.rate_den) == ref_rate(c)
     assert math.gcd(c.rate_num, c.rate_den) == 1 and c.rate_den > 0
+
+
+@pytest.mark.parametrize("ppm", LISTED_PPM)
+def test_rate_pair_is_derived_from_ppm_alone(ppm):
+    # ppm_error is the clock's one constructor field; the pair follows from it
+    c = DriftingClock(ppm)
+    assert (c.rate_num, c.rate_den) == (make_clock(ppm).rate_num, make_clock(ppm).rate_den)
+    assert c == make_clock(ppm) and repr(c) == f"DriftingClock(ppm_error={ppm!r})"
+    with pytest.raises(TypeError):
+        DriftingClock(ppm, c.rate_num, c.rate_den)
+
+
+@given(ppm=ppms, t=times,
+       period=st.sampled_from([Fraction(3, 2), Fraction(1, 3), 0.7, 1, 2.5]))
+@settings(max_examples=200, deadline=None)
+def test_local_periods_match_fraction_reference(ppm, t, period):
+    c = make_clock(ppm)
+    expected = math.floor(Fraction(ref_ticks_at(c, t), NOMINAL_FREQ_HZ) / Fraction(period))
+    assert local_periods_at(c, t, period) == expected
+    assert expected == math.floor(local_seconds_at(c, t) / Fraction(period))
 
 
 @given(ppm=ppms, t=times, local=times)
