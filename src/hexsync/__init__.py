@@ -37,17 +37,15 @@ from .simnet import (
     LinkModel,
     Message,
     MessageKind,
-    NodeSpec,
     SchemeId,
+    SchemeParams,
     Sim,
-    SimConfig,
     Verb,
     make_sim,
 )
 from .experiment import (
     ErrorTrace,
     ExperimentResult,
-    SchemeParams,
     analytic_bound_us,
     fit_drift_slope,
     run_scheme,

@@ -9,22 +9,12 @@ resync period.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass, replace
+from statistics import fmean, linear_regression
+from typing import List, Optional, Sequence, Tuple
 
 from .clock import TICK_US
-from .gait import GaitConfig
-from .simnet import (
-    LinkModel,
-    NodeSpec,
-    SchemeId,
-    Sim,
-    SimConfig,
-    Verb,
-    make_sim,
-)
+from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
 
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
 
@@ -33,8 +23,6 @@ MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slop
 class ErrorTrace:
     samples: List[Tuple[float, int, float]]  # (true_time_s, period_index, error_us)
     resync_marks: List[float]
-    scheme: SchemeId
-    config: Dict[str, object]
 
 
 @dataclass
@@ -46,62 +34,32 @@ class ExperimentResult:
     opposition_eta_s: Optional[float]
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    ppm_m1: float = -3.0
-    ppm_m2: float = 0.0
-    ppm_root: float = 0.0
-    duration_s: float = 400.0
-    resync_period_s: float = 30.0
-    seed: int = 1
-    gait: GaitConfig = field(default_factory=GaitConfig)
-    link: LinkModel = field(default_factory=LinkModel)
-    sample_every: int = 1
-
-
 def build_sim(scheme: SchemeId, params: SchemeParams,
               emit_setpoints: bool = False) -> Sim:
     """Build the scheme's simulation with its Start command queued at t = 0."""
-    config = SimConfig(
-        root=NodeSpec("root", params.ppm_root),
-        children=(NodeSpec("m1", params.ppm_m1), NodeSpec("m2", params.ppm_m2)),
-        mode=scheme,
-        gait=params.gait,
-        link=params.link,
-        keepalive_period_s=params.resync_period_s,
-        sample_every=params.sample_every,
-        emit_setpoints=emit_setpoints,
-    )
-    sim = make_sim(config, params.seed)
+    sim = make_sim(scheme, params, emit_setpoints)
     sim.inject_command(Verb.START, 0)
     return sim
 
 
 def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
-    """Run one scheme start-to-finish and derive its summary metrics."""
+    """Run one scheme start-to-finish and derive its summary metrics.
+
+    A run too short for two samples has no slope to fit: its slope and
+    opposition time are None. A run that ends before its first sample is
+    an error.
+    """
     if params.duration_s < params.gait.period_s:
         raise ValueError("duration must cover at least one gait period")
     sim = build_sim(scheme, params)
     sim.run_until(params.duration_s)
+    if not sim.samples:
+        raise ValueError(f"the run ended at {params.duration_s} s, "
+                         "before its first sample")
 
-    trace = ErrorTrace(
-        samples=list(sim.samples),
-        resync_marks=list(sim.resync_marks),
-        scheme=scheme,
-        config={
-            "scheme": scheme.value,
-            "ppm_m1": params.ppm_m1,
-            "ppm_m2": params.ppm_m2,
-            "ppm_root": params.ppm_root,
-            "duration_s": params.duration_s,
-            "resync_period_s": params.resync_period_s,
-            "seed": params.seed,
-            "gait_period_s": params.gait.period_s,
-            "gait_period_slots": params.gait.period_slots,
-        },
-    )
-    max_abs = max((abs(s[2]) for s in trace.samples), default=0.0)
-    slope = fit_drift_slope(trace)
+    trace = ErrorTrace(sim.samples, sim.resync_marks)
+    max_abs = max(abs(s[2]) for s in trace.samples)
+    slope = fit_drift_slope(trace) if len(trace.samples) >= 2 else None
     bound = None
     if scheme is SchemeId.S2_SYNCHRONIZED:
         bound = analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
@@ -117,15 +75,15 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
     and the per-window slopes are averaged, so the sawtooth resets do not
     bias the estimate. If no window holds MIN_WINDOW_SAMPLES samples, the
     resyncs are denser than the sampling and there is no drift to fit:
-    the result is None.
+    the result is None. A fitted set of samples that all share one time
+    raises statistics.StatisticsError, a ValueError.
     """
     samples = trace.samples
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit a slope")
     if not trace.resync_marks:
-        ts = np.array([s[0] for s in samples])
-        es = np.array([s[2] for s in samples])
-        return float(np.polyfit(ts, es, 1)[0])
+        return linear_regression([s[0] for s in samples],
+                                 [s[2] for s in samples]).slope
 
     # window i holds the samples with marks[i-1] < t <= marks[i], in sample
     # order; the first and last windows are open-ended
@@ -137,12 +95,11 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
     for window in windows:
         if len(window) < MIN_WINDOW_SAMPLES:
             continue
-        wts = np.array([w[0] for w in window])
-        wes = np.array([w[1] for w in window])
-        slopes.append(float(np.polyfit(wts, wes, 1)[0]))
+        slopes.append(linear_regression([w[0] for w in window],
+                                        [w[1] for w in window]).slope)
     if not slopes:
         return None
-    return float(np.mean(slopes))
+    return fmean(slopes)
 
 
 def time_to_opposition(slope_us_per_s: float, period_s: float) -> Optional[float]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .clock import (
+    TICK_S,
     as_ratio,
     as_seconds,
     local_periods_at,
@@ -82,8 +83,10 @@ class GaitConfig:
     knee_forward_deg: float = -25.0
 
     def validate(self) -> None:
-        if not 0 < self.period_s < math.inf:
-            raise ValueError("period_s must be positive and finite")
+        # four ticks give each of the four phases its own tick, as
+        # period_slots >= 4 gives each its own slot
+        if not 4 * TICK_S <= self.period_s < math.inf:
+            raise ValueError("period_s must be finite and at least 4 ticks (4/32768 s)")
         offs = [Fraction(o) for o in self.event_offsets]
         if len(offs) != 4:
             raise ValueError("exactly four phase offsets required")

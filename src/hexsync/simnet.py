@@ -2,7 +2,7 @@
 
 One root and two child controllers exchange slot-aligned messages; every
 root-to-child delivery resynchronizes the child's timebase (unless the run
-models free-running clocks). Identical (config, seed) pairs replay
+models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 """
@@ -90,60 +90,48 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    node_id: str
-    ppm: float = 0.0
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    root: NodeSpec
-    children: Tuple[NodeSpec, ...]
-    mode: SchemeId = SchemeId.S2_SYNCHRONIZED
+class SchemeParams:
+    """The one run configuration of the root, M1 (hips) and M2 (knees) network."""
+    ppm_m1: float = -3.0
+    ppm_m2: float = 0.0
+    ppm_root: float = 0.0
+    duration_s: float = 400.0
+    resync_period_s: float = 30.0
+    seed: int = 1
     gait: GaitConfig = field(default_factory=GaitConfig)
     link: LinkModel = field(default_factory=LinkModel)
-    keepalive_period_s: float = 30.0
     sample_every: int = 1
-    emit_setpoints: bool = False
 
 
 class Sim:
     """A single deterministic simulation; mutate only through its event loop."""
 
-    def __init__(self, config: SimConfig, seed: int):
-        if len(config.children) == 0:
-            raise ValueError("topology needs two child motes, got none")
-        if len(config.children) != 2:
-            raise ValueError("topology is exactly one root and two children")
-        ids = [config.root.node_id] + [c.node_id for c in config.children]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate node ids in {ids}")
-        config.link.validate()
-        config.gait.validate()
-        if config.sample_every < 1:
+    def __init__(self, scheme: SchemeId, params: SchemeParams,
+                 emit_setpoints: bool = False):
+        params.link.validate()
+        params.gait.validate()
+        if params.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if config.keepalive_period_s <= 0:
-            raise ValueError("keepalive_period_s must be positive")
+        if params.resync_period_s <= 0:
+            raise ValueError("resync_period_s must be positive")
 
-        self.config = config
-        self.seed = int(seed)
-        self.mode = config.mode
+        self.scheme = scheme
+        self.params = params
+        self.seed = int(params.seed)
+        self.emit_setpoints = emit_setpoints
         # Free-running control deliberately leaves child timebases alone.
-        self.resync_enabled = config.mode is not SchemeId.S1_OPEN_LOOP
+        self.resync_enabled = scheme is not SchemeId.S1_OPEN_LOOP
 
-        self.root = make_mote(config.root.node_id, make_clock(config.root.ppm))
+        self.root = make_mote("root", make_clock(params.ppm_root))
         self.children: List[MoteState] = [
-            make_mote(c.node_id, make_clock(c.ppm),
-                      parent_id=config.root.node_id,
-                      keepalive_period_s=config.keepalive_period_s)
-            for c in config.children
+            make_mote(node_id, make_clock(ppm), parent_id="root",
+                      keepalive_period_s=params.resync_period_s)
+            for node_id, ppm in (("m1", params.ppm_m1), ("m2", params.ppm_m2))
         ]
-        self.nodes: Dict[str, MoteState] = {self.root.node_id: self.root}
-        for c in self.children:
-            self.nodes[c.node_id] = c
-        # children[0] drives the hips (M1), children[1] the knees (M2)
-        self.controller_of = {self.children[0].node_id: Controller.M1,
-                              self.children[1].node_id: Controller.M2}
+        self.nodes: Dict[str, MoteState] = {
+            "root": self.root, "m1": self.children[0], "m2": self.children[1]}
+        # m1 drives the hips (M1), m2 the knees (M2)
+        self.controller_of = {"m1": Controller.M1, "m2": Controller.M2}
 
         self.now: Fraction = Fraction(0)
         # (time, seq, kind, payload); seq breaks time ties in insertion order
@@ -156,7 +144,7 @@ class Sim:
         self.resync_marks: List[float] = []
         self.servo_setpoints: List[ServoSetpoint] = []
 
-        self._schedule = build_schedule(config.gait)
+        self._schedule = build_schedule(params.gait)
         self._controller_events = {
             Controller.M1: events_for_controller(self._schedule, Controller.M1),
             Controller.M2: events_for_controller(self._schedule, Controller.M2),
@@ -192,7 +180,7 @@ class Sim:
         sampled link latency; drops retransmit one slot later."""
         if msg.src not in self.nodes or msg.dst not in self.nodes:
             raise ValueError(f"unknown node in {msg.src}->{msg.dst}")
-        link = self.config.link
+        link = self.params.link
         index = self._msg_index
         self._msg_index += 1
         sent = as_seconds(msg.sent_true_s)
@@ -236,7 +224,7 @@ class Sim:
         for child in self.children:
             self.send(Message(MessageKind.COMMAND, self.root.node_id,
                               child.node_id, self.now, body=verb))
-        if self.mode is SchemeId.S0_CENTRALIZED:
+        if self.scheme is SchemeId.S0_CENTRALIZED:
             self._root_apply_command(verb)
 
     def _handle_delivery(self, msg: Message) -> None:
@@ -266,18 +254,18 @@ class Sim:
     # -- gait control ------------------------------------------------------
 
     def _apply_command(self, child: MoteState, verb: Verb) -> None:
-        if self.mode is SchemeId.S0_CENTRALIZED:
+        if self.scheme is SchemeId.S0_CENTRALIZED:
             return  # root-side timing handles everything
         if verb is Verb.START:
-            if self.mode is SchemeId.S1_OPEN_LOOP:
-                gaitmod.arm_free_running(child, self.config.gait, self.now)
+            if self.scheme is SchemeId.S1_OPEN_LOOP:
+                gaitmod.arm_free_running(child, self.params.gait, self.now)
             else:
-                gaitmod.arm_asn_ref(child, self.config.gait, self.now)
+                gaitmod.arm_asn_ref(child, self.params.gait, self.now)
             self._gen += 1
             if all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
                 self._start_sampler()
-                if self.config.emit_setpoints:
+                if self.emit_setpoints:
                     for c in self.children:
                         self._schedule_controller_period(c, 0)
         elif verb is Verb.STOP:
@@ -304,7 +292,7 @@ class Sim:
             a.arm_period_index = common
 
     def _start_sampler(self) -> None:
-        cfg = self.config.gait
+        cfg = self.params.gait
         m1 = self.children[0].gait
         if m1.ref is TimeRef.ASN:
             self._sample_period = as_ratio(cfg.period_slots * SLOT_LENGTH_S)
@@ -324,14 +312,14 @@ class Sim:
             return
         err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
         self.samples.append((round(float(self.now), 6), k, round(err, 3)))
-        k_next = k + self.config.sample_every
+        k_next = k + self.params.sample_every
         self._push(self._sample_time(k_next), EventKind.SAMPLE_POINT, (gen, k_next))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
         ctrl = self.controller_of[child.node_id]
         phases = sorted({e.phase_index for e in self._controller_events[ctrl]})
         for phase in phases:
-            offset = self.config.gait.event_offsets[phase]
+            offset = self.params.gait.event_offsets[phase]
             t = gaitmod.gait_event_true_time(child, k, Fraction(offset))
             last = phase == phases[-1]
             self._push(t, EventKind.CONTROLLER_PHASE,
@@ -358,7 +346,7 @@ class Sim:
 
     def _root_apply_command(self, verb: Verb) -> None:
         if verb is Verb.START:
-            gaitmod.arm_free_running(self.root, self.config.gait, self.now)
+            gaitmod.arm_free_running(self.root, self.params.gait, self.now)
             self._gen += 1
             self._push(gaitmod.period_start_true_time(self.root, 0),
                        EventKind.ROOT_PERIOD, (self._gen, 0))
@@ -380,15 +368,16 @@ class Sim:
         ctrl = self.controller_of[child.node_id]
         applied = self._s0_applied.setdefault(k, {})
         applied[ctrl] = self.now
-        if self.config.emit_setpoints:
+        if self.emit_setpoints:
             for event in self._controller_events[ctrl]:
                 self.servo_setpoints.extend(
                     gaitmod.setpoints_for_event(event, ctrl, self.now))
         if len(applied) == 2:
-            err = float((applied[Controller.M2] - applied[Controller.M1]) * 10**6)
-            t = max(applied.values())
-            self.samples.append((round(float(t), 6), k, round(err, 3)))
             del self._s0_applied[k]
+            if k % self.params.sample_every == 0:
+                err = float((applied[Controller.M2] - applied[Controller.M1]) * 10**6)
+                t = max(applied.values())
+                self.samples.append((round(float(t), 6), k, round(err, 3)))
 
     # event kind -> handler; an event's payload is its handler's arguments
     _HANDLERS = {
@@ -401,6 +390,7 @@ class Sim:
     }
 
 
-def make_sim(config: SimConfig, seed: int) -> Sim:
-    """Build a primed simulation; identical (config, seed) replay identically."""
-    return Sim(config, seed)
+def make_sim(scheme: SchemeId, params: SchemeParams,
+             emit_setpoints: bool = False) -> Sim:
+    """Build a primed simulation; identical (scheme, params) replay identically."""
+    return Sim(scheme, params, emit_setpoints)

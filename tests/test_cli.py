@@ -14,7 +14,7 @@ from hexsync.cli import (
     trace_csv_lines,
     write_trace_csv,
 )
-from hexsync.experiment import ErrorTrace, SchemeId
+from hexsync.experiment import ErrorTrace
 
 
 def run_cli(tmp_path, *argv):
@@ -56,6 +56,7 @@ def test_unwritable_output_exits_one(capsys):
     (["run", "--resync-period-s", "0", "--jitter-s", "0"], None),
     (["run", "--resync-period-s", "-1"], None),
     (["sweep", "--periods", "-5"], None),
+    (["run", "--scheme", "open-loop", "--gait-period-s", "1e-300", "--duration-s", "1"], None),
 ])
 def test_bad_values_exit_one_without_traceback(tmp_path, capsys, argv, config):
     if config is not None:
@@ -85,6 +86,33 @@ def test_synchronized_run_bounded_with_resync_marks(tmp_path):
     assert 10 <= resync_rows <= 16  # ~every 30 s over 400 s
 
 
+@pytest.mark.parametrize("scheme", ["centralized", "open-loop", "synchronized"])
+@pytest.mark.parametrize("link", [[], ["--drop-prob", "0.2", "--jitter-s", "0.03"]])
+def test_sample_every_keeps_every_nth_period(tmp_path, scheme, link):
+    rows = {}
+    for every in ("1", "5"):
+        out = tmp_path / f"every{every}.csv"
+        assert dispatch(["run", "--scheme", scheme, "--duration-s", "60",
+                         "--sample-every", every, *link, "--out", str(out)]) == 0
+        # the resync column depends on which rows exist, so compare without it
+        rows[every] = [r[:3] for r in read_trace_csv(str(out))]
+    assert len(rows["5"]) >= 10
+    assert rows["5"] == [r for r in rows["1"] if r[1] % 5 == 0]
+
+
+def test_run_with_one_sample_exits_zero(tmp_path):
+    # the first sample lands at ~1.53 s: one row and no slope to fit
+    code, out = run_cli(tmp_path, "run", "--duration-s", "2")
+    assert code == 0
+    assert len(read_trace_csv(str(out))) == 1
+
+
+def test_run_ending_before_first_sample_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "run", "--duration-s", "1.5")
+    assert code == 1
+    assert "before its first sample" in capsys.readouterr().err
+
+
 def test_trace_header_and_formatting(tmp_path):
     code, out = run_cli(tmp_path, "run", "--duration-s", "10")
     assert code == 0
@@ -97,8 +125,7 @@ def test_trace_header_and_formatting(tmp_path):
 
 
 def test_empty_trace_writes_header_only(tmp_path):
-    trace = ErrorTrace(samples=[], resync_marks=[],
-                       scheme=SchemeId.S1_OPEN_LOOP, config={})
+    trace = ErrorTrace(samples=[], resync_marks=[])
     path = tmp_path / "empty.csv"
     write_trace_csv(trace, str(path))
     assert path.read_text() == TRACE_HEADER + "\n"
@@ -157,12 +184,10 @@ def test_config_file_defaults_with_flag_override(tmp_path):
 
 
 def test_ascii_plot_shapes():
-    flat = ErrorTrace(samples=[(float(t), t, 0.0) for t in range(50)],
-                      resync_marks=[], scheme=SchemeId.S1_OPEN_LOOP, config={})
+    flat = ErrorTrace(samples=[(float(t), t, 0.0) for t in range(50)], resync_marks=[])
     art = render_ascii_plot(flat)
     assert "*" in art and "max=" in art
-    ramp = ErrorTrace(samples=[(float(t), t, -5.0 * t) for t in range(50)],
-                      resync_marks=[], scheme=SchemeId.S1_OPEN_LOOP, config={})
+    ramp = ErrorTrace(samples=[(float(t), t, -5.0 * t) for t in range(50)], resync_marks=[])
     art = render_ascii_plot(ramp)
     rows = [l for l in art.splitlines() if l.startswith("|")]
     first_star = next(i for i, l in enumerate(rows) if "*" in l[:10])
@@ -171,8 +196,7 @@ def test_ascii_plot_shapes():
 
 
 def test_ascii_plot_rejects_tiny_canvas():
-    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[],
-                       scheme=SchemeId.S1_OPEN_LOOP, config={})
+    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[])
     with pytest.raises(ValueError):
         render_ascii_plot(trace, width=4, height=4)
 

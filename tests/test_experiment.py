@@ -1,6 +1,7 @@
 """Scheme runs, slope fitting, bounds, and the resync-period sweep."""
 
 import math
+from bisect import bisect_left
 
 import pytest
 
@@ -60,14 +61,12 @@ def test_duration_shorter_than_period_rejected():
 
 
 def test_fit_slope_exact_synthetic_line():
-    trace = ErrorTrace(samples=[(float(t), t, 5.0 * t) for t in range(100)],
-                       resync_marks=[], scheme=SchemeId.S1_OPEN_LOOP, config={})
+    trace = ErrorTrace(samples=[(float(t), t, 5.0 * t) for t in range(100)], resync_marks=[])
     assert fit_drift_slope(trace) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_fit_slope_needs_two_samples():
-    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[],
-                       scheme=SchemeId.S1_OPEN_LOOP, config={})
+    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[])
     with pytest.raises(ValueError):
         fit_drift_slope(trace)
 
@@ -82,8 +81,7 @@ def test_fit_slope_windows_ignore_sawtooth_resets():
         for i in range(29):
             t = base + 1.0 + i
             samples.append((t, len(samples), -3.0 * (t - base)))
-    trace = ErrorTrace(samples=samples, resync_marks=marks,
-                       scheme=SchemeId.S2_SYNCHRONIZED, config={})
+    trace = ErrorTrace(samples=samples, resync_marks=marks)
     assert fit_drift_slope(trace) == pytest.approx(-3.0, abs=1e-9)
 
 
@@ -166,3 +164,25 @@ def test_s1_oracle_equivalence_spot_check():
     rel = params.ppm_m1 - params.ppm_m2
     for t, _, err in result.trace.samples:
         assert abs(err - rel * t) <= 2 * TICK_US
+
+
+@pytest.mark.parametrize("ppm_m1,ppm_m2", [(-3.7, 1.1), (-10.0, 10.0), (5.0, -0.3)])
+@pytest.mark.parametrize("resync_period_s", [1.0, 3.0, 10.0, 30.0])
+@pytest.mark.parametrize("link", [LinkModel(jitter_bound_s=0.0),
+                                  LinkModel(jitter_bound_s=0.015, drop_probability=0.2)])
+def test_s2_oracle_drift_within_two_tick_band_per_window(ppm_m1, ppm_m2,
+                                                         resync_period_s, link):
+    # between resyncs both slot grids stay put, so the error is rel_ppm*t plus
+    # a constant, give or take each controller rounding its period start up
+    # to its own next tick: a band two ticks wide
+    params = SchemeParams(ppm_m1=ppm_m1, ppm_m2=ppm_m2, duration_s=200,
+                          resync_period_s=resync_period_s, link=link)
+    result = run_scheme(SchemeId.S2_SYNCHRONIZED, params)
+    marks = sorted(set(result.trace.resync_marks))
+    rel = ppm_m1 - ppm_m2
+    windows = {}
+    for t, _, err in result.trace.samples:
+        windows.setdefault(bisect_left(marks, t), []).append(err - rel * t)
+    assert len(windows) > 1
+    for residuals in windows.values():
+        assert max(residuals) - min(residuals) <= 2 * TICK_US

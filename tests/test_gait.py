@@ -95,9 +95,10 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GaitConfig(event_offsets=(Fraction(0), Fraction(1, 4),
                                   Fraction(1, 2), Fraction(1))).validate()
-    for period_s in (0.0, float("inf"), float("nan")):
+    for period_s in (0.0, float("inf"), float("nan"), 1e-300, 3 / 32768):
         with pytest.raises(ValueError):
             GaitConfig(period_s=period_s).validate()
+    GaitConfig(period_s=4 / 32768).validate()  # four ticks: the shortest period
 
 
 def test_free_running_period_starts_nominal():

@@ -10,9 +10,8 @@ from hexsync.simnet import (
     LinkModel,
     Message,
     MessageKind,
-    NodeSpec,
     SchemeId,
-    SimConfig,
+    SchemeParams,
     Verb,
     make_sim,
 )
@@ -21,32 +20,12 @@ from hexsync.tsch import pairwise_sync_error, slot_boundary_true_time
 SLOT = 0.015
 
 
-def config(mode=SchemeId.S2_SYNCHRONIZED, ppm_m1=-3.0, ppm_m2=0.0, ppm_root=0.0,
-           link=None, keepalive=30.0, emit_setpoints=False):
-    return SimConfig(
-        root=NodeSpec("root", ppm_root),
-        children=(NodeSpec("m1", ppm_m1), NodeSpec("m2", ppm_m2)),
-        mode=mode,
-        link=link or LinkModel(),
-        keepalive_period_s=keepalive,
-        emit_setpoints=emit_setpoints,
-    )
-
-
-def test_duplicate_ids_rejected():
-    bad = SimConfig(root=NodeSpec("x"), children=(NodeSpec("x"), NodeSpec("y")))
-    with pytest.raises(ValueError):
-        make_sim(bad, 1)
-
-
-def test_zero_children_rejected():
-    bad = SimConfig(root=NodeSpec("root"), children=())
-    with pytest.raises(ValueError):
-        make_sim(bad, 1)
+def new_sim(mode=SchemeId.S2_SYNCHRONIZED, emit_setpoints=False, **params):
+    return make_sim(mode, SchemeParams(**params), emit_setpoints)
 
 
 def test_three_node_topology():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     assert set(sim.nodes) == {"root", "m1", "m2"}
     assert sim.root.is_root and all(not c.is_root for c in sim.children)
 
@@ -54,7 +33,7 @@ def test_three_node_topology():
 def test_identical_config_and_seed_replay_identically():
     runs = []
     for _ in range(2):
-        sim = make_sim(config(), seed=1)
+        sim = new_sim()
         sim.inject_command(Verb.START, 0)
         sim.run_until(120)
         runs.append((sim.samples, sim.resync_marks))
@@ -62,13 +41,13 @@ def test_identical_config_and_seed_replay_identically():
 
 
 def test_unknown_node_rejected_by_send():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     with pytest.raises(ValueError):
         sim.send(Message(MessageKind.COMMAND, "root", "nope", Fraction(0)))
 
 
 def test_degenerate_link_delivers_on_next_slot_boundary():
-    sim = make_sim(config(link=LinkModel(jitter_bound_s=0.0)), 1)
+    sim = new_sim(link=LinkModel(jitter_bound_s=0.0))
     msg = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
     sim.send(msg)
     expected = slot_boundary_true_time(sim.nodes["m2"], 1)
@@ -76,14 +55,14 @@ def test_degenerate_link_delivers_on_next_slot_boundary():
 
 
 def test_delivery_within_latency_window():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     msg = Message(MessageKind.KEEP_ALIVE, "root", "m1", as_seconds(29.99))
     sim.send(msg)
     assert 29.99 <= msg.delivered_true_s <= 29.99 + SLOT + 0.015
 
 
 def test_root_delivery_triggers_resync():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     sim.inject_command(Verb.START, 0)
     sim.run_until(1)
     assert len(sim.resync_marks) == 2  # one Start delivery per child
@@ -94,7 +73,7 @@ def test_root_delivery_triggers_resync():
 
 
 def test_resync_coupling_never_worsens_error_to_root():
-    sim = make_sim(config(ppm_m1=-8.0), 1)
+    sim = new_sim(ppm_m1=-8.0)
     sim.inject_command(Verb.START, 0)
     m1 = sim.nodes["m1"]
     for horizon in (40, 70, 100, 130):
@@ -104,34 +83,34 @@ def test_resync_coupling_never_worsens_error_to_root():
 
 
 def test_free_running_mode_never_resyncs():
-    sim = make_sim(config(mode=SchemeId.S1_OPEN_LOOP), 1)
+    sim = new_sim(mode=SchemeId.S1_OPEN_LOOP)
     sim.inject_command(Verb.START, 0)
     sim.run_until(200)
     assert sim.resync_marks == []
 
 
 def test_run_until_zero_is_empty():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     assert sim.run_until(0) == 0
     assert sim.samples == []
 
 
 def test_run_until_idempotent():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     sim.inject_command(Verb.START, 0)
     sim.run_until(50)
     assert sim.run_until(50) == 0
 
 
 def test_past_injection_rejected():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     sim.run_until(10)
     with pytest.raises(ValueError):
         sim.inject_command(Verb.START, 5)
 
 
 def test_samples_arrive_once_per_gait_period():
-    sim = make_sim(config(), 1)
+    sim = new_sim()
     sim.inject_command(Verb.START, 0)
     sim.run_until(60)
     ks = [s[1] for s in sim.samples]
@@ -142,7 +121,7 @@ def test_samples_arrive_once_per_gait_period():
 
 
 def test_stop_quiesces_gait():
-    sim = make_sim(config(emit_setpoints=True), 1)
+    sim = new_sim(emit_setpoints=True)
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.STOP, 20)
     setpoints = servo_trace(sim, 60)
@@ -152,7 +131,7 @@ def test_stop_quiesces_gait():
 
 
 def test_one_period_emits_24_setpoints():
-    sim = make_sim(config(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0)), 1)
+    sim = new_sim(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
     sim.inject_command(Verb.START, 0)
     arm_t = 68 * SLOT
     setpoints = servo_trace(sim, arm_t + 1.02)
@@ -165,7 +144,7 @@ def test_one_period_emits_24_setpoints():
 
 
 def test_left_turn_flips_left_knee_sweep():
-    sim = make_sim(config(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0)), 1)
+    sim = new_sim(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.LEFT, 3.0)
     setpoints = servo_trace(sim, 8)
@@ -187,10 +166,10 @@ def test_left_turn_flips_left_knee_sweep():
 
 
 def test_drops_defer_delivery_by_slots():
-    sim = make_sim(config(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9)), 7)
+    sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
     msg = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
     sim.send(msg)
-    no_drop = make_sim(config(link=LinkModel(jitter_bound_s=0.0)), 7)
+    no_drop = new_sim(link=LinkModel(jitter_bound_s=0.0), seed=7)
     msg2 = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
     no_drop.send(msg2)
     assert msg.delivered_true_s >= msg2.delivered_true_s
