@@ -99,6 +99,9 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
     # argparse itself says which flags argv set, so an abbreviation such as
     # --dur for --duration-s counts as explicit too
     explicit = set(vars(_build_parser(explicit_only=True).parse_args(list(argv))))
+    # a file value is converted as argparse converts the flag's argv value
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    types = {a.dest: a.type for a in subparsers.choices[args.subcommand]._actions}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -108,15 +111,11 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
             key = key.strip().replace("-", "_")
             if key in explicit or not hasattr(args, key):
                 continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, value.strip().lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key, int(value))
-            elif isinstance(current, float) or current is None:
-                setattr(args, key, float(value))
+            value = value.strip()
+            if isinstance(getattr(args, key), bool):
+                setattr(args, key, value.lower() in ("1", "true", "yes"))
             else:
-                setattr(args, key, value.strip())
+                setattr(args, key, (types.get(key) or str)(value))
 
 
 def _finite(flag: str, value: float) -> float:

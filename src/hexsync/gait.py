@@ -82,6 +82,9 @@ class GaitConfig:
     knee_back_deg: float = 25.0
     knee_forward_deg: float = -25.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         # four ticks give each of the four phases its own tick, as
         # period_slots >= 4 gives each its own slot
@@ -141,7 +144,6 @@ def build_schedule(config: GaitConfig) -> List[GaitEvent]:
     T2 mirrors T1 half a period later: its action at phase k is T1's at
     phase (k+2) mod 4.
     """
-    config.validate()
     t1_actions = [GaitAction.DOWN, GaitAction.BACK, GaitAction.UP, GaitAction.FORWARD]
     angles = {
         GaitAction.DOWN: config.hip_down_deg,
@@ -187,7 +189,6 @@ def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) 
 
 def _arm(node: MoteState, config: GaitConfig, ref: TimeRef, t_deliver) -> None:
     """Arm the gait so that period 0 is the next whole period counted on ref."""
-    config.validate()
     count = whole_periods_at(node, ref, config, t_deliver)
     node.gait = GaitArmState(config=config, ref=ref, arm_period_index=count + 1)
 

@@ -1,8 +1,8 @@
 """Deterministic discrete-event engine for the three-node network.
 
-One root and two child controllers exchange slot-aligned messages; every
-root-to-child delivery resynchronizes the child's timebase (unless the run
-models free-running clocks). Identical (scheme, params) pairs replay
+A star: the root sends slot-aligned frames to its two child controllers,
+and every delivery resynchronizes the receiving child's timebase (unless
+the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 """
@@ -68,9 +68,9 @@ class SchemeId(Enum):
 
 @dataclass
 class Message:
+    """A frame from the root to one of its children; every frame flows that way."""
     kind: MessageKind
-    src: str
-    dst: str
+    dst: MoteState
     sent_true_s: Fraction
     body: object = None
     delivered_true_s: Optional[Fraction] = None
@@ -81,6 +81,9 @@ class LinkModel:
     base_latency_s: float = 0.0
     jitter_bound_s: float = 0.015
     drop_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.base_latency_s < 0 or self.jitter_bound_s < 0:
@@ -102,19 +105,18 @@ class SchemeParams:
     link: LinkModel = field(default_factory=LinkModel)
     sample_every: int = 1
 
+    def __post_init__(self) -> None:
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        if self.resync_period_s <= 0:
+            raise ValueError("resync_period_s must be positive")
+
 
 class Sim:
     """A single deterministic simulation; mutate only through its event loop."""
 
     def __init__(self, scheme: SchemeId, params: SchemeParams,
                  emit_setpoints: bool = False):
-        params.link.validate()
-        params.gait.validate()
-        if params.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if params.resync_period_s <= 0:
-            raise ValueError("resync_period_s must be positive")
-
         self.scheme = scheme
         self.params = params
         self.seed = int(params.seed)
@@ -128,8 +130,6 @@ class Sim:
                       keepalive_period_s=params.resync_period_s)
             for node_id, ppm in (("m1", params.ppm_m1), ("m2", params.ppm_m2))
         ]
-        self.nodes: Dict[str, MoteState] = {
-            "root": self.root, "m1": self.children[0], "m2": self.children[1]}
         # m1 drives the hips (M1), m2 the knees (M2)
         self.controller_of = {"m1": Controller.M1, "m2": Controller.M2}
 
@@ -138,7 +138,7 @@ class Sim:
         self._heap: List[Tuple[Fraction, int, EventKind, tuple]] = []
         self._seq = 0
         self._msg_index = 0
-        self._gen = 0  # bumped on any arm/disarm; stale queued events are skipped
+        self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
 
         self.samples: List[Tuple[float, int, float]] = []
         self.resync_marks: List[float] = []
@@ -159,7 +159,7 @@ class Sim:
         if self.resync_enabled:
             for child in self.children:
                 self._push(next_keepalive_due(child), EventKind.KEEPALIVE_DUE,
-                           (child.node_id,))
+                           (child,))
 
     # -- queue plumbing ----------------------------------------------------
 
@@ -178,8 +178,6 @@ class Sim:
     def send(self, msg: Message) -> None:
         """Schedule delivery at the receiver's first slot boundary after the
         sampled link latency; drops retransmit one slot later."""
-        if msg.src not in self.nodes or msg.dst not in self.nodes:
-            raise ValueError(f"unknown node in {msg.src}->{msg.dst}")
         link = self.params.link
         index = self._msg_index
         self._msg_index += 1
@@ -191,7 +189,7 @@ class Sim:
             attempt += 1
         latency = link.base_latency_s + link.jitter_bound_s * self._uniform("lat", index)
         arrival = sent + as_seconds(latency)
-        dst = self.nodes[msg.dst]
+        dst = msg.dst
         a = asn_at(dst, arrival)
         boundary = slot_boundary_true_time(dst, a)
         t_del = boundary if boundary == arrival else slot_boundary_true_time(dst, a + 1)
@@ -222,34 +220,29 @@ class Sim:
 
     def _handle_injection(self, verb: Verb) -> None:
         for child in self.children:
-            self.send(Message(MessageKind.COMMAND, self.root.node_id,
-                              child.node_id, self.now, body=verb))
+            self.send(Message(MessageKind.COMMAND, child, self.now, body=verb))
         if self.scheme is SchemeId.S0_CENTRALIZED:
             self._root_apply_command(verb)
 
     def _handle_delivery(self, msg: Message) -> None:
-        dst = self.nodes[msg.dst]
-        if (not dst.is_root and msg.src == self.root.node_id
-                and self.resync_enabled):
-            resync_to_parent(dst, self.root, self.now)
+        child = msg.dst
+        if self.resync_enabled:
+            resync_to_parent(child, self.root, self.now)
             self.resync_marks.append(float(self.now))
         if msg.kind is MessageKind.KEEP_ALIVE:
-            self._push(next_keepalive_due(dst), EventKind.KEEPALIVE_DUE,
-                       (dst.node_id,))
+            self._push(next_keepalive_due(child), EventKind.KEEPALIVE_DUE, (child,))
         elif msg.kind is MessageKind.COMMAND:
-            self._apply_command(dst, msg.body)
+            self._apply_command(child, msg.body)
         elif msg.kind is MessageKind.SERVO_COMMAND:
-            self._apply_servo_command(dst, msg.body)
+            self._apply_servo_command(child, msg.body)
 
-    def _handle_keepalive_due(self, child_id: str) -> None:
-        child = self.nodes[child_id]
+    def _handle_keepalive_due(self, child: MoteState) -> None:
         due = next_keepalive_due(child)
         if due > self.now:
             # an intervening exchange already resynced this child
-            self._push(due, EventKind.KEEPALIVE_DUE, (child_id,))
+            self._push(due, EventKind.KEEPALIVE_DUE, (child,))
             return
-        self.send(Message(MessageKind.KEEP_ALIVE, self.root.node_id,
-                          child_id, self.now))
+        self.send(Message(MessageKind.KEEP_ALIVE, child, self.now))
 
     # -- gait control ------------------------------------------------------
 
@@ -308,8 +301,6 @@ class Sim:
     def _handle_sample(self, gen: int, k: int) -> None:
         if gen != self._gen:
             return
-        if any(c.gait is None for c in self.children):
-            return
         err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
         self.samples.append((round(float(self.now), 6), k, round(err, 3)))
         k_next = k + self.params.sample_every
@@ -323,18 +314,17 @@ class Sim:
             t = gaitmod.gait_event_true_time(child, k, Fraction(offset))
             last = phase == phases[-1]
             self._push(t, EventKind.CONTROLLER_PHASE,
-                       (child.node_id, self._gen, k, phase, last))
+                       (child, self._gen, k, phase, last))
 
-    def _handle_controller_phase(self, node_id: str, gen: int,
+    def _handle_controller_phase(self, child: MoteState, gen: int,
                                  k: int, phase: int, last: bool) -> None:
-        child = self.nodes[node_id]
-        if gen != self._gen or child.gait is None:
+        if gen != self._gen:
             return
         arm = child.gait
         if arm.pending_turn is not None and k >= arm.pending_turn[2]:
             arm.swap_left, arm.swap_right = arm.pending_turn[:2]
             arm.pending_turn = None
-        ctrl = self.controller_of[node_id]
+        ctrl = self.controller_of[child.node_id]
         for event in self._controller_events[ctrl]:
             if event.phase_index == phase:
                 self.servo_setpoints.extend(gaitmod.setpoints_for_event(
@@ -355,12 +345,11 @@ class Sim:
             self._gen += 1
 
     def _handle_root_period(self, gen: int, k: int) -> None:
-        if gen != self._gen or self.root.gait is None:
+        if gen != self._gen:
             return
         # nominally simultaneous per-period commands to both controllers
         for child in self.children:
-            self.send(Message(MessageKind.SERVO_COMMAND, self.root.node_id,
-                              child.node_id, self.now, body=k))
+            self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=k))
         self._push(gaitmod.period_start_true_time(self.root, k + 1),
                    EventKind.ROOT_PERIOD, (gen, k + 1))
 

@@ -113,6 +113,18 @@ def test_run_ending_before_first_sample_exits_one(tmp_path, capsys):
     assert "before its first sample" in capsys.readouterr().err
 
 
+def test_synchronized_run_ignores_free_running_period(tmp_path):
+    # the synchronized gait is timed on period_slots; period_s plays no part
+    outputs = []
+    for period_s in ("1", "100"):
+        out = tmp_path / f"period{period_s}.csv"
+        assert dispatch(["run", "--scheme", "synchronized", "--gait-period-s", period_s,
+                         "--duration-s", "50", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[1].splitlines()) == 1 + 48  # header, then one row per 1.02 s
+
+
 def test_trace_header_and_formatting(tmp_path):
     code, out = run_cli(tmp_path, "run", "--duration-s", "10")
     assert code == 0
@@ -199,6 +211,21 @@ def test_ascii_plot_rejects_tiny_canvas():
     trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[])
     with pytest.raises(ValueError):
         render_ascii_plot(trace, width=4, height=4)
+
+
+def test_config_file_values_take_the_declared_option_type(tmp_path):
+    out = tmp_path / "from-config.csv"
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"out={out}\nduration-s=50\nppm-m1=-8\nstop-s=20\n")
+    assert dispatch(["run", "--config", str(cfg), "--scheme", "open-loop",
+                     "--duration-s", "10"]) == 0
+    rows = read_trace_csv(str(out))  # out= is a path, not a float
+    assert rows[-1][0] < 11  # explicit flag wins
+    assert rows[-1][2] < -65  # ppm-m1=-8, not the open-loop default -5
+    servo = tmp_path / "servo.csv"
+    assert dispatch(["trace", "--config", str(cfg), "--out", str(servo)]) == 0
+    times = [float(l.split(",")[0]) for l in servo.read_text().splitlines()[1:]]
+    assert times and max(times) < 21  # stop-s=20 applied
 
 
 @pytest.mark.parametrize("flag", [["--dur", "20"], ["--duration-s=20"]])

@@ -24,6 +24,7 @@ from hexsync.gait import (
     period_index_at,
     period_start_true_time,
 )
+from hexsync.simnet import LinkModel, SchemeParams
 from hexsync.tsch import make_mote, resync_to_parent
 
 
@@ -99,6 +100,12 @@ def test_invalid_configs_rejected():
         with pytest.raises(ValueError):
             GaitConfig(period_s=period_s).validate()
     GaitConfig(period_s=4 / 32768).validate()  # four ticks: the shortest period
+    # every configuration type checks itself when built
+    for build in (lambda: SchemeParams(sample_every=0),
+                  lambda: SchemeParams(resync_period_s=0),
+                  lambda: LinkModel(drop_probability=1.0)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_free_running_period_starts_nominal():

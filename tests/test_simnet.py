@@ -1,7 +1,5 @@
 """Event engine: determinism, delivery rules, resync coupling, commands."""
 
-from fractions import Fraction
-
 import pytest
 
 from hexsync.clock import TICK_US, as_seconds
@@ -26,7 +24,8 @@ def new_sim(mode=SchemeId.S2_SYNCHRONIZED, emit_setpoints=False, **params):
 
 def test_three_node_topology():
     sim = new_sim()
-    assert set(sim.nodes) == {"root", "m1", "m2"}
+    assert sim.root.node_id == "root"
+    assert [c.node_id for c in sim.children] == ["m1", "m2"]
     assert sim.root.is_root and all(not c.is_root for c in sim.children)
 
 
@@ -40,23 +39,17 @@ def test_identical_config_and_seed_replay_identically():
     assert runs[0] == runs[1]
 
 
-def test_unknown_node_rejected_by_send():
-    sim = new_sim()
-    with pytest.raises(ValueError):
-        sim.send(Message(MessageKind.COMMAND, "root", "nope", Fraction(0)))
-
-
 def test_degenerate_link_delivers_on_next_slot_boundary():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0))
-    msg = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], as_seconds(0.001))
     sim.send(msg)
-    expected = slot_boundary_true_time(sim.nodes["m2"], 1)
+    expected = slot_boundary_true_time(sim.children[1], 1)
     assert msg.delivered_true_s == expected
 
 
 def test_delivery_within_latency_window():
     sim = new_sim()
-    msg = Message(MessageKind.KEEP_ALIVE, "root", "m1", as_seconds(29.99))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[0], as_seconds(29.99))
     sim.send(msg)
     assert 29.99 <= msg.delivered_true_s <= 29.99 + SLOT + 0.015
 
@@ -66,7 +59,7 @@ def test_root_delivery_triggers_resync():
     sim.inject_command(Verb.START, 0)
     sim.run_until(1)
     assert len(sim.resync_marks) == 2  # one Start delivery per child
-    m1 = sim.nodes["m1"]
+    m1 = sim.children[0]
     assert m1.last_resync_true_s > 0
     err = pairwise_sync_error(m1, sim.root, m1.asn_origin)
     assert abs(err) < TICK_US
@@ -75,7 +68,7 @@ def test_root_delivery_triggers_resync():
 def test_resync_coupling_never_worsens_error_to_root():
     sim = new_sim(ppm_m1=-8.0)
     sim.inject_command(Verb.START, 0)
-    m1 = sim.nodes["m1"]
+    m1 = sim.children[0]
     for horizon in (40, 70, 100, 130):
         sim.run_until(horizon)
         asn = m1.asn_origin + 10
@@ -120,14 +113,27 @@ def test_samples_arrive_once_per_gait_period():
     assert len(sim.samples) >= 55  # ~1 per 1.02 s period
 
 
-def test_stop_quiesces_gait():
-    sim = new_sim(emit_setpoints=True)
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_stop_quiesces_gait(scheme):
+    sim = new_sim(mode=scheme, emit_setpoints=True)
+    sent = []
+    send = sim.send
+
+    def record(msg):
+        send(msg)
+        sent.append(msg)
+
+    sim.send = record
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.STOP, 20)
     setpoints = servo_trace(sim, 60)
-    assert setpoints
-    assert max(sp.true_time_s for sp in setpoints) <= 20 + SLOT + 0.015
-    assert all(s[0] <= 20.1 for s in sim.samples)
+    first_stop = float(min(m.delivered_true_s for m in sent if m.body is Verb.STOP))
+    assert first_stop <= 20 + SLOT + 0.015
+    assert setpoints and sim.samples
+    assert all(sp.true_time_s <= first_stop for sp in setpoints)
+    assert all(s[0] <= first_stop for s in sim.samples)
+    # the centralized root stops timing the gait at its own Stop
+    assert all(m.sent_true_s < 20 for m in sent if m.kind is MessageKind.SERVO_COMMAND)
 
 
 def test_one_period_emits_24_setpoints():
@@ -167,10 +173,10 @@ def test_left_turn_flips_left_knee_sweep():
 
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
-    msg = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], as_seconds(0.001))
     sim.send(msg)
     no_drop = new_sim(link=LinkModel(jitter_bound_s=0.0), seed=7)
-    msg2 = Message(MessageKind.KEEP_ALIVE, "root", "m2", as_seconds(0.001))
+    msg2 = Message(MessageKind.KEEP_ALIVE, no_drop.children[1], as_seconds(0.001))
     no_drop.send(msg2)
     assert msg.delivered_true_s >= msg2.delivered_true_s
     lag_slots = float(msg.delivered_true_s - msg2.delivered_true_s) / SLOT
