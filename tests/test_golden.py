@@ -27,6 +27,13 @@ COMMANDS = {
     "trace_open_loop": "trace --scheme open-loop --ppm-m1 -3.7 --duration-s 20 --stop-s 12",
     "trace_synchronized": "trace --scheme synchronized --drop-prob 0.1 "
                           "--duration-s 20 --stop-s 12",
+    # command and end times off the whole-second grid, with a drifting root
+    # and a gait period whose denominator no clock rate shares
+    "trace_synchronized_offgrid": "trace --scheme synchronized --drop-prob 0.1 "
+                                  "--duration-s 20.7 --stop-s 12.3",
+    "run_centralized_offgrid": "run --scheme centralized --ppm-root 2.3 "
+                               "--gait-period-s 0.7 --base-latency-s 0.0031 "
+                               "--jitter-s 0.011 --drop-prob 0.3 --duration-s 60.1",
 }
 
 
