@@ -14,7 +14,6 @@ from .tsch import (
     MoteState,
     asn_at,
     make_mote,
-    next_keepalive_due,
     pairwise_sync_error,
     resync_to_parent,
     slot_boundary_true_time,

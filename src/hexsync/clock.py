@@ -35,8 +35,11 @@ def as_ratio(t) -> Tuple[int, int]:
     """A time value as its exact (numerator, denominator) pair, denominator > 0.
 
     Equal to as_seconds(t)'s numerator and denominator, without building
-    a Fraction for an int or a float.
+    a Fraction for an int or a float. An (n, d) tuple with d > 0 is already
+    such a pair and is returned as it is, unreduced.
     """
+    if type(t) is tuple:
+        return t
     if isinstance(t, float):
         return t.as_integer_ratio()
     if not isinstance(t, (int, Fraction)):

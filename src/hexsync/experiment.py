@@ -14,6 +14,7 @@ from statistics import fmean, linear_regression
 from typing import List, Optional, Sequence, Tuple
 
 from .clock import TICK_US
+from .gait import TimeRef
 from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
 
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
@@ -62,7 +63,11 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     if scheme is SchemeId.S2_SYNCHRONIZED:
         bound = analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
                                   params.resync_period_s)
-    eta = None if slope is None else time_to_opposition(slope, params.gait.period_s)
+    eta = None
+    if slope is not None:
+        # the synchronized scheme counts its period in slots, the others in local time
+        ref = TimeRef.ASN if scheme is SchemeId.S2_SYNCHRONIZED else TimeRef.FREE_RUNNING
+        eta = time_to_opposition(slope, float(params.gait.period_on(ref)))
     return ExperimentResult(trace, max_abs, slope, bound, eta)
 
 

@@ -18,13 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 from .clock import (
     TICK_S,
     as_ratio,
-    as_seconds,
     local_periods_at,
     tick_gap_us,
     tick_of_local,
     true_time_of_tick,
 )
-from .tsch import MoteState, asn_at, slot_boundary_tick
+from .tsch import SLOT_LENGTH_S, MoteState, asn_at, slot_boundary_tick
 
 
 class Tripod(Enum):
@@ -102,6 +101,13 @@ class GaitConfig:
         default = offs == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
         if default and self.period_slots % 4:
             raise ValueError("period_slots must be divisible by 4 with the default offsets")
+
+    def period_on(self, ref: TimeRef) -> Fraction:
+        """The gait period in seconds as ref counts it: period_s of local
+        time, or period_slots slots of the ASN."""
+        if ref is TimeRef.FREE_RUNNING:
+            return Fraction(self.period_s)
+        return self.period_slots * SLOT_LENGTH_S
 
 
 @dataclass(frozen=True)
@@ -223,10 +229,10 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     earlier in true time than M2's), so the error slope in us per true
     second equals ppm(M1) - ppm(M2).
     """
-    return tick_gap_us(m1.clock, _event_tick(m1, k, 0), m2.clock, _event_tick(m2, k, 0))
+    return tick_gap_us(m1.clock, event_tick(m1, k, 0), m2.clock, event_tick(m2, k, 0))
 
 
-def _event_tick(node: MoteState, k: int, phase_offset) -> int:
+def event_tick(node: MoteState, k: int, phase_offset) -> int:
     """Local tick at which the node fires a period-k event at the given phase.
 
     Free-running: the first tick at local time
@@ -250,7 +256,7 @@ def _event_tick(node: MoteState, k: int, phase_offset) -> int:
 
 def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fraction:
     """True time at which the node fires a period-k event at the given phase."""
-    return true_time_of_tick(node.clock, _event_tick(node, k, phase_offset))
+    return true_time_of_tick(node.clock, event_tick(node, k, phase_offset))
 
 
 def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
@@ -262,7 +268,7 @@ def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
     """
     legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
     base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
-    true_time_s = float(as_seconds(t_true))
+    true_time_s = float(t_true)
     out = []
     for leg in legs:
         angle = event.target_angle_deg

@@ -5,19 +5,36 @@ and every delivery resynchronizes the receiving child's timebase (unless
 the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
+
+Simulation time is one integer t over a per-sim denominator D: the instant
+t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
+a clock falls at k * rate_den / rate_num), twice the denominators of both
+gait periods (samples sit mid-period) and the keep-alive period's
+denominator, so every time the loop queues is an exact int. Heap keys, the
+run bound, keep-alive due times and the centralized apply times are such
+ints. A command or run-end time whose denominator d does not divide D
+rescales the sim: D becomes lcm(D, d) and every stored int is multiplied by
+the same positive factor, which keeps their order. A frame's arrival (sent
+time, retransmit slots and the latency draw) stays an exact integer pair
+until the receiver's slot lookup; only the slot-boundary time is queued.
+
+Floats come from int true division, which rounds the same rational as
+float(Fraction). A Fraction is built only at the public edges: Sim.now and
+a Message's sent_true_s and delivered_true_s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_ratio, as_seconds, make_clock
+from .clock import as_ratio, make_clock
 from .gait import (
     Controller,
     GaitConfig,
@@ -31,10 +48,11 @@ from .tsch import (
     MoteState,
     asn_at,
     make_mote,
-    next_keepalive_due,
     resync_to_parent,
-    slot_boundary_true_time,
+    slot_boundary_tick,
 )
+
+_SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 
 
 class EventKind(Enum):
@@ -126,19 +144,11 @@ class Sim:
 
         self.root = make_mote("root", make_clock(params.ppm_root))
         self.children: List[MoteState] = [
-            make_mote(node_id, make_clock(ppm), parent_id="root",
-                      keepalive_period_s=params.resync_period_s)
+            make_mote(node_id, make_clock(ppm), parent_id="root")
             for node_id, ppm in (("m1", params.ppm_m1), ("m2", params.ppm_m2))
         ]
         # m1 drives the hips (M1), m2 the knees (M2)
         self.controller_of = {"m1": Controller.M1, "m2": Controller.M2}
-
-        self.now: Fraction = Fraction(0)
-        # (time, seq, kind, payload); seq breaks time ties in insertion order
-        self._heap: List[Tuple[Fraction, int, EventKind, tuple]] = []
-        self._seq = 0
-        self._msg_index = 0
-        self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
 
         self.samples: List[Tuple[float, int, float]] = []
         self.resync_marks: List[float] = []
@@ -149,23 +159,80 @@ class Sim:
             Controller.M1: events_for_controller(self._schedule, Controller.M1),
             Controller.M2: events_for_controller(self._schedule, Controller.M2),
         }
+        # (num, den) seconds of one gait period on each time reference
+        self._periods = {ref: as_ratio(params.gait.period_on(ref)) for ref in TimeRef}
+        self._keepalive_ratio = as_ratio(params.resync_period_s)
+
+        # the time now is _t / _D; every stored time below is over _D
+        self._D = 1
+        self._t = 0
+        # (time, seq, kind, payload); seq breaks time ties in insertion order
+        self._heap: List[Tuple[int, int, EventKind, tuple]] = []
+        self._seq = 0
+        self._msg_index = 0
+        self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
+        # each child's last resync: its keep-alive falls due one period later
+        self._last_resync = {c.node_id: 0 for c in self.children}
+        # centralized: per-period apply times of each controller
+        self._s0_applied: Dict[int, Dict[Controller, int]] = {}
         # set when both children are armed; sample k sits mid-period, at
         # (_sample_origin + k + 1/2) * period, period = num / den seconds
         self._sample_origin = 0
         self._sample_period: Optional[Tuple[int, int]] = None
-        # centralized: per-period apply times of each controller
-        self._s0_applied: Dict[int, Dict[Controller, Fraction]] = {}
+        self._rescale(math.lcm(
+            *(node.clock.rate_num for node in (self.root, *self.children)),
+            *(2 * den for _, den in self._periods.values()),
+            self._keepalive_ratio[1]))
 
         if self.resync_enabled:
             for child in self.children:
-                self._push(next_keepalive_due(child), EventKind.KEEPALIVE_DUE,
+                self._push(self._keepalive_due(child), EventKind.KEEPALIVE_DUE,
                            (child,))
 
-    # -- queue plumbing ----------------------------------------------------
+    @property
+    def now(self) -> Fraction:
+        """The current simulation time in seconds, exactly."""
+        return Fraction(self._t, self._D)
 
-    def _push(self, t: Fraction, kind: EventKind, payload: tuple) -> None:
+    # -- time and queue plumbing ---------------------------------------------
+
+    def _rescale(self, den: int) -> None:
+        """Make den divide D: multiply D and every stored time by one factor."""
+        D = math.lcm(self._D, den)
+        f = D // self._D
+        self._D = D
+        self._t *= f
+        # a positive factor keeps the order, so the list stays a heap
+        self._heap[:] = [(t * f, *rest) for t, *rest in self._heap]
+        for node_id, t in self._last_resync.items():
+            self._last_resync[node_id] = t * f
+        for applied in self._s0_applied.values():
+            for ctrl, t in applied.items():
+                applied[ctrl] = t * f
+        # D / (seconds per tick), per node: tick k falls at k * unit over D
+        self._tick_unit = {node.node_id: node.clock.rate_den * (D // node.clock.rate_num)
+                           for node in (self.root, *self.children)}
+        ka_num, ka_den = self._keepalive_ratio
+        self._keepalive = ka_num * (D // ka_den)
+
+    def _time_int(self, t) -> int:
+        """Any time value as an int over D, rescaling first if it needs to."""
+        num, den = as_ratio(t)
+        if self._D % den:
+            self._rescale(den)
+        return num * (self._D // den)
+
+    def _event_time(self, node: MoteState, k: int, phase_offset) -> int:
+        """The node's period-k event at phase_offset, as an int over D."""
+        return gaitmod.event_tick(node, k, phase_offset) * self._tick_unit[node.node_id]
+
+    def _keepalive_due(self, child: MoteState) -> int:
+        """Latest instant by which the child must next hear from the root."""
+        return self._last_resync[child.node_id] + self._keepalive
+
+    def _push(self, t: int, kind: EventKind, payload: tuple) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (as_seconds(t), self._seq, kind, payload))
+        heapq.heappush(self._heap, (t, self._seq, kind, payload))
 
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
@@ -181,39 +248,50 @@ class Sim:
         link = self.params.link
         index = self._msg_index
         self._msg_index += 1
-        sent = as_seconds(msg.sent_true_s)
         attempt = 0
         while (link.drop_probability > 0
                and self._uniform("drop", index * 97 + attempt) < link.drop_probability):
-            sent += SLOT_LENGTH_S
             attempt += 1
-        latency = link.base_latency_s + link.jitter_bound_s * self._uniform("lat", index)
-        arrival = sent + as_seconds(latency)
+        lat_num, lat_den = as_ratio(
+            link.base_latency_s + link.jitter_bound_s * self._uniform("lat", index))
+        sent = self._time_int(msg.sent_true_s)
+        D = self._D
+        # arrival = sent / D + attempt slots + latency, as one exact pair
+        arr_num = ((sent * _SLOT_DEN + attempt * _SLOT_NUM * D) * lat_den
+                   + lat_num * D * _SLOT_DEN)
+        arr_den = D * _SLOT_DEN * lat_den
         dst = msg.dst
-        a = asn_at(dst, arrival)
-        boundary = slot_boundary_true_time(dst, a)
-        t_del = boundary if boundary == arrival else slot_boundary_true_time(dst, a + 1)
-        msg.delivered_true_s = t_del
+        a = asn_at(dst, (arr_num, arr_den))
+        tick = slot_boundary_tick(dst, a)
+        # slot a's boundary is at or before the arrival; unless it is the
+        # arrival itself, the frame lands on the next one
+        if tick * dst.clock.rate_den * arr_den != arr_num * dst.clock.rate_num:
+            tick = slot_boundary_tick(dst, a + 1)
+        t_del = tick * self._tick_unit[dst.node_id]
+        msg.delivered_true_s = Fraction(t_del, D)
         self._push(t_del, EventKind.MESSAGE_DELIVERY, (msg,))
 
     def inject_command(self, verb: Verb, t_true) -> None:
-        t = as_seconds(t_true)
-        if t < self.now:
-            raise ValueError(f"cannot inject command in the past ({float(t)} < {float(self.now)})")
+        t = self._time_int(t_true)
+        if t < self._t:
+            raise ValueError(f"cannot inject command in the past "
+                             f"({t / self._D} < {self._t / self._D})")
         self._push(t, EventKind.COMMAND_INJECTION, (verb,))
 
     def run_until(self, t_end) -> int:
         """Process every queued event with time <= t_end; returns the count."""
-        te = as_seconds(t_end)
-        if te < self.now:
+        te = self._time_int(t_end)
+        if te < self._t:
             raise ValueError("t_end precedes current simulation time")
         processed = 0
         heap = self._heap
+        handlers = self._HANDLERS
+        # handlers queue only times over D, so D stays fixed in this loop
         while heap and heap[0][0] <= te:
-            self.now, _, kind, payload = heapq.heappop(heap)
-            self._HANDLERS[kind](self, *payload)
+            self._t, _, kind, payload = heapq.heappop(heap)
+            handlers[kind](self, *payload)
             processed += 1
-        self.now = te
+        self._t = te
         return processed
 
     # -- event handlers ----------------------------------------------------
@@ -227,18 +305,19 @@ class Sim:
     def _handle_delivery(self, msg: Message) -> None:
         child = msg.dst
         if self.resync_enabled:
-            resync_to_parent(child, self.root, self.now)
-            self.resync_marks.append(float(self.now))
+            resync_to_parent(child, self.root, (self._t, self._D))
+            self._last_resync[child.node_id] = self._t
+            self.resync_marks.append(self._t / self._D)
         if msg.kind is MessageKind.KEEP_ALIVE:
-            self._push(next_keepalive_due(child), EventKind.KEEPALIVE_DUE, (child,))
+            self._push(self._keepalive_due(child), EventKind.KEEPALIVE_DUE, (child,))
         elif msg.kind is MessageKind.COMMAND:
             self._apply_command(child, msg.body)
         elif msg.kind is MessageKind.SERVO_COMMAND:
             self._apply_servo_command(child, msg.body)
 
     def _handle_keepalive_due(self, child: MoteState) -> None:
-        due = next_keepalive_due(child)
-        if due > self.now:
+        due = self._keepalive_due(child)
+        if due > self._t:
             # an intervening exchange already resynced this child
             self._push(due, EventKind.KEEPALIVE_DUE, (child,))
             return
@@ -251,9 +330,9 @@ class Sim:
             return  # root-side timing handles everything
         if verb is Verb.START:
             if self.scheme is SchemeId.S1_OPEN_LOOP:
-                gaitmod.arm_free_running(child, self.params.gait, self.now)
+                gaitmod.arm_free_running(child, self.params.gait, (self._t, self._D))
             else:
-                gaitmod.arm_asn_ref(child, self.params.gait, self.now)
+                gaitmod.arm_asn_ref(child, self.params.gait, (self._t, self._D))
             self._gen += 1
             if all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
@@ -265,7 +344,7 @@ class Sim:
             child.gait = None
             self._gen += 1
         elif child.gait is not None:
-            k_next = gaitmod.period_index_at(child, self.now) + 1
+            k_next = gaitmod.period_index_at(child, (self._t, self._D)) + 1
             if verb is Verb.LEFT:
                 child.gait.pending_turn = (True, False, k_next)
             elif verb is Verb.RIGHT:
@@ -285,24 +364,20 @@ class Sim:
             a.arm_period_index = common
 
     def _start_sampler(self) -> None:
-        cfg = self.params.gait
         m1 = self.children[0].gait
-        if m1.ref is TimeRef.ASN:
-            self._sample_period = as_ratio(cfg.period_slots * SLOT_LENGTH_S)
-        else:
-            self._sample_period = as_ratio(cfg.period_s)
+        self._sample_period = self._periods[m1.ref]
         self._sample_origin = m1.arm_period_index
         self._push(self._sample_time(0), EventKind.SAMPLE_POINT, (self._gen, 0))
 
-    def _sample_time(self, k: int) -> Fraction:
+    def _sample_time(self, k: int) -> int:
         p_num, p_den = self._sample_period
-        return Fraction((2 * (self._sample_origin + k) + 1) * p_num, 2 * p_den)
+        return (2 * (self._sample_origin + k) + 1) * p_num * (self._D // (2 * p_den))
 
     def _handle_sample(self, gen: int, k: int) -> None:
         if gen != self._gen:
             return
         err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
-        self.samples.append((round(float(self.now), 6), k, round(err, 3)))
+        self.samples.append((round(self._t / self._D, 6), k, round(err, 3)))
         k_next = k + self.params.sample_every
         self._push(self._sample_time(k_next), EventKind.SAMPLE_POINT, (gen, k_next))
 
@@ -310,8 +385,7 @@ class Sim:
         ctrl = self.controller_of[child.node_id]
         phases = sorted({e.phase_index for e in self._controller_events[ctrl]})
         for phase in phases:
-            offset = self.params.gait.event_offsets[phase]
-            t = gaitmod.gait_event_true_time(child, k, Fraction(offset))
+            t = self._event_time(child, k, self.params.gait.event_offsets[phase])
             last = phase == phases[-1]
             self._push(t, EventKind.CONTROLLER_PHASE,
                        (child, self._gen, k, phase, last))
@@ -325,10 +399,11 @@ class Sim:
             arm.swap_left, arm.swap_right = arm.pending_turn[:2]
             arm.pending_turn = None
         ctrl = self.controller_of[child.node_id]
+        now_s = self._t / self._D
         for event in self._controller_events[ctrl]:
             if event.phase_index == phase:
                 self.servo_setpoints.extend(gaitmod.setpoints_for_event(
-                    event, ctrl, self.now, arm.swap_left, arm.swap_right))
+                    event, ctrl, now_s, arm.swap_left, arm.swap_right))
         if last:
             self._schedule_controller_period(child, k + 1)
 
@@ -336,9 +411,9 @@ class Sim:
 
     def _root_apply_command(self, verb: Verb) -> None:
         if verb is Verb.START:
-            gaitmod.arm_free_running(self.root, self.params.gait, self.now)
+            gaitmod.arm_free_running(self.root, self.params.gait, (self._t, self._D))
             self._gen += 1
-            self._push(gaitmod.period_start_true_time(self.root, 0),
+            self._push(self._event_time(self.root, 0, 0),
                        EventKind.ROOT_PERIOD, (self._gen, 0))
         elif verb is Verb.STOP:
             self.root.gait = None
@@ -350,23 +425,25 @@ class Sim:
         # nominally simultaneous per-period commands to both controllers
         for child in self.children:
             self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=k))
-        self._push(gaitmod.period_start_true_time(self.root, k + 1),
+        self._push(self._event_time(self.root, k + 1, 0),
                    EventKind.ROOT_PERIOD, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState, k: int) -> None:
         ctrl = self.controller_of[child.node_id]
         applied = self._s0_applied.setdefault(k, {})
-        applied[ctrl] = self.now
+        applied[ctrl] = self._t
         if self.emit_setpoints:
+            now_s = self._t / self._D
             for event in self._controller_events[ctrl]:
                 self.servo_setpoints.extend(
-                    gaitmod.setpoints_for_event(event, ctrl, self.now))
+                    gaitmod.setpoints_for_event(event, ctrl, now_s))
         if len(applied) == 2:
             del self._s0_applied[k]
             if k % self.params.sample_every == 0:
-                err = float((applied[Controller.M2] - applied[Controller.M1]) * 10**6)
+                D = self._D
+                err = (applied[Controller.M2] - applied[Controller.M1]) * 10**6 / D
                 t = max(applied.values())
-                self.samples.append((round(float(t), 6), k, round(err, 3)))
+                self.samples.append((round(t / D, 6), k, round(err, 3)))
 
     # event kind -> handler; an event's payload is its handler's arguments
     _HANDLERS = {

@@ -17,7 +17,6 @@ from typing import Optional
 from .clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
-    as_seconds,
     tick_gap_us,
     ticks_at,
     true_time_of_tick,
@@ -27,12 +26,11 @@ SLOT_LENGTH_S = Fraction(15, 1000)
 TICKS_PER_SLOT = SLOT_LENGTH_S * NOMINAL_FREQ_HZ  # 491.52, not an integer
 _SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator      # 12288
 _SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator    # 25
-DEFAULT_KEEPALIVE_PERIOD_S = 30.0
 
 
 @dataclass
 class MoteState:
-    """One network node: identity, role, clock, ASN alignment, keep-alive state.
+    """One network node: identity, role, clock and ASN alignment.
 
     asn_origin / origin_local_ticks pin the node's slot grid: slot
     asn_origin begins at local tick origin_local_ticks. Resynchronization
@@ -45,8 +43,6 @@ class MoteState:
     parent_id: Optional[str] = None
     asn_origin: int = 0
     origin_local_ticks: int = 0
-    last_resync_true_s: Fraction = Fraction(0)
-    keepalive_period_s: Fraction = Fraction(30)
     gait: Optional["object"] = None  # gait.GaitArmState once armed
 
     @property
@@ -54,10 +50,9 @@ class MoteState:
         return self.parent_id is None
 
 
-def make_mote(node_id: str, clock: DriftingClock, parent_id: Optional[str] = None,
-              keepalive_period_s=DEFAULT_KEEPALIVE_PERIOD_S) -> MoteState:
-    return MoteState(node_id=node_id, clock=clock, parent_id=parent_id,
-                     keepalive_period_s=as_seconds(keepalive_period_s))
+def make_mote(node_id: str, clock: DriftingClock,
+              parent_id: Optional[str] = None) -> MoteState:
+    return MoteState(node_id=node_id, clock=clock, parent_id=parent_id)
 
 
 def slot_boundary_tick(node: MoteState, asn: int) -> int:
@@ -93,13 +88,12 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:
     """
     if child.is_root:
         raise ValueError("root has no time-source parent to resync to")
-    t = as_seconds(t_true)
-    parent_asn = asn_at(parent, t)
+    parent_asn = asn_at(parent, t_true)
     parent_tick = slot_boundary_tick(parent, parent_asn + 1)
     child.asn_origin = parent_asn + 1
+    # the parent tick's true time as an exact (n, d) pair
     child.origin_local_ticks = ticks_at(
-        child.clock, true_time_of_tick(parent.clock, parent_tick))
-    child.last_resync_true_s = t
+        child.clock, (parent_tick * parent.clock.rate_den, parent.clock.rate_num))
     # the child's own next boundary is its origin tick
     return tick_gap_us(child.clock, child.origin_local_ticks, parent.clock, parent_tick)
 
@@ -108,9 +102,3 @@ def pairwise_sync_error(a: MoteState, b: MoteState, asn: int) -> float:
     """Signed true-time difference (us) between two nodes' boundary for one slot."""
     return tick_gap_us(b.clock, slot_boundary_tick(b, asn), a.clock, slot_boundary_tick(a, asn))
 
-
-def next_keepalive_due(node: MoteState) -> Fraction:
-    """Latest instant by which the child must next hear from the root."""
-    if node.is_root:
-        raise ValueError("root does not keep-alive to anyone")
-    return node.last_resync_true_s + node.keepalive_period_s

@@ -1,5 +1,7 @@
 """Event engine: determinism, delivery rules, resync coupling, commands."""
 
+from fractions import Fraction
+
 import pytest
 
 from hexsync.clock import TICK_US, as_seconds
@@ -20,6 +22,19 @@ SLOT = 0.015
 
 def new_sim(mode=SchemeId.S2_SYNCHRONIZED, emit_setpoints=False, **params):
     return make_sim(mode, SchemeParams(**params), emit_setpoints)
+
+
+def record_sends(sim):
+    """Every message the sim sends from now on, in send order."""
+    sent = []
+    send = sim.send
+
+    def record(msg):
+        send(msg)
+        sent.append(msg)
+
+    sim.send = record
+    return sent
 
 
 def test_three_node_topology():
@@ -60,7 +75,7 @@ def test_root_delivery_triggers_resync():
     sim.run_until(1)
     assert len(sim.resync_marks) == 2  # one Start delivery per child
     m1 = sim.children[0]
-    assert m1.last_resync_true_s > 0
+    assert all(t > 0 for t in sim.resync_marks)
     err = pairwise_sync_error(m1, sim.root, m1.asn_origin)
     assert abs(err) < TICK_US
 
@@ -116,14 +131,7 @@ def test_samples_arrive_once_per_gait_period():
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 def test_stop_quiesces_gait(scheme):
     sim = new_sim(mode=scheme, emit_setpoints=True)
-    sent = []
-    send = sim.send
-
-    def record(msg):
-        send(msg)
-        sent.append(msg)
-
-    sim.send = record
+    sent = record_sends(sim)
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.STOP, 20)
     setpoints = servo_trace(sim, 60)
@@ -181,3 +189,23 @@ def test_drops_defer_delivery_by_slots():
     assert msg.delivered_true_s >= msg2.delivered_true_s
     lag_slots = float(msg.delivered_true_s - msg2.delivered_true_s) / SLOT
     assert abs(lag_slots - round(lag_slots)) < 0.01
+
+
+def test_keepalive_sent_one_period_after_last_resync():
+    # a keep-alive leaves exactly one resync period after the child last
+    # heard from the root; the root itself is never a keep-alive target
+    period = 2.7
+    sim = new_sim(resync_period_s=period, seed=5,
+                  link=LinkModel(jitter_bound_s=0.015, drop_probability=0.2))
+    sent = record_sends(sim)
+    sim.inject_command(Verb.START, 0)
+    sim.run_until(60)
+    assert all(m.dst in sim.children for m in sent)
+    for child in sim.children:
+        deliveries = [m.delivered_true_s for m in sent if m.dst is child]
+        keepalives = [m for m in sent
+                      if m.dst is child and m.kind is MessageKind.KEEP_ALIVE]
+        assert len(keepalives) >= 60 / period / 2
+        for m in keepalives:
+            last = max(t for t in deliveries if t < m.sent_true_s)
+            assert m.sent_true_s == last + Fraction(period)

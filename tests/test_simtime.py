@@ -1,0 +1,170 @@
+"""simnet's integer simulation time equals the Fraction formulas it replaced.
+
+Inside a Sim, time is an int over a per-sim denominator D. These tests
+check that a frame's delivery slot is the one the old Fraction formula
+chose, that pausing a run at times off D's grid (which rescales D) changes
+nothing, and that the event loop itself does no Fraction arithmetic or
+comparison.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hexsync.simnet import (
+    LinkModel,
+    Message,
+    MessageKind,
+    SchemeId,
+    SchemeParams,
+    Verb,
+    make_sim,
+)
+from hexsync.tsch import asn_at, resync_to_parent, slot_boundary_true_time
+
+SLOT = Fraction(15, 1000)
+ppms = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+
+
+# -- the Fraction reference for a delivery -----------------------------------
+
+def ref_uniform(seed, stream, index):
+    digest = hashlib.sha256(f"{seed}:{stream}:{index}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def ref_attempts(link, seed, index):
+    attempt = 0
+    while (link.drop_probability > 0
+           and ref_uniform(seed, "drop", index * 97 + attempt) < link.drop_probability):
+        attempt += 1
+    return attempt
+
+
+def ref_delivery(dst, sent, link, seed, index):
+    """The first slot boundary at or after sent + retransmits + latency."""
+    sent = Fraction(sent) + ref_attempts(link, seed, index) * SLOT
+    latency = link.base_latency_s + link.jitter_bound_s * ref_uniform(seed, "lat", index)
+    arrival = sent + Fraction(latency)
+    a = asn_at(dst, arrival)
+    boundary = slot_boundary_true_time(dst, a)
+    return boundary if boundary == arrival else slot_boundary_true_time(dst, a + 1)
+
+
+@given(ppm=ppms, root_ppm=ppms, seed=st.integers(0, 10**6),
+       t_sync=st.one_of(st.none(), st.floats(min_value=1, max_value=1e4)),
+       sent=st.floats(min_value=0, max_value=1e4),
+       base=st.floats(min_value=0, max_value=0.05),
+       jitter=st.floats(min_value=0, max_value=0.05),
+       drop=st.sampled_from([0.0, 0.3, 0.9]),
+       on_boundary=st.booleans(), slots_ahead=st.integers(0, 100))
+@settings(max_examples=300, deadline=None)
+def test_delivery_slot_matches_fraction_formula(ppm, root_ppm, seed, t_sync, sent, base,
+                                                jitter, drop, on_boundary, slots_ahead):
+    link = LinkModel(base_latency_s=base, jitter_bound_s=0.0 if on_boundary else jitter,
+                     drop_probability=drop)
+    sim = make_sim(SchemeId.S2_SYNCHRONIZED,
+                   SchemeParams(ppm_m1=ppm, ppm_root=root_ppm, seed=seed, link=link))
+    dst = sim.children[0]
+    sent_true = Fraction(sent)
+    if t_sync is not None:
+        # as in a run, the frame leaves after the child's last resync
+        resync_to_parent(dst, sim.root, t_sync)
+        sent_true += Fraction(t_sync)
+    target = None
+    if on_boundary:
+        # send so that the arrival falls exactly on one of dst's boundary ticks
+        lead = ref_attempts(link, seed, 0) * SLOT + Fraction(base)
+        target = slot_boundary_true_time(dst, asn_at(dst, sent_true + lead) + 1 + slots_ahead)
+        sent_true = target - lead
+    expected = ref_delivery(dst, sent_true, link, seed, 0)
+    msg = Message(MessageKind.KEEP_ALIVE, dst, sent_true)
+    sim.send(msg)
+    assert msg.delivered_true_s == expected
+    if on_boundary:
+        assert expected == target
+
+
+# -- rescaling D ----------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_pausing_off_the_grid_changes_nothing(scheme):
+    # every pause has a new prime in its denominator, so each one grows D
+    # and rescales whatever is queued or pending; the run must not notice
+    params = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
+                          seed=3, link=LinkModel(jitter_bound_s=0.011, drop_probability=0.2))
+    straight = make_sim(scheme, params, emit_setpoints=True)
+    straight.inject_command(Verb.START, 0)
+    straight.run_until(30)
+    paused = make_sim(scheme, params, emit_setpoints=True)
+    paused.inject_command(Verb.START, 0)
+    primes = [p for p in range(3, 5000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    for i, p in enumerate(primes[:599], start=1):
+        paused.run_until(Fraction(i, 20) + Fraction(1, 40 * p))
+    paused.run_until(30)
+    assert paused.now == straight.now == 30
+    assert straight.samples and straight.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
+    assert paused.samples == straight.samples
+    assert paused.resync_marks == straight.resync_marks
+    assert paused.servo_setpoints == straight.servo_setpoints
+
+
+def test_off_grid_command_time_is_kept_exactly():
+    sim = make_sim(SchemeId.S2_SYNCHRONIZED, SchemeParams())
+    sent = []
+    send = sim.send
+    sim.send = lambda msg: (send(msg), sent.append(msg))
+    t = Fraction(123, 10**7) + 2  # no clock rate or period has a 10**7 denominator
+    sim.inject_command(Verb.START, t)
+    sim.run_until(t)
+    assert sim.now == t
+    assert [m.sent_true_s for m in sent] == [t, t]
+    with pytest.raises(ValueError):
+        sim.inject_command(Verb.STOP, t - Fraction(1, 10**9))
+
+
+# -- no Fraction arithmetic in the event loop -----------------------------------
+
+_FORBIDDEN = ("_richcmp", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+              "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+              "__mod__", "__rmod__", "__neg__", "__abs__", "__pow__", "__float__")
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
+    params = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
+                          seed=3, link=LinkModel(base_latency_s=0.0031, jitter_bound_s=0.011,
+                                                 drop_probability=0.3))
+    sim = make_sim(scheme, params, emit_setpoints=True)
+    sent = []
+    send = sim.send
+    sim.send = lambda msg: (send(msg), sent.append(msg))
+    sim.inject_command(Verb.START, 0)
+    sim.inject_command(Verb.LEFT, 5.5)
+    sim.inject_command(Verb.STOP, 12.3)  # a --stop-s value off every grid
+
+    def forbidden(*_):
+        raise AssertionError("Fraction arithmetic or comparison in the event loop")
+
+    for name in _FORBIDDEN:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    built = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    processed = sim.run_until(20.7)
+    monkeypatch.undo()
+
+    assert processed > 0 and sim.samples and sim.servo_setpoints
+    # construction only at the edges: each message's sent time (Sim.now)
+    # and its delivery time, each from an int pair
+    assert len(built) == 2 * len(sent)
+    assert all(len(a) == 2 and all(type(x) is int for x in a) for a in built)

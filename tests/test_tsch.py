@@ -11,16 +11,14 @@ from hexsync.tsch import (
     SLOT_LENGTH_S,
     asn_at,
     make_mote,
-    next_keepalive_due,
     pairwise_sync_error,
     resync_to_parent,
     slot_boundary_true_time,
 )
 
 
-def mote(node_id="n", ppm=0, parent=None, keepalive=30.0):
-    return make_mote(node_id, make_clock(ppm), parent_id=parent,
-                     keepalive_period_s=keepalive)
+def mote(node_id="n", ppm=0, parent=None):
+    return make_mote(node_id, make_clock(ppm), parent_id=parent)
 
 
 def test_nominal_slot_length():
@@ -117,19 +115,6 @@ def test_pairwise_error_grows_linearly_without_resync():
     # the faster clock reaches the boundary earlier
     assert err < 0
     assert abs(abs(err) - 2000) < 2 * TICK_US + 2  # ~2000 us at 5 ppm over 400 s
-
-
-def test_keepalive_due_from_last_resync():
-    child = mote("c", ppm=0, parent="root", keepalive=30.0)
-    assert next_keepalive_due(child) == 30
-    child.last_resync_true_s = as_seconds(12.4)
-    child.keepalive_period_s = as_seconds(10)
-    assert float(next_keepalive_due(child)) == pytest.approx(22.4)
-
-
-def test_root_has_no_keepalive():
-    with pytest.raises(ValueError):
-        next_keepalive_due(mote(ppm=0))
 
 
 def test_bounded_error_under_periodic_resync():
