@@ -7,6 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsync.clock import TICK_S, TICK_US, as_seconds, make_clock
+from hexsync.simnet import (
+    LinkModel,
+    Message,
+    MessageKind,
+    SchemeId,
+    SchemeParams,
+    Verb,
+    make_sim,
+)
 from hexsync.tsch import (
     SLOT_LENGTH_S,
     asn_at,
@@ -115,6 +124,52 @@ def test_pairwise_error_grows_linearly_without_resync():
     # the faster clock reaches the boundary earlier
     assert err < 0
     assert abs(abs(err) - 2000) < 2 * TICK_US + 2  # ~2000 us at 5 ppm over 400 s
+
+
+def keepalive_sim(period):
+    """A synchronized sim whose keep-alives are recorded as they are sent."""
+    sim = make_sim(SchemeId.S2_SYNCHRONIZED,
+                   SchemeParams(resync_period_s=period,
+                                link=LinkModel(jitter_bound_s=0.0)), False)
+    sent = []
+    send = sim.send
+
+    def record(msg):
+        send(msg)
+        sent.append(msg)
+
+    sim.send = record
+    return sim, sent
+
+
+def test_keepalive_due_from_last_resync():
+    # keep-alive due times live in simnet: one period after the last resync
+    sim, sent = keepalive_sim(30.0)
+    sim.run_until(30)
+    assert [(m.dst, m.sent_true_s) for m in sent] == [(c, 30) for c in sim.children]
+
+    # a command exchange at 12.4 s resyncs the child and moves its next
+    # keep-alive to one period after that delivery
+    sim, sent = keepalive_sim(10.0)
+    child = sim.children[0]
+    sim.inject_command(Verb.FORWARD, as_seconds(12.4))
+    sim.run_until(25)
+    to_child = [m for m in sent if m.dst is child]
+    command = next(m for m in to_child if m.kind is MessageKind.COMMAND)
+    keepalives = [m.sent_true_s for m in to_child if m.kind is MessageKind.KEEP_ALIVE]
+    assert 12.4 < command.delivered_true_s <= 12.4 + SLOT_LENGTH_S
+    assert keepalives == [10, command.delivered_true_s + 10]
+
+
+def test_root_has_no_keepalive():
+    sim, sent = keepalive_sim(10.0)
+    sim.run_until(60)
+    assert len(sent) >= 2 * 5
+    assert all(m.dst in sim.children for m in sent)
+    # the root keeps the time; a keep-alive cannot resync it
+    sim.send(Message(MessageKind.KEEP_ALIVE, sim.root, sim.now))
+    with pytest.raises(ValueError):
+        sim.run_until(61)
 
 
 def test_bounded_error_under_periodic_resync():
