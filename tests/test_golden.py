@@ -34,6 +34,13 @@ COMMANDS = {
     "run_centralized_offgrid": "run --scheme centralized --ppm-root 2.3 "
                                "--gait-period-s 0.7 --base-latency-s 0.0031 "
                                "--jitter-s 0.011 --drop-prob 0.3 --duration-s 60.1",
+    # gait periods other than the defaults: 8 slots (120 ms) on the ASN, and
+    # 0.7 s of local time on drifting clocks
+    "trace_synchronized_short_period": "trace --scheme synchronized --gait-period-slots 8 "
+                                       "--drop-prob 0.2 --jitter-s 0.011 "
+                                       "--duration-s 12 --stop-s 9.4",
+    "trace_open_loop_period_0p7": "trace --scheme open-loop --gait-period-s 0.7 "
+                                  "--ppm-m1 -3.7 --ppm-m2 1.1 --duration-s 20",
 }
 
 
