@@ -192,9 +192,15 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
 
 def servo_csv_lines(setpoints) -> List[str]:
     lines = [SERVO_HEADER]
-    for sp in setpoints:
-        lines.append(f"{sp.true_time_s:.6f},{sp.controller.value},"
-                     f"{sp.servo_id},{sp.angle_deg:.3f}")
+    append = lines.append
+    last_t = time_field = None
+    for t, controller, servo_id, angle in setpoints:
+        if t != last_t:
+            # setpoints come in runs of equal times: format each time once
+            last_t = t
+            time_field = f"{t:.6f}"
+        # _value_ is the member's plain attribute; .value is a Python-level descriptor
+        append(f"{time_field},{controller._value_},{servo_id},{angle:.3f}")
     return lines
 
 

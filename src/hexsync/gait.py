@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import (
     TICK_S,
@@ -65,7 +66,6 @@ class GaitHealth(Enum):
 T1_LEGS = (0, 2, 4)
 T2_LEGS = (1, 3, 5)
 LEFT_LEGS = (0, 1, 2)
-RIGHT_LEGS = (3, 4, 5)
 HIP_SERVO_BASE = 0   # hip servo id = leg
 KNEE_SERVO_BASE = 6  # knee servo id = leg + 6
 
@@ -120,12 +120,16 @@ class GaitEvent:
     target_angle_deg: float
 
 
-@dataclass(frozen=True)
-class ServoSetpoint:
+class ServoSetpoint(NamedTuple):
+    """One servo angle command. The servo id fixes the controller: hips
+    0-5 belong to M1, knees 6-11 to M2."""
     true_time_s: float
     controller: Controller
     servo_id: int
     angle_deg: float
+
+
+_new_setpoint = tuple.__new__  # _new_setpoint(ServoSetpoint, fields), with no Python-level __new__
 
 
 @dataclass
@@ -266,21 +270,21 @@ def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
     Turning reverses the knee sweep on one body side: Back and Forward
     angles are swapped for that side's knee servos.
     """
-    legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
-    base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
-    true_time_s = float(t_true)
+    t = float(t_true)
+    left = right = event.target_angle_deg
+    if event.joint_group is JointGroup.HIP:
+        base = HIP_SERVO_BASE
+    else:
+        base = KNEE_SERVO_BASE
+        if event.action is GaitAction.BACK or event.action is GaitAction.FORWARD:
+            if swap_left:
+                left = -left
+            if swap_right:
+                right = -right
     out = []
-    for leg in legs:
-        angle = event.target_angle_deg
-        if event.joint_group is JointGroup.KNEE and event.action in (
-                GaitAction.BACK, GaitAction.FORWARD):
-            swapped = (swap_left and leg in LEFT_LEGS) or (swap_right and leg in RIGHT_LEGS)
-            if swapped:
-                angle = -angle
-        out.append(ServoSetpoint(true_time_s=true_time_s,
-                                 controller=controller,
-                                 servo_id=base + leg,
-                                 angle_deg=angle))
+    for leg in T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS:
+        out.append(_new_setpoint(ServoSetpoint, (
+            t, controller, base + leg, left if leg in LEFT_LEGS else right)))
     return out
 
 
@@ -300,5 +304,9 @@ def classify_gait(error_us: float, period_s: float) -> GaitHealth:
 def servo_trace(sim, t_end) -> List[ServoSetpoint]:
     """Run the simulation to t_end and return its chronological setpoint log."""
     sim.run_until(t_end)
-    return sorted(sim.servo_setpoints,
-                  key=lambda s: (s.true_time_s, s.controller.value, s.servo_id))
+    # (time, servo_id) orders as (time, controller, servo_id) would: the servo
+    # id fixes the controller (hips 0-5 are M1, knees 6-11 are M2). Same-time
+    # setpoints do occur (T1 and T2 share each phase, and offsets can put
+    # several phases in one slot), and the stable sort keeps them in the
+    # order they were emitted.
+    return sorted(sim.servo_setpoints, key=itemgetter(0, 2))

@@ -37,7 +37,9 @@ from . import gait as gaitmod
 from .clock import as_ratio, make_clock
 from .gait import (
     Controller,
+    GaitArmState,
     GaitConfig,
+    GaitEvent,
     ServoSetpoint,
     TimeRef,
     build_schedule,
@@ -53,6 +55,11 @@ from .tsch import (
 )
 
 _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
+
+# One phase a controller fires each period: the phase offset as a
+# (num, den) pair, that phase's events in schedule order, and whether it is
+# the controller's last phase of the period.
+_Phase = Tuple[Tuple[int, int], Tuple[GaitEvent, ...], bool]
 
 
 class EventKind(Enum):
@@ -147,18 +154,25 @@ class Sim:
             make_mote(node_id, make_clock(ppm), parent_id="root")
             for node_id, ppm in (("m1", params.ppm_m1), ("m2", params.ppm_m2))
         ]
-        # m1 drives the hips (M1), m2 the knees (M2)
-        self.controller_of = {"m1": Controller.M1, "m2": Controller.M2}
 
         self.samples: List[Tuple[float, int, float]] = []
         self.resync_marks: List[float] = []
         self.servo_setpoints: List[ServoSetpoint] = []
 
-        self._schedule = build_schedule(params.gait)
-        self._controller_events = {
-            Controller.M1: events_for_controller(self._schedule, Controller.M1),
-            Controller.M2: events_for_controller(self._schedule, Controller.M2),
-        }
+        # Each child's plan, compiled once: m1 drives the hips (M1), m2 the
+        # knees (M2). Per node id: the controller, all its events (the
+        # centralized scheme applies them at once) and the phases it fires.
+        schedule = build_schedule(params.gait)
+        self._plans: Dict[str, Tuple[Controller, Tuple[GaitEvent, ...],
+                                     Tuple[_Phase, ...]]] = {}
+        for child, ctrl in zip(self.children, (Controller.M1, Controller.M2)):
+            events = tuple(events_for_controller(schedule, ctrl))
+            phases = sorted({e.phase_index for e in events})
+            self._plans[child.node_id] = (ctrl, events, tuple(
+                (as_ratio(params.gait.event_offsets[phase]),
+                 tuple(e for e in events if e.phase_index == phase),
+                 phase == phases[-1])
+                for phase in phases))
         # (num, den) seconds of one gait period on each time reference
         self._periods = {ref: as_ratio(params.gait.period_on(ref)) for ref in TimeRef}
         self._keepalive_ratio = as_ratio(params.resync_period_s)
@@ -173,8 +187,8 @@ class Sim:
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
         # each child's last resync: its keep-alive falls due one period later
         self._last_resync = {c.node_id: 0 for c in self.children}
-        # centralized: per-period apply times of each controller
-        self._s0_applied: Dict[int, Dict[Controller, int]] = {}
+        # centralized: per-period apply times, by child node id
+        self._s0_applied: Dict[int, Dict[str, int]] = {}
         # set when both children are armed; sample k sits mid-period, at
         # (_sample_origin + k + 1/2) * period, period = num / den seconds
         self._sample_origin = 0
@@ -207,8 +221,8 @@ class Sim:
         for node_id, t in self._last_resync.items():
             self._last_resync[node_id] = t * f
         for applied in self._s0_applied.values():
-            for ctrl, t in applied.items():
-                applied[ctrl] = t * f
+            for node_id, t in applied.items():
+                applied[node_id] = t * f
         # D / (seconds per tick), per node: tick k falls at k * unit over D
         self._tick_unit = {node.node_id: node.clock.rate_den * (D // node.clock.rate_num)
                            for node in (self.root, *self.children)}
@@ -343,14 +357,14 @@ class Sim:
         elif verb is Verb.STOP:
             child.gait = None
             self._gen += 1
-        elif child.gait is not None:
-            k_next = gaitmod.period_index_at(child, (self._t, self._D)) + 1
-            if verb is Verb.LEFT:
-                child.gait.pending_turn = (True, False, k_next)
-            elif verb is Verb.RIGHT:
-                child.gait.pending_turn = (False, True, k_next)
-            elif verb is Verb.FORWARD:
-                child.gait.pending_turn = (False, False, k_next)
+        else:
+            self._queue_turn(child, verb)
+
+    def _queue_turn(self, node: MoteState, verb: Verb) -> None:
+        """Hold a turn on an armed node until its next gait period."""
+        if node.gait is not None:
+            k_next = gaitmod.period_index_at(node, (self._t, self._D)) + 1
+            node.gait.pending_turn = (*_SWAPS[verb], k_next)
 
     def _harmonize_origins(self) -> None:
         """Give both children a common period-0 origin.
@@ -382,28 +396,22 @@ class Sim:
         self._push(self._sample_time(k_next), EventKind.SAMPLE_POINT, (gen, k_next))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
-        ctrl = self.controller_of[child.node_id]
-        phases = sorted({e.phase_index for e in self._controller_events[ctrl]})
-        for phase in phases:
-            t = self._event_time(child, k, self.params.gait.event_offsets[phase])
-            last = phase == phases[-1]
-            self._push(t, EventKind.CONTROLLER_PHASE,
-                       (child, self._gen, k, phase, last))
+        ctrl, _, phases = self._plans[child.node_id]
+        unit = self._tick_unit[child.node_id]
+        gen = self._gen
+        for offset, events, last in phases:
+            self._push(gaitmod.event_tick(child, k, offset) * unit,
+                       EventKind.CONTROLLER_PHASE, (child, ctrl, gen, k, events, last))
 
-    def _handle_controller_phase(self, child: MoteState, gen: int,
-                                 k: int, phase: int, last: bool) -> None:
+    def _handle_controller_phase(self, child: MoteState, ctrl: Controller, gen: int,
+                                 k: int, events: Tuple[GaitEvent, ...], last: bool) -> None:
         if gen != self._gen:
             return
-        arm = child.gait
-        if arm.pending_turn is not None and k >= arm.pending_turn[2]:
-            arm.swap_left, arm.swap_right = arm.pending_turn[:2]
-            arm.pending_turn = None
-        ctrl = self.controller_of[child.node_id]
+        swap_left, swap_right = _swaps_at(child.gait, k)
         now_s = self._t / self._D
-        for event in self._controller_events[ctrl]:
-            if event.phase_index == phase:
-                self.servo_setpoints.extend(gaitmod.setpoints_for_event(
-                    event, ctrl, now_s, arm.swap_left, arm.swap_right))
+        out = self.servo_setpoints
+        for event in events:
+            out.extend(gaitmod.setpoints_for_event(event, ctrl, now_s, swap_left, swap_right))
         if last:
             self._schedule_controller_period(child, k + 1)
 
@@ -418,30 +426,38 @@ class Sim:
         elif verb is Verb.STOP:
             self.root.gait = None
             self._gen += 1
+        else:
+            self._queue_turn(self.root, verb)
 
     def _handle_root_period(self, gen: int, k: int) -> None:
         if gen != self._gen:
             return
-        # nominally simultaneous per-period commands to both controllers
+        # nominally simultaneous per-period commands to both controllers,
+        # each carrying the period's knee swap state
+        body = (k, *_swaps_at(self.root.gait, k))
         for child in self.children:
-            self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=k))
+            self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=body))
         self._push(self._event_time(self.root, k + 1, 0),
                    EventKind.ROOT_PERIOD, (gen, k + 1))
 
-    def _apply_servo_command(self, child: MoteState, k: int) -> None:
-        ctrl = self.controller_of[child.node_id]
+    def _apply_servo_command(self, child: MoteState,
+                             body: Tuple[int, bool, bool]) -> None:
+        k, swap_left, swap_right = body
         applied = self._s0_applied.setdefault(k, {})
-        applied[ctrl] = self._t
+        applied[child.node_id] = self._t
         if self.emit_setpoints:
+            ctrl, events, _ = self._plans[child.node_id]
             now_s = self._t / self._D
-            for event in self._controller_events[ctrl]:
-                self.servo_setpoints.extend(
-                    gaitmod.setpoints_for_event(event, ctrl, now_s))
+            out = self.servo_setpoints
+            for event in events:
+                out.extend(gaitmod.setpoints_for_event(
+                    event, ctrl, now_s, swap_left, swap_right))
         if len(applied) == 2:
             del self._s0_applied[k]
             if k % self.params.sample_every == 0:
                 D = self._D
-                err = (applied[Controller.M2] - applied[Controller.M1]) * 10**6 / D
+                m1, m2 = self.children
+                err = (applied[m2.node_id] - applied[m1.node_id]) * 10**6 / D
                 t = max(applied.values())
                 self.samples.append((round(t / D, 6), k, round(err, 3)))
 
@@ -454,6 +470,20 @@ class Sim:
         EventKind.ROOT_PERIOD: _handle_root_period,
         EventKind.CONTROLLER_PHASE: _handle_controller_phase,
     }
+
+
+# the knee swap (left, right) each turn verb sets
+_SWAPS = {Verb.LEFT: (True, False), Verb.RIGHT: (False, True), Verb.FORWARD: (False, False)}
+
+
+def _swaps_at(arm: GaitArmState, k: int) -> Tuple[bool, bool]:
+    """The arm's knee swap state for period k: a pending turn takes effect
+    from its period on."""
+    turn = arm.pending_turn
+    if turn is not None and k >= turn[2]:
+        arm.swap_left, arm.swap_right, _ = turn
+        arm.pending_turn = None
+    return arm.swap_left, arm.swap_right
 
 
 def make_sim(scheme: SchemeId, params: SchemeParams,

@@ -1,0 +1,174 @@
+"""The servo setpoint path against a reference copy of its earlier form.
+
+The references below are the setpoint expansion, the chronological sort
+and the CSV row formatter as they were before setpoints became named
+tuples: a frozen dataclass per setpoint, a per-leg test of the knee swap, a
+(time, controller name, servo id) sort key and one f-string per row. The
+simulation must emit, order and format exactly what they do, for every
+scheme, with turns, drops, jitter and phase offsets that put several
+phases in one slot.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hexsync import gait
+from hexsync.cli import SERVO_HEADER, servo_csv_lines
+from hexsync.gait import (
+    HIP_SERVO_BASE,
+    KNEE_SERVO_BASE,
+    LEFT_LEGS,
+    T1_LEGS,
+    T2_LEGS,
+    Controller,
+    GaitAction,
+    GaitConfig,
+    JointGroup,
+    Tripod,
+    build_schedule,
+    servo_trace,
+)
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Verb, make_sim
+
+RIGHT_LEGS = (3, 4, 5)
+
+
+@dataclass(frozen=True)
+class ReferenceSetpoint:
+    true_time_s: float
+    controller: Controller
+    servo_id: int
+    angle_deg: float
+
+
+def reference_setpoints_for_event(event, controller, t_true,
+                                  swap_left=False, swap_right=False):
+    legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
+    base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
+    true_time_s = float(t_true)
+    out = []
+    for leg in legs:
+        angle = event.target_angle_deg
+        if event.joint_group is JointGroup.KNEE and event.action in (
+                GaitAction.BACK, GaitAction.FORWARD):
+            swapped = (swap_left and leg in LEFT_LEGS) or (swap_right and leg in RIGHT_LEGS)
+            if swapped:
+                angle = -angle
+        out.append(ReferenceSetpoint(true_time_s=true_time_s,
+                                     controller=controller,
+                                     servo_id=base + leg,
+                                     angle_deg=angle))
+    return out
+
+
+def reference_sort(setpoints):
+    return sorted(setpoints, key=lambda s: (s.true_time_s, s.controller.value, s.servo_id))
+
+
+def reference_csv_lines(setpoints):
+    lines = [SERVO_HEADER]
+    for sp in setpoints:
+        lines.append(f"{sp.true_time_s:.6f},{sp.controller.value},"
+                     f"{sp.servo_id},{sp.angle_deg:.3f}")
+    return lines
+
+
+def as_row(sp):
+    return (sp.true_time_s, sp.controller, sp.servo_id, sp.angle_deg)
+
+
+def test_expansion_matches_reference_for_every_event():
+    config = GaitConfig(knee_back_deg=0.0)  # -0.0 and 0.0 must stay apart
+    for event, ctrl, swap_left, swap_right in product(
+            build_schedule(config), Controller, (False, True), (False, True)):
+        got = gait.setpoints_for_event(event, ctrl, Fraction(7, 3), swap_left, swap_right)
+        want = reference_setpoints_for_event(event, ctrl, Fraction(7, 3), swap_left, swap_right)
+        assert [as_row(s) for s in got] == [as_row(s) for s in want]
+        assert [str(s.angle_deg) for s in got] == [str(s.angle_deg) for s in want]
+
+
+def reference_expander(sim):
+    """The reference expansion, with the knee swap read from the arm of the
+    node that times the gait: a child, or the root in the centralized
+    scheme. A servo command still in flight when the root stops carries the
+    swap the root sent it with."""
+    def expand(event, controller, t_true, swap_left=False, swap_right=False):
+        if sim.scheme is SchemeId.S0_CENTRALIZED:
+            node = sim.root
+        else:
+            node = sim.children[0 if controller is Controller.M1 else 1]
+        if node.gait is not None:
+            swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
+        return reference_setpoints_for_event(event, controller, t_true,
+                                             swap_left, swap_right)
+    return expand
+
+
+# Default offsets; three phases in slot 0 of a period up to 32 slots; and
+# three phases within one tick, so in one slot on the ASN too.
+OFFSETS = [
+    (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+    (Fraction(0), Fraction(1, 64), Fraction(1, 32), Fraction(1, 2)),
+    (Fraction(1, 10**6), Fraction(2, 10**6), Fraction(3, 10**6), Fraction(1, 2)),
+]
+
+
+@st.composite
+def runs(draw):
+    duration = draw(st.integers(3000, 12000)) / 1000
+    at = st.integers(0, int(duration * 1000)).map(lambda ms: ms / 1000)
+    turns = draw(st.lists(st.tuples(st.sampled_from([Verb.LEFT, Verb.RIGHT, Verb.FORWARD]), at),
+                          max_size=4))
+    stop = draw(st.none() | at)
+    ppms = st.sampled_from([-3.7, 0.0, 1.1, 5.0])
+    params = SchemeParams(
+        ppm_m1=draw(ppms), ppm_m2=draw(ppms), ppm_root=draw(ppms),
+        duration_s=duration,
+        resync_period_s=draw(st.sampled_from([2.5, 30.0])),
+        seed=draw(st.integers(1, 50)),
+        gait=GaitConfig(period_s=draw(st.sampled_from([0.5, 0.7, 1.0])),
+                        period_slots=draw(st.sampled_from([8, 12, 68])),
+                        event_offsets=draw(st.sampled_from(OFFSETS))),
+        link=LinkModel(base_latency_s=draw(st.sampled_from([0.0, 0.0031])),
+                       jitter_bound_s=draw(st.sampled_from([0.0, 0.011, 0.015])),
+                       drop_probability=draw(st.sampled_from([0.0, 0.1, 0.3]))))
+    commands = [(Verb.START, 0)] + turns + ([] if stop is None else [(Verb.STOP, stop)])
+    return params, commands
+
+
+def primed(scheme, params, commands):
+    sim = make_sim(scheme, params, emit_setpoints=True)
+    for verb, t in sorted(commands, key=lambda c: c[1]):
+        sim.inject_command(verb, t)
+    return sim
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+@given(run=runs())
+@settings(max_examples=40, deadline=None)
+def test_trace_and_csv_match_reference(scheme, run):
+    params, commands = run
+    got = servo_trace(primed(scheme, params, commands), params.duration_s)
+
+    ref = primed(scheme, params, commands)
+    with mock.patch.object(gait, "setpoints_for_event", reference_expander(ref)):
+        ref.run_until(params.duration_s)
+    want = reference_sort(ref.servo_setpoints)
+
+    assert [as_row(s) for s in got] == [as_row(s) for s in want]
+    assert servo_csv_lines(got) == reference_csv_lines(want)
+
+
+def test_csv_formats_each_row_as_reference():
+    # equal times in a run, a time repeated after a different one, -0.0
+    rows = [(0.5, Controller.M1, 0, 30.0), (0.5, Controller.M2, 6, -0.0),
+            (0.25, Controller.M2, 7, 25.0), (0.5, Controller.M1, 1, 1e-4),
+            (1234.5678915, Controller.M1, 5, -30.0)]
+    got = servo_csv_lines([gait.ServoSetpoint(*r) for r in rows])
+    assert got == reference_csv_lines([ReferenceSetpoint(*r) for r in rows])

@@ -179,6 +179,47 @@ def test_left_turn_flips_left_knee_sweep():
     assert servo9 and all(s.angle_deg == -25.0 for s in servo9)
 
 
+@pytest.mark.parametrize("verb, left_swapped, right_swapped",
+                         [(Verb.LEFT, True, False), (Verb.RIGHT, False, True)])
+def test_centralized_turn_reverses_knee_sweep(verb, left_swapped, right_swapped):
+    # the root holds the turn until its next period (t = 4 s here) and sends
+    # the swap state with each period's servo command
+    sim = new_sim(mode=SchemeId.S0_CENTRALIZED, emit_setpoints=True,
+                  link=LinkModel(jitter_bound_s=0.0))
+    sim.inject_command(Verb.START, 0)
+    sim.inject_command(verb, 3.0)
+    setpoints = servo_trace(sim, 10)
+
+    def sweeps(servo_id, keep):
+        """Each apply's angles for the servo, in order: T1/T2 Back and Forward."""
+        by_time = {}
+        for s in setpoints:
+            if s.servo_id == servo_id and keep(s.true_time_s):
+                by_time.setdefault(s.true_time_s, []).append(s.angle_deg)
+        return set(map(tuple, by_time.values()))
+
+    # knee servo 6 (leg 0, left) sweeps Back then Forward; servo 9 (leg 3,
+    # right) Forward then Back
+    assert sweeps(6, lambda t: t < 3.0) == {(25.0, -25.0)}
+    assert sweeps(9, lambda t: t < 3.0) == {(-25.0, 25.0)}
+    assert sweeps(6, lambda t: t > 4.5) == {(-25.0, 25.0) if left_swapped else (25.0, -25.0)}
+    assert sweeps(9, lambda t: t > 4.5) == {(25.0, -25.0) if right_swapped else (-25.0, 25.0)}
+    # hips never swap
+    assert sweeps(0, lambda t: True) == {(30.0, -30.0)}
+
+
+def test_centralized_forward_ends_a_turn():
+    sim = new_sim(mode=SchemeId.S0_CENTRALIZED, emit_setpoints=True,
+                  link=LinkModel(jitter_bound_s=0.0))
+    sim.inject_command(Verb.START, 0)
+    sim.inject_command(Verb.LEFT, 3.0)
+    sim.inject_command(Verb.FORWARD, 6.0)
+    setpoints = servo_trace(sim, 10)
+    servo6 = [(s.true_time_s, s.angle_deg) for s in setpoints if s.servo_id == 6]
+    assert [a for t, a in servo6 if 4.5 < t < 6.0] == [-25.0, 25.0]
+    assert [a for t, a in servo6 if t > 7.5] == [25.0, -25.0] * 2
+
+
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
     msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], as_seconds(0.001))
