@@ -56,8 +56,10 @@ def _build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
             kwargs["default"] = argparse.SUPPRESS
         p.add_argument(*flags, **kwargs)
 
-    def add_common(p):
+    def add_scheme(p):
         add(p, "--scheme", choices=sorted(_SCHEME_BY_NAME), default="synchronized")
+
+    def add_common(p):
         add(p, "--duration-s", type=float, default=400.0)
         add(p, "--ppm-m1", type=float, default=None,
             help="hip controller clock error (default: per scheme)")
@@ -76,6 +78,7 @@ def _build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
             help="key=value file supplying flag defaults")
 
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
+    add_scheme(run_p)
     add_common(run_p)
     add(run_p, "--plot", action="store_true",
         help="print an ASCII error-vs-time plot to stderr")
@@ -86,6 +89,7 @@ def _build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
         help="comma-separated resync periods in seconds")
 
     trace_p = sub.add_parser("trace", help="write the servo setpoint trace")
+    add_scheme(trace_p)
     add_common(trace_p)
     add(trace_p, "--stop-s", type=float, default=None,
         help="inject a Stop command at this time")
@@ -130,10 +134,12 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
     for key, value in vars(args).items():
         if isinstance(value, float):
             _finite(key.replace("_", "-"), value)
-    if args.scheme not in _SCHEME_BY_NAME:
+    # sweep has no --scheme: it always runs the synchronized scheme
+    name = getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)
+    if name not in _SCHEME_BY_NAME:
         raise ValueError(f"--scheme must be one of {', '.join(sorted(_SCHEME_BY_NAME))}, "
-                         f"got {args.scheme!r}")
-    scheme = _SCHEME_BY_NAME[args.scheme]
+                         f"got {name!r}")
+    scheme = _SCHEME_BY_NAME[name]
     ppm_m1 = args.ppm_m1 if args.ppm_m1 is not None else _DEFAULT_PPM_M1[scheme]
     gait = GaitConfig(period_slots=args.gait_period_slots,
                       period_s=args.gait_period_s)

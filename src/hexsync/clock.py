@@ -22,21 +22,13 @@ TICK_US = 1e6 / NOMINAL_FREQ_HZ  # ~30.518 us, the quantization floor
 DEFAULT_PPM_MAX = 10.0
 
 
-def as_seconds(t) -> Fraction:
-    """Convert a time value to an exact Fraction of seconds.
-
-    Floats are converted via their exact binary value, which is
-    deterministic across runs and platforms.
-    """
-    return t if isinstance(t, Fraction) else Fraction(t)
-
-
 def as_ratio(t) -> Tuple[int, int]:
     """A time value as its exact (numerator, denominator) pair, denominator > 0.
 
-    Equal to as_seconds(t)'s numerator and denominator, without building
-    a Fraction for an int or a float. An (n, d) tuple with d > 0 is already
-    such a pair and is returned as it is, unreduced.
+    Equal to Fraction(t)'s numerator and denominator, without building a
+    Fraction for an int or a float: a float converts via its exact binary
+    value, which is deterministic across runs and platforms. An (n, d) tuple
+    with d > 0 is already such a pair and is returned as it is, unreduced.
     """
     if type(t) is tuple:
         return t
@@ -62,7 +54,7 @@ class DriftingClock:
     rate_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ppm = as_seconds(self.ppm_error)
+        ppm = Fraction(self.ppm_error)
         den = 10**6 * ppm.denominator
         rate = Fraction(NOMINAL_FREQ_HZ * (den + ppm.numerator), den)
         object.__setattr__(self, "rate_num", rate.numerator)
@@ -71,7 +63,7 @@ class DriftingClock:
 
 def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
     """Build a clock, rejecting ppm errors outside the crystal's spec."""
-    ppm = as_seconds(ppm_error)
+    ppm = Fraction(ppm_error)
     if abs(ppm) > Fraction(ppm_max):
         raise ValueError(
             f"ppm_error {float(ppm)} outside +/-{ppm_max} ppm crystal tolerance")

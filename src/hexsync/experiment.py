@@ -14,8 +14,7 @@ from statistics import fmean, linear_regression
 from typing import List, Optional, Sequence, Tuple
 
 from .clock import TICK_US
-from .gait import TimeRef
-from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
+from .simnet import GAIT_TIME_REF, SchemeId, SchemeParams, Sim, Verb, make_sim
 
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
 
@@ -66,8 +65,7 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     eta = None
     if slope is not None:
         # the synchronized scheme counts its period in slots, the others in local time
-        ref = TimeRef.ASN if scheme is SchemeId.S2_SYNCHRONIZED else TimeRef.FREE_RUNNING
-        eta = time_to_opposition(slope, float(params.gait.period_on(ref)))
+        eta = time_to_opposition(slope, float(params.gait.period_on(GAIT_TIME_REF[scheme])))
     return ExperimentResult(trace, max_abs, slope, bound, eta)
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import gait as gaitmod
 from .clock import as_ratio, make_clock
@@ -62,15 +62,6 @@ _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 _Phase = Tuple[Tuple[int, int], Tuple[GaitEvent, ...], bool]
 
 
-class EventKind(Enum):
-    MESSAGE_DELIVERY = "message-delivery"
-    KEEPALIVE_DUE = "keepalive-due"
-    ROOT_PERIOD = "root-period"            # centralized: root starts gait period k
-    CONTROLLER_PHASE = "controller-phase"  # a child fires one phase of period k
-    SAMPLE_POINT = "sample-point"
-    COMMAND_INJECTION = "command-injection"
-
-
 class MessageKind(Enum):
     COMMAND = "command"
     KEEP_ALIVE = "keep-alive"
@@ -89,6 +80,14 @@ class SchemeId(Enum):
     S0_CENTRALIZED = "centralized"     # root times the gait, children just apply
     S1_OPEN_LOOP = "open-loop"         # children time the gait on local clocks
     S2_SYNCHRONIZED = "synchronized"   # children time the gait on the shared ASN
+
+
+# the time reference each scheme's gait-timing node counts its periods on
+GAIT_TIME_REF = {
+    SchemeId.S0_CENTRALIZED: TimeRef.FREE_RUNNING,
+    SchemeId.S1_OPEN_LOOP: TimeRef.FREE_RUNNING,
+    SchemeId.S2_SYNCHRONIZED: TimeRef.ASN,
+}
 
 
 @dataclass
@@ -173,15 +172,16 @@ class Sim:
                  tuple(e for e in events if e.phase_index == phase),
                  phase == phases[-1])
                 for phase in phases))
-        # (num, den) seconds of one gait period on each time reference
-        self._periods = {ref: as_ratio(params.gait.period_on(ref)) for ref in TimeRef}
+        # (num, den) seconds of one gait period on the scheme's time reference
+        self._period = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
         self._keepalive_ratio = as_ratio(params.resync_period_s)
 
         # the time now is _t / _D; every stored time below is over _D
         self._D = 1
         self._t = 0
-        # (time, seq, kind, payload); seq breaks time ties in insertion order
-        self._heap: List[Tuple[int, int, EventKind, tuple]] = []
+        # (time, seq, handler, args): run_until calls handler(self, *args); seq
+        # breaks time ties in insertion order, so handlers are never compared
+        self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._msg_index = 0
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
@@ -190,17 +190,16 @@ class Sim:
         # centralized: per-period apply times, by child node id
         self._s0_applied: Dict[int, Dict[str, int]] = {}
         # set when both children are armed; sample k sits mid-period, at
-        # (_sample_origin + k + 1/2) * period, period = num / den seconds
+        # (_sample_origin + k + 1/2) * period
         self._sample_origin = 0
-        self._sample_period: Optional[Tuple[int, int]] = None
         self._rescale(math.lcm(
             *(node.clock.rate_num for node in (self.root, *self.children)),
-            *(2 * den for _, den in self._periods.values()),
+            2 * self._period[1],
             self._keepalive_ratio[1]))
 
         if self.resync_enabled:
             for child in self.children:
-                self._push(self._keepalive_due(child), EventKind.KEEPALIVE_DUE,
+                self._push(self._keepalive_due(child), Sim._handle_keepalive_due,
                            (child,))
 
     @property
@@ -244,9 +243,9 @@ class Sim:
         """Latest instant by which the child must next hear from the root."""
         return self._last_resync[child.node_id] + self._keepalive
 
-    def _push(self, t: int, kind: EventKind, payload: tuple) -> None:
+    def _push(self, t: int, handler: Callable[..., None], args: tuple) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+        heapq.heappush(self._heap, (t, self._seq, handler, args))
 
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
@@ -283,14 +282,14 @@ class Sim:
             tick = slot_boundary_tick(dst, a + 1)
         t_del = tick * self._tick_unit[dst.node_id]
         msg.delivered_true_s = Fraction(t_del, D)
-        self._push(t_del, EventKind.MESSAGE_DELIVERY, (msg,))
+        self._push(t_del, Sim._handle_delivery, (msg,))
 
     def inject_command(self, verb: Verb, t_true) -> None:
         t = self._time_int(t_true)
         if t < self._t:
             raise ValueError(f"cannot inject command in the past "
                              f"({t / self._D} < {self._t / self._D})")
-        self._push(t, EventKind.COMMAND_INJECTION, (verb,))
+        self._push(t, Sim._handle_injection, (verb,))
 
     def run_until(self, t_end) -> int:
         """Process every queued event with time <= t_end; returns the count."""
@@ -299,11 +298,10 @@ class Sim:
             raise ValueError("t_end precedes current simulation time")
         processed = 0
         heap = self._heap
-        handlers = self._HANDLERS
         # handlers queue only times over D, so D stays fixed in this loop
         while heap and heap[0][0] <= te:
-            self._t, _, kind, payload = heapq.heappop(heap)
-            handlers[kind](self, *payload)
+            self._t, _, handler, args = heapq.heappop(heap)
+            handler(self, *args)
             processed += 1
         self._t = te
         return processed
@@ -314,7 +312,7 @@ class Sim:
         for child in self.children:
             self.send(Message(MessageKind.COMMAND, child, self.now, body=verb))
         if self.scheme is SchemeId.S0_CENTRALIZED:
-            self._root_apply_command(verb)
+            self._apply_command(self.root, verb)
 
     def _handle_delivery(self, msg: Message) -> None:
         child = msg.dst
@@ -323,9 +321,10 @@ class Sim:
             self._last_resync[child.node_id] = self._t
             self.resync_marks.append(self._t / self._D)
         if msg.kind is MessageKind.KEEP_ALIVE:
-            self._push(self._keepalive_due(child), EventKind.KEEPALIVE_DUE, (child,))
+            self._push(self._keepalive_due(child), Sim._handle_keepalive_due, (child,))
         elif msg.kind is MessageKind.COMMAND:
-            self._apply_command(child, msg.body)
+            if self.scheme is not SchemeId.S0_CENTRALIZED:
+                self._apply_command(child, msg.body)
         elif msg.kind is MessageKind.SERVO_COMMAND:
             self._apply_servo_command(child, msg.body)
 
@@ -333,37 +332,37 @@ class Sim:
         due = self._keepalive_due(child)
         if due > self._t:
             # an intervening exchange already resynced this child
-            self._push(due, EventKind.KEEPALIVE_DUE, (child,))
+            self._push(due, Sim._handle_keepalive_due, (child,))
             return
         self.send(Message(MessageKind.KEEP_ALIVE, child, self.now))
 
     # -- gait control ------------------------------------------------------
 
-    def _apply_command(self, child: MoteState, verb: Verb) -> None:
-        if self.scheme is SchemeId.S0_CENTRALIZED:
-            return  # root-side timing handles everything
+    def _apply_command(self, node: MoteState, verb: Verb) -> None:
+        """Apply a command on a node that times the gait: the root in
+        centralized runs, each child otherwise. A turn waits for the node's
+        next gait period."""
+        now = (self._t, self._D)
         if verb is Verb.START:
-            if self.scheme is SchemeId.S1_OPEN_LOOP:
-                gaitmod.arm_free_running(child, self.params.gait, (self._t, self._D))
+            if GAIT_TIME_REF[self.scheme] is TimeRef.ASN:
+                gaitmod.arm_asn_ref(node, self.params.gait, now)
             else:
-                gaitmod.arm_asn_ref(child, self.params.gait, (self._t, self._D))
+                gaitmod.arm_free_running(node, self.params.gait, now)
             self._gen += 1
-            if all(c.gait is not None for c in self.children):
+            if node is self.root:
+                self._push(self._event_time(node, 0, 0), Sim._handle_root_period,
+                           (self._gen, 0))
+            elif all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
                 self._start_sampler()
                 if self.emit_setpoints:
                     for c in self.children:
                         self._schedule_controller_period(c, 0)
         elif verb is Verb.STOP:
-            child.gait = None
+            node.gait = None
             self._gen += 1
-        else:
-            self._queue_turn(child, verb)
-
-    def _queue_turn(self, node: MoteState, verb: Verb) -> None:
-        """Hold a turn on an armed node until its next gait period."""
-        if node.gait is not None:
-            k_next = gaitmod.period_index_at(node, (self._t, self._D)) + 1
+        elif node.gait is not None:
+            k_next = gaitmod.period_index_at(node, now) + 1
             node.gait.pending_turn = (*_SWAPS[verb], k_next)
 
     def _harmonize_origins(self) -> None:
@@ -378,13 +377,11 @@ class Sim:
             a.arm_period_index = common
 
     def _start_sampler(self) -> None:
-        m1 = self.children[0].gait
-        self._sample_period = self._periods[m1.ref]
-        self._sample_origin = m1.arm_period_index
-        self._push(self._sample_time(0), EventKind.SAMPLE_POINT, (self._gen, 0))
+        self._sample_origin = self.children[0].gait.arm_period_index
+        self._push(self._sample_time(0), Sim._handle_sample, (self._gen, 0))
 
     def _sample_time(self, k: int) -> int:
-        p_num, p_den = self._sample_period
+        p_num, p_den = self._period
         return (2 * (self._sample_origin + k) + 1) * p_num * (self._D // (2 * p_den))
 
     def _handle_sample(self, gen: int, k: int) -> None:
@@ -393,7 +390,7 @@ class Sim:
         err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
         self.samples.append((round(self._t / self._D, 6), k, round(err, 3)))
         k_next = k + self.params.sample_every
-        self._push(self._sample_time(k_next), EventKind.SAMPLE_POINT, (gen, k_next))
+        self._push(self._sample_time(k_next), Sim._handle_sample, (gen, k_next))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
         ctrl, _, phases = self._plans[child.node_id]
@@ -401,33 +398,25 @@ class Sim:
         gen = self._gen
         for offset, events, last in phases:
             self._push(gaitmod.event_tick(child, k, offset) * unit,
-                       EventKind.CONTROLLER_PHASE, (child, ctrl, gen, k, events, last))
+                       Sim._handle_controller_phase, (child, ctrl, gen, k, events, last))
 
     def _handle_controller_phase(self, child: MoteState, ctrl: Controller, gen: int,
                                  k: int, events: Tuple[GaitEvent, ...], last: bool) -> None:
         if gen != self._gen:
             return
-        swap_left, swap_right = _swaps_at(child.gait, k)
+        self._emit(ctrl, events, *_swaps_at(child.gait, k))
+        if last:
+            self._schedule_controller_period(child, k + 1)
+
+    def _emit(self, ctrl: Controller, events: Tuple[GaitEvent, ...],
+              swap_left: bool, swap_right: bool) -> None:
+        """Record the servo setpoints of ctrl's events, fired now."""
         now_s = self._t / self._D
         out = self.servo_setpoints
         for event in events:
             out.extend(gaitmod.setpoints_for_event(event, ctrl, now_s, swap_left, swap_right))
-        if last:
-            self._schedule_controller_period(child, k + 1)
 
     # -- centralized (root-timed) control ----------------------------------
-
-    def _root_apply_command(self, verb: Verb) -> None:
-        if verb is Verb.START:
-            gaitmod.arm_free_running(self.root, self.params.gait, (self._t, self._D))
-            self._gen += 1
-            self._push(self._event_time(self.root, 0, 0),
-                       EventKind.ROOT_PERIOD, (self._gen, 0))
-        elif verb is Verb.STOP:
-            self.root.gait = None
-            self._gen += 1
-        else:
-            self._queue_turn(self.root, verb)
 
     def _handle_root_period(self, gen: int, k: int) -> None:
         if gen != self._gen:
@@ -438,7 +427,7 @@ class Sim:
         for child in self.children:
             self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=body))
         self._push(self._event_time(self.root, k + 1, 0),
-                   EventKind.ROOT_PERIOD, (gen, k + 1))
+                   Sim._handle_root_period, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState,
                              body: Tuple[int, bool, bool]) -> None:
@@ -447,11 +436,7 @@ class Sim:
         applied[child.node_id] = self._t
         if self.emit_setpoints:
             ctrl, events, _ = self._plans[child.node_id]
-            now_s = self._t / self._D
-            out = self.servo_setpoints
-            for event in events:
-                out.extend(gaitmod.setpoints_for_event(
-                    event, ctrl, now_s, swap_left, swap_right))
+            self._emit(ctrl, events, swap_left, swap_right)
         if len(applied) == 2:
             del self._s0_applied[k]
             if k % self.params.sample_every == 0:
@@ -460,16 +445,6 @@ class Sim:
                 err = (applied[m2.node_id] - applied[m1.node_id]) * 10**6 / D
                 t = max(applied.values())
                 self.samples.append((round(t / D, 6), k, round(err, 3)))
-
-    # event kind -> handler; an event's payload is its handler's arguments
-    _HANDLERS = {
-        EventKind.COMMAND_INJECTION: _handle_injection,
-        EventKind.MESSAGE_DELIVERY: _handle_delivery,
-        EventKind.KEEPALIVE_DUE: _handle_keepalive_due,
-        EventKind.SAMPLE_POINT: _handle_sample,
-        EventKind.ROOT_PERIOD: _handle_root_period,
-        EventKind.CONTROLLER_PHASE: _handle_controller_phase,
-    }
 
 
 # the knee swap (left, right) each turn verb sets

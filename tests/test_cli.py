@@ -172,6 +172,20 @@ def test_sweep_csv(tmp_path):
     assert periods == sorted(periods)
 
 
+def test_sweep_always_runs_the_synchronized_scheme(tmp_path, capsys):
+    # sweep has no --scheme, so a config file's scheme= line is skipped and
+    # cannot pick another scheme's --ppm-m1 default
+    argv = ["sweep", "--periods", "10", "--duration-s", "60"]
+    code, plain = run_cli(tmp_path, *argv)
+    assert code == 0
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("scheme=open-loop\n")
+    configured = tmp_path / "configured.csv"
+    assert dispatch(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    assert dispatch(argv + ["--scheme", "open-loop"]) == 2
+
+
 def test_servo_trace_csv(tmp_path):
     code, out = run_cli(tmp_path, "trace", "--duration-s", "5")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexsync.clock import TICK_US, as_seconds
+from hexsync.clock import TICK_US
 from hexsync.gait import GaitConfig, servo_trace
 from hexsync.simnet import (
     LinkModel,
@@ -56,7 +56,7 @@ def test_identical_config_and_seed_replay_identically():
 
 def test_degenerate_link_delivers_on_next_slot_boundary():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0))
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], as_seconds(0.001))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], Fraction(0.001))
     sim.send(msg)
     expected = slot_boundary_true_time(sim.children[1], 1)
     assert msg.delivered_true_s == expected
@@ -64,7 +64,7 @@ def test_degenerate_link_delivers_on_next_slot_boundary():
 
 def test_delivery_within_latency_window():
     sim = new_sim()
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[0], as_seconds(29.99))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[0], Fraction(29.99))
     sim.send(msg)
     assert 29.99 <= msg.delivered_true_s <= 29.99 + SLOT + 0.015
 
@@ -220,12 +220,29 @@ def test_centralized_forward_ends_a_turn():
     assert [a for t, a in servo6 if t > 7.5] == [25.0, -25.0] * 2
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+@pytest.mark.parametrize("first, second, back", [(Verb.LEFT, Verb.FORWARD, 25.0),
+                                                 (Verb.FORWARD, Verb.LEFT, -25.0)],
+                         ids=["left-then-forward", "forward-then-left"])
+def test_same_instant_verbs_apply_in_injection_order(scheme, first, second, back):
+    # both turns land in the same instant on every node; the one queued
+    # second must win
+    sim = new_sim(mode=scheme, emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
+    sim.inject_command(Verb.START, 0)
+    sim.inject_command(first, 3.0)
+    sim.inject_command(second, 3.0)
+    setpoints = servo_trace(sim, 10)
+    # knee servo 6 (leg 0, left) sweeps +25 then -25 each period unless swapped
+    assert [s.angle_deg for s in setpoints
+            if s.servo_id == 6 and s.true_time_s > 6.0] == [back, -back] * 4
+
+
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], as_seconds(0.001))
+    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], Fraction(0.001))
     sim.send(msg)
     no_drop = new_sim(link=LinkModel(jitter_bound_s=0.0), seed=7)
-    msg2 = Message(MessageKind.KEEP_ALIVE, no_drop.children[1], as_seconds(0.001))
+    msg2 = Message(MessageKind.KEEP_ALIVE, no_drop.children[1], Fraction(0.001))
     no_drop.send(msg2)
     assert msg.delivered_true_s >= msg2.delivered_true_s
     lag_slots = float(msg.delivered_true_s - msg2.delivered_true_s) / SLOT

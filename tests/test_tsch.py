@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsync.clock import TICK_S, TICK_US, as_seconds, make_clock
+from hexsync.clock import TICK_S, TICK_US, make_clock
 from hexsync.simnet import (
     LinkModel,
     Message,
@@ -66,7 +66,7 @@ def test_asn_increments_every_15ms():
 def test_asn_inverse_consistent_with_boundaries(ppm, t):
     node = mote(ppm=ppm)
     a = asn_at(node, t)
-    assert slot_boundary_true_time(node, a) <= as_seconds(t) < slot_boundary_true_time(node, a + 1)
+    assert slot_boundary_true_time(node, a) <= Fraction(t) < slot_boundary_true_time(node, a + 1)
 
 
 @given(ppm=st.floats(-10, 10, allow_nan=False),
@@ -152,7 +152,7 @@ def test_keepalive_due_from_last_resync():
     # keep-alive to one period after that delivery
     sim, sent = keepalive_sim(10.0)
     child = sim.children[0]
-    sim.inject_command(Verb.FORWARD, as_seconds(12.4))
+    sim.inject_command(Verb.FORWARD, Fraction(12.4))
     sim.run_until(25)
     to_child = [m for m in sent if m.dst is child]
     command = next(m for m in to_child if m.kind is MessageKind.COMMAND)
