@@ -10,7 +10,7 @@ difference between the two controllers' believed start of gait period k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -68,6 +68,7 @@ T2_LEGS = (1, 3, 5)
 LEFT_LEGS = (0, 1, 2)
 HIP_SERVO_BASE = 0   # hip servo id = leg
 KNEE_SERVO_BASE = 6  # knee servo id = leg + 6
+PHASE_ZERO = (0, 1)  # the period start, as event_tick's (num, den) phase pair
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,12 @@ class GaitArmState:
     swap_left: bool = False
     swap_right: bool = False
     pending_turn: Optional[Tuple[bool, bool, int]] = None
+    # config.period_s as an exact (num, den) pair, decomposed once here
+    # rather than on every free-running event
+    period: Tuple[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.period = as_ratio(self.config.period_s)
 
 
 def build_schedule(config: GaitConfig) -> List[GaitEvent]:
@@ -233,34 +240,34 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     earlier in true time than M2's), so the error slope in us per true
     second equals ppm(M1) - ppm(M2).
     """
-    return tick_gap_us(m1.clock, event_tick(m1, k, 0), m2.clock, event_tick(m2, k, 0))
+    return tick_gap_us(m1.clock, event_tick(m1, k, PHASE_ZERO),
+                       m2.clock, event_tick(m2, k, PHASE_ZERO))
 
 
-def event_tick(node: MoteState, k: int, phase_offset) -> int:
+def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:
     """Local tick at which the node fires a period-k event at the given phase.
 
-    Free-running: the first tick at local time
-    (arm_period_index + k + phase_offset) * period_s. ASN: the boundary
-    tick of slot (arm_period_index + k) * period_slots
+    phase_offset is an exact (num, den) pair. Free-running: the first tick
+    at local time (arm_period_index + k + phase_offset) * period_s. ASN:
+    the boundary tick of slot (arm_period_index + k) * period_slots
     + floor(phase_offset * period_slots).
     """
     arm = node.gait
     if arm is None:
         raise ValueError(f"gait not armed on {node.node_id}")
-    cfg = arm.config
-    o_num, o_den = as_ratio(phase_offset)
+    o_num, o_den = phase_offset
     if arm.ref is TimeRef.FREE_RUNNING:
-        p_num, p_den = as_ratio(cfg.period_s)
+        p_num, p_den = arm.period
         return tick_of_local(((arm.arm_period_index + k) * o_den + o_num) * p_num,
                              o_den * p_den)
+    slots = arm.config.period_slots
     return slot_boundary_tick(
-        node, (arm.arm_period_index + k) * cfg.period_slots
-        + o_num * cfg.period_slots // o_den)
+        node, (arm.arm_period_index + k) * slots + o_num * slots // o_den)
 
 
-def gait_event_true_time(node: MoteState, k: int, phase_offset: Fraction) -> Fraction:
+def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
     """True time at which the node fires a period-k event at the given phase."""
-    return true_time_of_tick(node.clock, event_tick(node, k, phase_offset))
+    return true_time_of_tick(node.clock, event_tick(node, k, as_ratio(phase_offset)))
 
 
 def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,

@@ -18,9 +18,11 @@ the same positive factor, which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until the receiver's slot lookup; only the slot-boundary time is queued.
 
-Floats come from int true division, which rounds the same rational as
-float(Fraction). A Fraction is built only at the public edges: Sim.now and
-a Message's sent_true_s and delivered_true_s.
+A Message carries its sent and delivered times as exact (num, den) int
+pairs, and the three senders pass the pair (t, D) for now. Floats come from
+int true division, which rounds the same rational as float(Fraction). A
+Fraction is built only when a caller reads one: Sim.now, and a Message's
+sent_true_s and delivered_true_s, which are views built from the pairs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import gait as gaitmod
 from .clock import as_ratio, make_clock
 from .gait import (
+    PHASE_ZERO,
     Controller,
     GaitArmState,
     GaitConfig,
@@ -90,14 +93,31 @@ GAIT_TIME_REF = {
 }
 
 
-@dataclass
 class Message:
-    """A frame from the root to one of its children; every frame flows that way."""
-    kind: MessageKind
-    dst: MoteState
-    sent_true_s: Fraction
-    body: object = None
-    delivered_true_s: Optional[Fraction] = None
+    """A frame from the root to one of its children; every frame flows that way.
+
+    sent and delivered hold the times as exact (num, den) pairs; delivered
+    is None until Sim.send schedules the frame.
+    """
+    __slots__ = ("kind", "dst", "sent", "body", "delivered")
+
+    def __init__(self, kind: MessageKind, dst: MoteState, sent_true_s,
+                 body: object = None) -> None:
+        self.kind = kind
+        self.dst = dst
+        self.sent: Tuple[int, int] = as_ratio(sent_true_s)
+        self.body = body
+        self.delivered: Optional[Tuple[int, int]] = None
+
+    @property
+    def sent_true_s(self) -> Fraction:
+        """The sent time in seconds, exactly."""
+        return Fraction(*self.sent)
+
+    @property
+    def delivered_true_s(self) -> Optional[Fraction]:
+        """The delivery time in seconds, exactly, once scheduled."""
+        return None if self.delivered is None else Fraction(*self.delivered)
 
 
 @dataclass(frozen=True)
@@ -144,6 +164,8 @@ class Sim:
         self.scheme = scheme
         self.params = params
         self.seed = int(params.seed)
+        # _uniform's digests all start with this prefix; each draw copies it
+        self._hash_prefix = hashlib.sha256(f"{self.seed}:".encode())
         self.emit_setpoints = emit_setpoints
         # Free-running control deliberately leaves child timebases alone.
         self.resync_enabled = scheme is not SchemeId.S1_OPEN_LOOP
@@ -235,9 +257,9 @@ class Sim:
             self._rescale(den)
         return num * (self._D // den)
 
-    def _event_time(self, node: MoteState, k: int, phase_offset) -> int:
-        """The node's period-k event at phase_offset, as an int over D."""
-        return gaitmod.event_tick(node, k, phase_offset) * self._tick_unit[node.node_id]
+    def _period_start(self, node: MoteState, k: int) -> int:
+        """The start of the node's gait period k, as an int over D."""
+        return gaitmod.event_tick(node, k, PHASE_ZERO) * self._tick_unit[node.node_id]
 
     def _keepalive_due(self, child: MoteState) -> int:
         """Latest instant by which the child must next hear from the root."""
@@ -249,9 +271,9 @@ class Sim:
 
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
-        digest = hashlib.sha256(
-            f"{self.seed}:{stream}:{index}".encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        h = self._hash_prefix.copy()  # equals sha256(f"{seed}:{stream}:{index}")
+        h.update(f"{stream}:{index}".encode())
+        return int.from_bytes(h.digest()[:8], "big") / 2**64
 
     # -- public operations -------------------------------------------------
 
@@ -265,14 +287,14 @@ class Sim:
         while (link.drop_probability > 0
                and self._uniform("drop", index * 97 + attempt) < link.drop_probability):
             attempt += 1
-        lat_num, lat_den = as_ratio(
-            link.base_latency_s + link.jitter_bound_s * self._uniform("lat", index))
-        sent = self._time_int(msg.sent_true_s)
-        D = self._D
-        # arrival = sent / D + attempt slots + latency, as one exact pair
-        arr_num = ((sent * _SLOT_DEN + attempt * _SLOT_NUM * D) * lat_den
-                   + lat_num * D * _SLOT_DEN)
-        arr_den = D * _SLOT_DEN * lat_den
+        # the latency is a float (the draw is one), so as_integer_ratio is exact
+        lat_num, lat_den = (link.base_latency_s + link.jitter_bound_s
+                            * self._uniform("lat", index)).as_integer_ratio()
+        s_num, s_den = msg.sent
+        # arrival = sent + attempt slots + latency, as one exact pair
+        arr_num = ((s_num * _SLOT_DEN + attempt * _SLOT_NUM * s_den) * lat_den
+                   + lat_num * s_den * _SLOT_DEN)
+        arr_den = s_den * _SLOT_DEN * lat_den
         dst = msg.dst
         a = asn_at(dst, (arr_num, arr_den))
         tick = slot_boundary_tick(dst, a)
@@ -281,7 +303,7 @@ class Sim:
         if tick * dst.clock.rate_den * arr_den != arr_num * dst.clock.rate_num:
             tick = slot_boundary_tick(dst, a + 1)
         t_del = tick * self._tick_unit[dst.node_id]
-        msg.delivered_true_s = Fraction(t_del, D)
+        msg.delivered = (t_del, self._D)
         self._push(t_del, Sim._handle_delivery, (msg,))
 
     def inject_command(self, verb: Verb, t_true) -> None:
@@ -310,7 +332,7 @@ class Sim:
 
     def _handle_injection(self, verb: Verb) -> None:
         for child in self.children:
-            self.send(Message(MessageKind.COMMAND, child, self.now, body=verb))
+            self.send(Message(MessageKind.COMMAND, child, (self._t, self._D), body=verb))
         if self.scheme is SchemeId.S0_CENTRALIZED:
             self._apply_command(self.root, verb)
 
@@ -334,14 +356,14 @@ class Sim:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        self.send(Message(MessageKind.KEEP_ALIVE, child, self.now))
+        self.send(Message(MessageKind.KEEP_ALIVE, child, (self._t, self._D)))
 
     # -- gait control ------------------------------------------------------
 
     def _apply_command(self, node: MoteState, verb: Verb) -> None:
         """Apply a command on a node that times the gait: the root in
         centralized runs, each child otherwise. A turn waits for the node's
-        next gait period."""
+        next gait period, or for period 0 if that has not begun."""
         now = (self._t, self._D)
         if verb is Verb.START:
             if GAIT_TIME_REF[self.scheme] is TimeRef.ASN:
@@ -350,7 +372,7 @@ class Sim:
                 gaitmod.arm_free_running(node, self.params.gait, now)
             self._gen += 1
             if node is self.root:
-                self._push(self._event_time(node, 0, 0), Sim._handle_root_period,
+                self._push(self._period_start(node, 0), Sim._handle_root_period,
                            (self._gen, 0))
             elif all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
@@ -362,8 +384,12 @@ class Sim:
             node.gait = None
             self._gen += 1
         elif node.gait is not None:
-            k_next = gaitmod.period_index_at(node, now) + 1
-            node.gait.pending_turn = (*_SWAPS[verb], k_next)
+            arm = node.gait
+            # the unclamped count: a turn that lands before period 0 (the
+            # count reads period -1 or less there) takes effect from period 0
+            k_next = max(0, gaitmod.whole_periods_at(node, arm.ref, arm.config, now)
+                         - arm.arm_period_index + 1)
+            arm.pending_turn = (*_SWAPS[verb], k_next)
 
     def _harmonize_origins(self) -> None:
         """Give both children a common period-0 origin.
@@ -425,8 +451,9 @@ class Sim:
         # each carrying the period's knee swap state
         body = (k, *_swaps_at(self.root.gait, k))
         for child in self.children:
-            self.send(Message(MessageKind.SERVO_COMMAND, child, self.now, body=body))
-        self._push(self._event_time(self.root, k + 1, 0),
+            self.send(Message(MessageKind.SERVO_COMMAND, child, (self._t, self._D),
+                              body=body))
+        self._push(self._period_start(self.root, k + 1),
                    Sim._handle_root_period, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState,

@@ -237,6 +237,31 @@ def test_same_instant_verbs_apply_in_injection_order(scheme, first, second, back
             if s.servo_id == 6 and s.true_time_s > 6.0] == [back, -back] * 4
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
+    # Left lands after Start is applied but before period 0 begins (~1 s)
+    def knee_angles(turn):
+        sim = new_sim(mode=scheme, emit_setpoints=True)
+        sim.inject_command(Verb.START, 0)
+        if turn:
+            sim.inject_command(Verb.LEFT, 0.2)
+        sim.run_until(3.5)
+        by_servo = {}
+        for s in sim.servo_setpoints:
+            if s.servo_id >= 6:
+                by_servo.setdefault(s.servo_id, []).append(s.angle_deg)
+        # each knee sweeps twice a period: periods 0 and 1. Angles, not
+        # times: the turn's frames shift the later latency draws
+        return {servo: angles[:4] for servo, angles in by_servo.items()}
+
+    straight, turned = knee_angles(False), knee_angles(True)
+    assert sorted(straight) == list(range(6, 12))
+    for servo, angles in straight.items():
+        assert len(angles) == 4
+        # the left knees (legs 0-2) reverse from period 0 on; the right keep theirs
+        assert turned[servo] == ([-a for a in angles] if servo < 9 else angles)
+
+
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
     msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], Fraction(0.001))

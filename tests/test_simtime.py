@@ -3,8 +3,9 @@
 Inside a Sim, time is an int over a per-sim denominator D. These tests
 check that a frame's delivery slot is the one the old Fraction formula
 chose, that pausing a run at times off D's grid (which rescales D) changes
-nothing, and that the event loop itself does no Fraction arithmetic or
-comparison.
+nothing, and that the event loop itself builds no Fraction and does no
+Fraction arithmetic or comparison. Messages carry integer pairs; their
+exact Fraction times are built only when read.
 """
 
 import hashlib
@@ -134,18 +135,27 @@ _FORBIDDEN = ("_richcmp", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
               "__mod__", "__rmod__", "__neg__", "__abs__", "__pow__", "__float__")
 
 
-@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
-def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
-    params = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
-                          seed=3, link=LinkModel(base_latency_s=0.0031, jitter_bound_s=0.011,
-                                                 drop_probability=0.3))
-    sim = make_sim(scheme, params, emit_setpoints=True)
+_LOSSY = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
+                      seed=3, link=LinkModel(base_latency_s=0.0031, jitter_bound_s=0.011,
+                                             drop_probability=0.3))
+
+
+def _lossy_sim_with_commands(scheme):
+    """A lossy-link sim with a Start, a turn and an off-grid Stop queued, and
+    the list every sent message is appended to."""
+    sim = make_sim(scheme, _LOSSY, emit_setpoints=True)
     sent = []
     send = sim.send
     sim.send = lambda msg: (send(msg), sent.append(msg))
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.LEFT, 5.5)
     sim.inject_command(Verb.STOP, 12.3)  # a --stop-s value off every grid
+    return sim, sent
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
+    sim, sent = _lossy_sim_with_commands(scheme)
 
     def forbidden(*_):
         raise AssertionError("Fraction arithmetic or comparison in the event loop")
@@ -163,8 +173,32 @@ def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
     processed = sim.run_until(20.7)
     monkeypatch.undo()
 
-    assert processed > 0 and sim.samples and sim.servo_setpoints
-    # construction only at the edges: each message's sent time (Sim.now)
-    # and its delivery time, each from an int pair
-    assert len(built) == 2 * len(sent)
-    assert all(len(a) == 2 and all(type(x) is int for x in a) for a in built)
+    assert processed > 0 and sent and sim.samples and sim.servo_setpoints
+    # messages carry int pairs; no Fraction exists until a caller reads one
+    assert built == []
+
+
+# (message count, sha256 of their "sent delivered" Fraction lines), as the
+# run produced them when each message still stored its times as Fractions
+_MESSAGE_TIMES = {
+    SchemeId.S0_CENTRALIZED:
+        (36, "871e638192e0723d37150d261b71a8b2adabdee0d1cb13c14a51a0a8bbb2ec2e"),
+    SchemeId.S1_OPEN_LOOP:
+        (6, "4c5cbba3c8bd1e9aa49f2521ca077dedf5121c0b9de2c77eb4823a0c4f9344cd"),
+    SchemeId.S2_SYNCHRONIZED:
+        (20, "e5ba91172480b02804953aa23d6d5279fa641059000a16a1c737d630fbf924c0"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_message_times_read_back_as_the_same_exact_fractions(scheme):
+    sim, sent = _lossy_sim_with_commands(scheme)
+    sim.run_until(20.7)
+    for m in sent:
+        for pair, value in ((m.sent, m.sent_true_s), (m.delivered, m.delivered_true_s)):
+            assert type(value) is Fraction and value == Fraction(*pair)
+        assert m.sent_true_s <= m.delivered_true_s <= sim.now
+    assert sent[0].sent_true_s == 0
+    assert sent[0].delivered_true_s == Fraction(16870631538688000000, 1125895741012968682291)
+    text = "\n".join(f"{m.sent_true_s} {m.delivered_true_s}" for m in sent)
+    assert (len(sent), hashlib.sha256(text.encode()).hexdigest()) == _MESSAGE_TIMES[scheme]

@@ -10,12 +10,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexsync.clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
+    as_ratio,
     local_periods_at,
     local_seconds_at,
     make_clock,
@@ -29,6 +30,7 @@ from hexsync.gait import (
     TimeRef,
     arm_asn_ref,
     arm_free_running,
+    event_tick,
     gait_event_true_time,
     gait_sync_error,
     whole_periods_at,
@@ -96,6 +98,18 @@ def ref_gait_event_true_time(node, k, phase_offset):
     offset_slots = math.floor(phase_offset * cfg.period_slots)
     return ref_slot_boundary_true_time(
         node, (arm.arm_period_index + k) * cfg.period_slots + offset_slots)
+
+
+def ref_event_tick(node, k, phase_offset):
+    """The local tick of a period-k event, straight from its definition."""
+    arm = node.gait
+    cfg = arm.config
+    if arm.ref is TimeRef.FREE_RUNNING:
+        local_s = (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s)
+        return math.ceil(local_s * NOMINAL_FREQ_HZ)
+    slot = ((arm.arm_period_index + k) * cfg.period_slots
+            + math.floor(phase_offset * cfg.period_slots))
+    return math.floor(node.origin_local_ticks + (slot - node.asn_origin) * TICKS_PER_SLOT)
 
 
 def ref_gait_sync_error(m1, m2, k):
@@ -228,6 +242,44 @@ def test_gait_times_match_reference_at_non_default_period_and_offsets(ref):
         for phase in offsets:
             assert gait_event_true_time(node, k, phase) == ref_gait_event_true_time(
                 node, k, phase)
+
+
+# non-dyadic periods among them, down to the four-tick minimum
+gait_periods = st.one_of(
+    st.sampled_from([0.7, 1.0, 1.02, 0.1, Fraction(1, 3), Fraction(4, NOMINAL_FREQ_HZ)]),
+    st.floats(min_value=4 / NOMINAL_FREQ_HZ, max_value=10))
+# four strictly increasing phase offsets in [0, 1)
+phase_offsets = st.lists(
+    st.fractions(min_value=0, max_value=Fraction(999_999, 10**6), max_denominator=10**6),
+    min_size=4, max_size=4, unique=True).map(sorted)
+
+
+@given(ref=st.sampled_from(list(TimeRef)), ppm1=ppms, ppm2=ppms,
+       root_ppm=st.sampled_from(LISTED_PPM),
+       t_arm=st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
+       resync=st.booleans(), period_s=gait_periods, period_slots=st.integers(4, 200),
+       offsets=phase_offsets, ks=st.lists(st.integers(0, 10**7), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_ppm, t_arm,
+                                                          resync, period_s, period_slots,
+                                                          offsets, ks):
+    default = offsets == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    assume(not (default and period_slots % 4))
+    cfg = GaitConfig(period_slots=period_slots, period_s=period_s, event_offsets=tuple(offsets))
+    root = make_mote("root", make_clock(root_ppm))
+    t_sync = t_arm if resync else None
+    m1 = resynced_mote("m1", ppm1, t_sync, root)
+    m2 = resynced_mote("m2", ppm2, t_sync, root)
+    arm = arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref
+    for node in (m1, m2):
+        arm(node, cfg, t_arm)
+        # the period pair event_tick reads is period_s exactly, taken at arming
+        assert Fraction(*node.gait.period) == Fraction(period_s)
+    for k in ks:
+        for node in (m1, m2):
+            for offset in offsets:
+                assert event_tick(node, k, as_ratio(offset)) == ref_event_tick(node, k, offset)
+        assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
 
 
 # -- no Fraction arithmetic on the hot conversions ---------------------------
