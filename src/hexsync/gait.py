@@ -226,11 +226,11 @@ def period_start_true_time(node: MoteState, k: int) -> Fraction:
 
 
 def period_index_at(node: MoteState, t_true) -> int:
-    """Index of the gait period in progress at t_true (clamped at 0)."""
+    """Index of the gait period in progress at t_true; negative before period 0."""
     arm = node.gait
     if arm is None:
         raise ValueError(f"gait not armed on {node.node_id}")
-    return max(0, whole_periods_at(node, arm.ref, arm.config, t_true) - arm.arm_period_index)
+    return whole_periods_at(node, arm.ref, arm.config, t_true) - arm.arm_period_index
 
 
 def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:

@@ -93,21 +93,23 @@ GAIT_TIME_REF = {
 }
 
 
+@dataclass(slots=True)
 class Message:
     """A frame from the root to one of its children; every frame flows that way.
 
-    sent and delivered hold the times as exact (num, den) pairs; delivered
-    is None until Sim.send schedules the frame.
+    sent and delivered hold the times as exact (num, den) pairs, unreduced,
+    so two messages compare equal when their pairs are equal term by term.
+    sent may be given as any time value; delivered is None until Sim.send
+    schedules the frame.
     """
-    __slots__ = ("kind", "dst", "sent", "body", "delivered")
+    kind: MessageKind
+    dst: MoteState
+    sent: Tuple[int, int]
+    body: object = None
+    delivered: Optional[Tuple[int, int]] = None
 
-    def __init__(self, kind: MessageKind, dst: MoteState, sent_true_s,
-                 body: object = None) -> None:
-        self.kind = kind
-        self.dst = dst
-        self.sent: Tuple[int, int] = as_ratio(sent_true_s)
-        self.body = body
-        self.delivered: Optional[Tuple[int, int]] = None
+    def __post_init__(self) -> None:
+        self.sent = as_ratio(self.sent)
 
     @property
     def sent_true_s(self) -> Fraction:
@@ -164,8 +166,6 @@ class Sim:
         self.scheme = scheme
         self.params = params
         self.seed = int(params.seed)
-        # _uniform's digests all start with this prefix; each draw copies it
-        self._hash_prefix = hashlib.sha256(f"{self.seed}:".encode())
         self.emit_setpoints = emit_setpoints
         # Free-running control deliberately leaves child timebases alone.
         self.resync_enabled = scheme is not SchemeId.S1_OPEN_LOOP
@@ -271,9 +271,9 @@ class Sim:
 
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
-        h = self._hash_prefix.copy()  # equals sha256(f"{seed}:{stream}:{index}")
-        h.update(f"{stream}:{index}".encode())
-        return int.from_bytes(h.digest()[:8], "big") / 2**64
+        digest = hashlib.sha256(
+            f"{self.seed}:{stream}:{index}".encode()).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64
 
     # -- public operations -------------------------------------------------
 
@@ -384,12 +384,10 @@ class Sim:
             node.gait = None
             self._gen += 1
         elif node.gait is not None:
-            arm = node.gait
-            # the unclamped count: a turn that lands before period 0 (the
-            # count reads period -1 or less there) takes effect from period 0
-            k_next = max(0, gaitmod.whole_periods_at(node, arm.ref, arm.config, now)
-                         - arm.arm_period_index + 1)
-            arm.pending_turn = (*_SWAPS[verb], k_next)
+            # before period 0 the index reads -1 or less: the turn takes
+            # effect from period 0
+            k_next = max(0, gaitmod.period_index_at(node, now) + 1)
+            node.gait.pending_turn = (*_SWAPS[verb], k_next)
 
     def _harmonize_origins(self) -> None:
         """Give both children a common period-0 origin.

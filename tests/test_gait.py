@@ -170,14 +170,15 @@ def test_scheme_equivalence_at_zero_drift():
 @settings(max_examples=40, deadline=None)
 def test_period_index_inverts_period_start(ref, ppm, resync, t_arm):
     # both references count whole periods from one origin, so period k
-    # begins exactly where period_index_at first reads k
+    # begins exactly where period_index_at first reads k; before period 0
+    # it reads -1
     node = make_mote("m", make_clock(ppm), parent_id="root")
     if resync:
         resync_to_parent(node, make_mote("root", make_clock(0)), t_arm)
     arm = arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref
     arm(node, GaitConfig(), t_arm)
     one_ns = Fraction(1, 10**9)
-    for k in range(1, 501):
+    for k in range(0, 501):
         t = period_start_true_time(node, k)
         assert period_index_at(node, t) == k
         assert period_index_at(node, t - one_ns) == k - 1

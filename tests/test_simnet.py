@@ -62,6 +62,16 @@ def test_degenerate_link_delivers_on_next_slot_boundary():
     assert msg.delivered_true_s == expected
 
 
+def test_messages_compare_and_print_by_value():
+    sim = new_sim()
+    child = sim.children[0]
+    a = Message(MessageKind.COMMAND, child, Fraction(3, 2), body=Verb.LEFT)
+    b = Message(MessageKind.COMMAND, child, 1.5, body=Verb.LEFT)
+    assert a == b and a.sent == (3, 2)
+    assert a != Message(MessageKind.COMMAND, child, Fraction(3, 2), body=Verb.RIGHT)
+    assert "sent=(3, 2)" in repr(a) and "body=<Verb.LEFT" in repr(a)
+
+
 def test_delivery_within_latency_window():
     sim = new_sim()
     msg = Message(MessageKind.KEEP_ALIVE, sim.children[0], Fraction(29.99))
