@@ -72,7 +72,8 @@ def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
 
 def ticks_at(clock: DriftingClock, t_true) -> int:
     """Tick count at true time t_true: floor(rate * t), evaluated exactly."""
-    num, den = as_ratio(t_true)
+    # the event loop passes (num, den) pairs; skip the as_ratio call for them
+    num, den = t_true if type(t_true) is tuple else as_ratio(t_true)
     if num < 0:
         raise ValueError(f"t_true {num / den} precedes clock epoch")
     return clock.rate_num * num // (clock.rate_den * den)
@@ -118,6 +119,16 @@ def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:
         raise ValueError(f"ticks {ka}, {kb} precede the clocks' epoch")
     return ((kb * b.rate_den * a.rate_num - ka * a.rate_den * b.rate_num) * 10**6
             / (a.rate_num * b.rate_num))
+
+
+def tick_gap_factors(a: DriftingClock, b: DriftingClock) -> Tuple[int, int, int]:
+    """(fa, fb, den) with tick_gap_us(a, ka, b, kb) == (kb * fb - ka * fa) / den.
+
+    tick_gap_us's cross-multiplied factors, which depend only on the clock
+    pair: a caller that takes many gaps between two clocks computes them once.
+    """
+    return (a.rate_den * b.rate_num * 10**6, b.rate_den * a.rate_num * 10**6,
+            a.rate_num * b.rate_num)
 
 
 def local_seconds_at(clock: DriftingClock, t_true) -> Fraction:

@@ -14,17 +14,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import (
+    NOMINAL_FREQ_HZ,
     TICK_S,
     as_ratio,
     local_periods_at,
+    tick_gap_factors,
     tick_gap_us,
     tick_of_local,
     true_time_of_tick,
 )
-from .tsch import SLOT_LENGTH_S, MoteState, asn_at, slot_boundary_tick
+from .tsch import SLOT_LENGTH_S, TICKS_PER_SLOT, MoteState, asn_at, slot_boundary_tick
+
+_SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator    # 12288
+_SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator  # 25
 
 
 class Tripod(Enum):
@@ -244,6 +249,20 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
                        m2.clock, event_tick(m2, k, PHASE_ZERO))
 
 
+def sync_errors(m1: MoteState, m2: MoteState, ks: Iterable[int]) -> List[float]:
+    """gait_sync_error(m1, m2, k) for each k in ks, in order.
+
+    Each node's event_tick_form and the clock pair's tick_gap_factors are
+    computed once for all of ks, so a run of periods costs one affine
+    floor per node and one division per period.
+    """
+    c1, a1, b1, d1 = event_tick_form(m1, PHASE_ZERO)
+    c2, a2, b2, d2 = event_tick_form(m2, PHASE_ZERO)
+    f1, f2, den = tick_gap_factors(m1.clock, m2.clock)
+    return [((c2 + (a2 + b2 * k) // d2) * f2 - (c1 + (a1 + b1 * k) // d1) * f1) / den
+            for k in ks]
+
+
 def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:
     """Local tick at which the node fires a period-k event at the given phase.
 
@@ -263,6 +282,32 @@ def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:
     slots = arm.config.period_slots
     return slot_boundary_tick(
         node, (arm.arm_period_index + k) * slots + o_num * slots // o_den)
+
+
+def event_tick_form(node: MoteState,
+                    phase_offset: Tuple[int, int]) -> Tuple[int, int, int, int]:
+    """(c, a, b, d) with event_tick(node, k, phase_offset) == c + (a + b * k) // d.
+
+    event_tick is an affine floor in k whose constants depend only on the
+    node's arm state and slot grid, so a caller stepping k over one
+    unchanged state computes them once. Free-running: tick_of_local's
+    ceiling, written as a floor. ASN: slot_boundary_tick's floor, with the
+    slot number written as an affine function of k.
+    """
+    arm = node.gait
+    if arm is None:
+        raise ValueError(f"gait not armed on {node.node_id}")
+    o_num, o_den = phase_offset
+    if arm.ref is TimeRef.FREE_RUNNING:
+        p_num, p_den = arm.period
+        d = o_den * p_den
+        # the local target is x / d ticks, and ceil(x / d) == (x + d - 1) // d
+        return (0, (arm.arm_period_index * o_den + o_num) * p_num * NOMINAL_FREQ_HZ + d - 1,
+                o_den * p_num * NOMINAL_FREQ_HZ, d)
+    slots = arm.config.period_slots
+    first = arm.arm_period_index * slots + o_num * slots // o_den
+    return (node.origin_local_ticks, (first - node.asn_origin) * _SLOT_TICKS_NUM,
+            slots * _SLOT_TICKS_NUM, _SLOT_TICKS_DEN)
 
 
 def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:

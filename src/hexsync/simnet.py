@@ -6,6 +6,14 @@ the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 
+The decentralized schemes sample the gait error once per period, and the
+samples share one heap entry per window: when it pops it emits every
+sample before the heap's next event and within run_until's bound, then
+re-queues itself at the next sample (Sim._handle_samples). Equal-time
+events still run as one entry per sample would order them, and
+run_until's count is of heap entries, so a window counts once.
+Centralized samples come from the servo commands as they are applied.
+
 Simulation time is one integer t over a per-sim denominator D: the instant
 t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
 a clock falls at k * rate_den / rate_num), twice the denominators of both
@@ -109,7 +117,8 @@ class Message:
     delivered: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        self.sent = as_ratio(self.sent)
+        if type(self.sent) is not tuple:
+            self.sent = as_ratio(self.sent)
 
     @property
     def sent_true_s(self) -> Fraction:
@@ -195,7 +204,7 @@ class Sim:
                  phase == phases[-1])
                 for phase in phases))
         # (num, den) seconds of one gait period on the scheme's time reference
-        self._period = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
+        self._period_ratio = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
         self._keepalive_ratio = as_ratio(params.resync_period_s)
 
         # the time now is _t / _D; every stored time below is over _D
@@ -207,16 +216,14 @@ class Sim:
         self._seq = 0
         self._msg_index = 0
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
+        self._t_end = 0  # run_until's bound over D; no sample window passes it
         # each child's last resync: its keep-alive falls due one period later
         self._last_resync = {c.node_id: 0 for c in self.children}
         # centralized: per-period apply times, by child node id
         self._s0_applied: Dict[int, Dict[str, int]] = {}
-        # set when both children are armed; sample k sits mid-period, at
-        # (_sample_origin + k + 1/2) * period
-        self._sample_origin = 0
         self._rescale(math.lcm(
             *(node.clock.rate_num for node in (self.root, *self.children)),
-            2 * self._period[1],
+            2 * self._period_ratio[1],
             self._keepalive_ratio[1]))
 
         if self.resync_enabled:
@@ -249,6 +256,10 @@ class Sim:
                            for node in (self.root, *self.children)}
         ka_num, ka_den = self._keepalive_ratio
         self._keepalive = ka_num * (D // ka_den)
+        # one gait period over D; even, as 2 * p_den divides D, so the
+        # half-period offset of a sample is an int too
+        p_num, p_den = self._period_ratio
+        self._period = p_num * (D // p_den)
 
     def _time_int(self, t) -> int:
         """Any time value as an int over D, rescaling first if it needs to."""
@@ -314,10 +325,15 @@ class Sim:
         self._push(t, Sim._handle_injection, (verb,))
 
     def run_until(self, t_end) -> int:
-        """Process every queued event with time <= t_end; returns the count."""
+        """Process every queued event with time <= t_end; returns the count.
+
+        The count is of heap entries: one sampler entry emits a window of
+        samples (see _handle_samples) and counts once.
+        """
         te = self._time_int(t_end)
         if te < self._t:
             raise ValueError("t_end precedes current simulation time")
+        self._t_end = te
         processed = 0
         heap = self._heap
         # handlers queue only times over D, so D stays fixed in this loop
@@ -401,20 +417,42 @@ class Sim:
             a.arm_period_index = common
 
     def _start_sampler(self) -> None:
-        self._sample_origin = self.children[0].gait.arm_period_index
-        self._push(self._sample_time(0), Sim._handle_sample, (self._gen, 0))
+        # sample 0 sits mid-period: (origin + 1/2) periods
+        origin = self.children[0].gait.arm_period_index
+        self._push((2 * origin + 1) * self._period // 2, Sim._handle_samples, (self._gen, 0))
 
-    def _sample_time(self, k: int) -> int:
-        p_num, p_den = self._period
-        return (2 * (self._sample_origin + k) + 1) * p_num * (self._D // (2 * p_den))
+    def _handle_samples(self, gen: int, k: int) -> None:
+        """Emit sample k, then k + sample_every, ... while each sample's time
+        is strictly before the heap head's and at or before run_until's
+        bound; then re-queue at the next sample.
 
-    def _handle_sample(self, gen: int, k: int) -> None:
+        A sample only reads state and nothing else runs inside a window, so
+        each sample reads what its own heap entry would have read. The strict
+        bound keeps equal-time order: an event already queued outranks, at
+        an equal time, the entry a later sample would have had, and an event
+        queued after this window is outranked by the re-queued entry, as it
+        would have been.
+        """
         if gen != self._gen:
             return
-        err = gaitmod.gait_sync_error(self.children[0], self.children[1], k)
-        self.samples.append((round(self._t / self._D, 6), k, round(err, 3)))
-        k_next = k + self.params.sample_every
-        self._push(self._sample_time(k_next), Sim._handle_sample, (gen, k_next))
+        t, D, heap = self._t, self._D, self._heap
+        every = self.params.sample_every
+        step = every * self._period
+        last = self._t_end
+        if heap and heap[0][0] <= last:
+            last = heap[0][0] - 1
+        n = 1 + max(0, (last - t) // step)
+        m1, m2 = self.children
+        # the hoisted constants pay off from two samples on; a one-sample
+        # window, common when controller phases interleave, skips them
+        errs = (gaitmod.sync_errors(m1, m2, range(k, k + n * every, every)) if n > 1
+                else (gaitmod.gait_sync_error(m1, m2, k),))
+        append = self.samples.append
+        for err in errs:
+            append((round(t / D, 6), k, round(err, 3)))
+            t += step
+            k += every
+        self._push(t, Sim._handle_samples, (gen, k))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
         ctrl, _, phases = self._plans[child.node_id]

@@ -151,3 +151,17 @@ def test_criterion_9_s0_sanity():
           and with_jitter.max_abs_error_us <= slot_us + jitter * 1e6)
     report(9, ok, f"no-jitter max={no_jitter.max_abs_error_us:.1f}us <= 15000; "
                   f"jitter max={with_jitter.max_abs_error_us:.1f}us <= 30000")
+
+
+def test_criterion_10_phase_opposition_at_paper_horizon():
+    # the paper's open-loop horizon: at 5 us/s the error leaves IN_SYNC at
+    # 0.05 of a 1 s period and reaches OPPOSED at 0.4 of it
+    result = run_scheme(SchemeId.S1_OPEN_LOOP,
+                        SchemeParams(ppm_m1=-5.0, duration_s=100_000))
+    first = {}
+    for t, k, err in result.trace.samples:
+        first.setdefault(classify_gait(err, 1.0), (k, t))
+    ok = (first[GaitHealth.DEGRADED] == (9_999, 10_000.5)
+          and first[GaitHealth.OPPOSED] == (79_999, 80_000.5))
+    report(10, ok, f"first DEGRADED (k, t) = {first.get(GaitHealth.DEGRADED)}, "
+                   f"first OPPOSED = {first.get(GaitHealth.OPPOSED)}")

@@ -20,6 +20,7 @@ from hexsync.clock import (
     local_periods_at,
     local_seconds_at,
     make_clock,
+    tick_gap_factors,
     tick_gap_us,
     tick_of_local,
     ticks_at,
@@ -31,8 +32,10 @@ from hexsync.gait import (
     arm_asn_ref,
     arm_free_running,
     event_tick,
+    event_tick_form,
     gait_event_true_time,
     gait_sync_error,
+    sync_errors,
     whole_periods_at,
 )
 from hexsync.tsch import (
@@ -175,6 +178,8 @@ def test_tick_gap_rounds_like_the_fraction_difference(a, b, ka, kb):
     ca, cb = make_clock(a), make_clock(b)
     expected = float((ref_true_time_of_tick(cb, kb) - ref_true_time_of_tick(ca, ka)) * 10**6)
     assert tick_gap_us(ca, ka, cb, kb) == expected
+    fa, fb, den = tick_gap_factors(ca, cb)
+    assert (kb * fb - ka * fa) / den == expected
 
 
 # -- tsch --------------------------------------------------------------------
@@ -279,7 +284,13 @@ def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_
         for node in (m1, m2):
             for offset in offsets:
                 assert event_tick(node, k, as_ratio(offset)) == ref_event_tick(node, k, offset)
+                c, a, b, d = event_tick_form(node, as_ratio(offset))
+                assert c + (a + b * k) // d == event_tick(node, k, as_ratio(offset))
         assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
+    # the batched errors take both nodes' forms and the tick-gap factors once
+    stepped = range(ks[0], ks[0] + 7, 3)
+    for batch in (ks, stepped):
+        assert sync_errors(m1, m2, batch) == [ref_gait_sync_error(m1, m2, k) for k in batch]
 
 
 # -- no Fraction arithmetic on the hot conversions ---------------------------
