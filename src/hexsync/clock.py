@@ -4,10 +4,11 @@ All timing error in the simulator originates here. A clock maps true
 (simulation) time to an integer tick count. Its rate is stored once, when
 the clock is built, as a reduced integer pair rate_num / rate_den ticks per
 true second, derived exactly from the ppm value. Every conversion is then a
-single integer floor or ceil division, never a stepping of ticks and never
-Fraction arithmetic, so a query at t = 1e6 s is as cheap and as exact as one
-at t = 1 s. A returned true time is an exact Fraction built once from an
-integer pair.
+single integer division, never a stepping of ticks and never Fraction
+arithmetic, so a query at t = 1e6 s is as cheap and as exact as one at
+t = 1 s. A returned true time is an exact Fraction built once from an
+integer pair. The gap between two clocks' ticks has one definition, over
+the clock pair's tick_gap_factors.
 """
 
 from __future__ import annotations
@@ -90,16 +91,6 @@ def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
     return Fraction(k * clock.rate_den, clock.rate_num)
 
 
-def tick_of_local(local_num: int, local_den: int = 1) -> int:
-    """First tick at which a local reading reaches local_num / local_den s.
-
-    The reading advances in whole ticks, so this is the ceiling of the
-    target in ticks. It is the one conversion from a local-time target to
-    a tick; true_time_of_tick then places that tick in true time.
-    """
-    return -(-local_num * NOMINAL_FREQ_HZ // local_den)
-
-
 def local_periods_at(clock: DriftingClock, t_true, period_s) -> int:
     """Whole periods of period_s local seconds the clock has counted at t_true.
 
@@ -117,15 +108,16 @@ def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:
     """
     if ka < 0 or kb < 0:
         raise ValueError(f"ticks {ka}, {kb} precede the clocks' epoch")
-    return ((kb * b.rate_den * a.rate_num - ka * a.rate_den * b.rate_num) * 10**6
-            / (a.rate_num * b.rate_num))
+    fa, fb, den = tick_gap_factors(a, b)
+    return (kb * fb - ka * fa) / den
 
 
 def tick_gap_factors(a: DriftingClock, b: DriftingClock) -> Tuple[int, int, int]:
     """(fa, fb, den) with tick_gap_us(a, ka, b, kb) == (kb * fb - ka * fa) / den.
 
-    tick_gap_us's cross-multiplied factors, which depend only on the clock
-    pair: a caller that takes many gaps between two clocks computes them once.
+    The tick gap cross-multiplied over a.rate_num * b.rate_num: the factors
+    depend only on the clock pair, so a caller that takes many gaps between
+    two clocks computes them once.
     """
     return (a.rate_den * b.rate_num * 10**6, b.rate_den * a.rate_num * 10**6,
             a.rate_num * b.rate_num)

@@ -3,8 +3,11 @@
 The gait is split across two controllers: M1 drives all six hip servos,
 M2 all six knee servos. Each controller fires its events from its own time
 reference: either its free-running local clock, or the network's absolute
-slot number. The central metric is the gait synchronization error, the
-difference between the two controllers' believed start of gait period k.
+slot number. On either reference the tick of a period-k event is one affine
+floor in k (event_tick_form), which event_tick evaluates for one k and
+sync_errors for a run of them. The central metric is the gait
+synchronization error, the difference between the two controllers'
+believed start of gait period k.
 """
 
 from __future__ import annotations
@@ -23,13 +26,9 @@ from .clock import (
     local_periods_at,
     tick_gap_factors,
     tick_gap_us,
-    tick_of_local,
     true_time_of_tick,
 )
-from .tsch import SLOT_LENGTH_S, TICKS_PER_SLOT, MoteState, asn_at, slot_boundary_tick
-
-_SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator    # 12288
-_SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator  # 25
+from .tsch import SLOT_LENGTH_S, SLOT_TICKS_DEN, SLOT_TICKS_NUM, MoteState, asn_at
 
 
 class Tripod(Enum):
@@ -88,9 +87,6 @@ class GaitConfig:
     knee_forward_deg: float = -25.0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         # four ticks give each of the four phases its own tick, as
         # period_slots >= 4 gives each its own slot
         if not 4 * TICK_S <= self.period_s < math.inf:
@@ -269,30 +265,22 @@ def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:
     phase_offset is an exact (num, den) pair. Free-running: the first tick
     at local time (arm_period_index + k + phase_offset) * period_s. ASN:
     the boundary tick of slot (arm_period_index + k) * period_slots
-    + floor(phase_offset * period_slots).
+    + floor(phase_offset * period_slots). Either is event_tick_form's
+    affine floor in k.
     """
-    arm = node.gait
-    if arm is None:
-        raise ValueError(f"gait not armed on {node.node_id}")
-    o_num, o_den = phase_offset
-    if arm.ref is TimeRef.FREE_RUNNING:
-        p_num, p_den = arm.period
-        return tick_of_local(((arm.arm_period_index + k) * o_den + o_num) * p_num,
-                             o_den * p_den)
-    slots = arm.config.period_slots
-    return slot_boundary_tick(
-        node, (arm.arm_period_index + k) * slots + o_num * slots // o_den)
+    c, a, b, d = event_tick_form(node, phase_offset)
+    return c + (a + b * k) // d
 
 
 def event_tick_form(node: MoteState,
                     phase_offset: Tuple[int, int]) -> Tuple[int, int, int, int]:
     """(c, a, b, d) with event_tick(node, k, phase_offset) == c + (a + b * k) // d.
 
-    event_tick is an affine floor in k whose constants depend only on the
-    node's arm state and slot grid, so a caller stepping k over one
-    unchanged state computes them once. Free-running: tick_of_local's
-    ceiling, written as a floor. ASN: slot_boundary_tick's floor, with the
-    slot number written as an affine function of k.
+    The constants depend only on the node's arm state and slot grid, so a
+    caller stepping k over one unchanged state computes them once.
+    Free-running: the ceiling of the local target in ticks, written as a
+    floor. ASN: tsch.slot_boundary_tick's floor, with the slot number
+    written as an affine function of k.
     """
     arm = node.gait
     if arm is None:
@@ -306,8 +294,8 @@ def event_tick_form(node: MoteState,
                 o_den * p_num * NOMINAL_FREQ_HZ, d)
     slots = arm.config.period_slots
     first = arm.arm_period_index * slots + o_num * slots // o_den
-    return (node.origin_local_ticks, (first - node.asn_origin) * _SLOT_TICKS_NUM,
-            slots * _SLOT_TICKS_NUM, _SLOT_TICKS_DEN)
+    return (node.origin_local_ticks, (first - node.asn_origin) * SLOT_TICKS_NUM,
+            slots * SLOT_TICKS_NUM, SLOT_TICKS_DEN)
 
 
 def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:

@@ -24,7 +24,8 @@ ints. A command or run-end time whose denominator d does not divide D
 rescales the sim: D becomes lcm(D, d) and every stored int is multiplied by
 the same positive factor, which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
-until the receiver's slot lookup; only the slot-boundary time is queued.
+until tsch.first_boundary_tick finds the receiver's first slot boundary at
+or after it; only that boundary's time is queued.
 
 A Message carries its sent and delivered times as exact (num, den) int
 pairs, and the three senders pass the pair (t, D) for now. Floats come from
@@ -56,14 +57,7 @@ from .gait import (
     build_schedule,
     events_for_controller,
 )
-from .tsch import (
-    SLOT_LENGTH_S,
-    MoteState,
-    asn_at,
-    make_mote,
-    resync_to_parent,
-    slot_boundary_tick,
-)
+from .tsch import SLOT_LENGTH_S, MoteState, first_boundary_tick, make_mote, resync_to_parent
 
 _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 
@@ -138,9 +132,8 @@ class LinkModel:
     drop_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
+        if not (math.isfinite(self.base_latency_s) and math.isfinite(self.jitter_bound_s)):
+            raise ValueError("latencies must be finite")
         if self.base_latency_s < 0 or self.jitter_bound_s < 0:
             raise ValueError("latencies must be non-negative")
         if not (0 <= self.drop_probability < 1):
@@ -165,6 +158,8 @@ class SchemeParams:
             raise ValueError("sample_every must be >= 1")
         if self.resync_period_s <= 0:
             raise ValueError("resync_period_s must be positive")
+        if not (math.isfinite(self.resync_period_s) and math.isfinite(self.duration_s)):
+            raise ValueError("resync_period_s and duration_s must be finite")
 
 
 class Sim:
@@ -289,8 +284,8 @@ class Sim:
     # -- public operations -------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Schedule delivery at the receiver's first slot boundary after the
-        sampled link latency; drops retransmit one slot later."""
+        """Schedule delivery at the receiver's first slot boundary at or
+        after the sampled link latency; drops retransmit one slot later."""
         link = self.params.link
         index = self._msg_index
         self._msg_index += 1
@@ -307,13 +302,7 @@ class Sim:
                    + lat_num * s_den * _SLOT_DEN)
         arr_den = s_den * _SLOT_DEN * lat_den
         dst = msg.dst
-        a = asn_at(dst, (arr_num, arr_den))
-        tick = slot_boundary_tick(dst, a)
-        # slot a's boundary is at or before the arrival; unless it is the
-        # arrival itself, the frame lands on the next one
-        if tick * dst.clock.rate_den * arr_den != arr_num * dst.clock.rate_num:
-            tick = slot_boundary_tick(dst, a + 1)
-        t_del = tick * self._tick_unit[dst.node_id]
+        t_del = first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst.node_id]
         msg.delivered = (t_del, self._D)
         self._push(t_del, Sim._handle_delivery, (msg,))
 

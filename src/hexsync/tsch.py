@@ -5,7 +5,9 @@ number n sits at local time (n - asn_origin) * 0.015 s past the node's
 alignment origin) and quantized down to the node's tick grid when converted
 to true time. 15 ms is 491.52 = 12288/25 ticks, so consecutive boundaries
 land 15 ms apart in local time only to within one tick. Slot and tick
-conversions are single integer floor or ceil divisions by that ratio.
+conversions are single integer floor or ceil divisions by that ratio. A
+frame is delivered at the receiver's first slot boundary at or after its
+arrival (first_boundary_tick).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .clock import (
 
 SLOT_LENGTH_S = Fraction(15, 1000)
 TICKS_PER_SLOT = SLOT_LENGTH_S * NOMINAL_FREQ_HZ  # 491.52, not an integer
-_SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator      # 12288
-_SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator    # 25
+SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator    # 12288
+SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator  # 25
 
 
 @dataclass
@@ -63,7 +65,7 @@ def slot_boundary_tick(node: MoteState, asn: int) -> int:
     origin at the *next* parent boundary) resolve too.
     """
     return (node.origin_local_ticks
-            + (asn - node.asn_origin) * _SLOT_TICKS_NUM // _SLOT_TICKS_DEN)
+            + (asn - node.asn_origin) * SLOT_TICKS_NUM // SLOT_TICKS_DEN)
 
 
 def slot_boundary_true_time(node: MoteState, asn: int) -> Fraction:
@@ -75,7 +77,23 @@ def asn_at(node: MoteState, t_true) -> int:
     """Largest slot number whose boundary is at or before t_true."""
     elapsed_ticks = ticks_at(node.clock, t_true) + 1 - node.origin_local_ticks
     # asn_origin + ceil(elapsed_ticks / TICKS_PER_SLOT) - 1
-    return node.asn_origin - (-elapsed_ticks * _SLOT_TICKS_DEN // _SLOT_TICKS_NUM) - 1
+    return node.asn_origin - (-elapsed_ticks * SLOT_TICKS_DEN // SLOT_TICKS_NUM) - 1
+
+
+def first_boundary_tick(node: MoteState, t_true) -> int:
+    """Boundary tick of the node's first slot that starts at or after t_true.
+
+    t_true is an exact (num, den) pair. One ceiling division gives the first
+    tick at or after t_true, a second the first slot whose boundary tick
+    reaches that tick.
+    """
+    num, den = t_true
+    clock = node.clock
+    tick = -(-num * clock.rate_num // (den * clock.rate_den))
+    # asn_origin + ceil((tick - origin_local_ticks) / TICKS_PER_SLOT)
+    asn = node.asn_origin - ((node.origin_local_ticks - tick) * SLOT_TICKS_DEN
+                             // SLOT_TICKS_NUM)
+    return slot_boundary_tick(node, asn)
 
 
 def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:

@@ -84,22 +84,22 @@ def test_empty_schedule_partitions_to_empty():
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        GaitConfig(period_slots=66).validate()  # not divisible by 4
+        GaitConfig(period_slots=66)  # not divisible by 4
     with pytest.raises(ValueError):
-        GaitConfig(period_slots=2).validate()  # fewer than 4 slots
+        GaitConfig(period_slots=2)  # fewer than 4 slots
     with pytest.raises(ValueError):
         GaitConfig(period_slots=2, event_offsets=(Fraction(0), Fraction(1, 8),
-                                                  Fraction(1, 2), Fraction(5, 8))).validate()
+                                                  Fraction(1, 2), Fraction(5, 8)))
     with pytest.raises(ValueError):
         GaitConfig(event_offsets=(Fraction(0), Fraction(1, 2),
-                                  Fraction(1, 4), Fraction(3, 4))).validate()
+                                  Fraction(1, 4), Fraction(3, 4)))
     with pytest.raises(ValueError):
         GaitConfig(event_offsets=(Fraction(0), Fraction(1, 4),
-                                  Fraction(1, 2), Fraction(1))).validate()
+                                  Fraction(1, 2), Fraction(1)))
     for period_s in (0.0, float("inf"), float("nan"), 1e-300, 3 / 32768):
         with pytest.raises(ValueError):
-            GaitConfig(period_s=period_s).validate()
-    GaitConfig(period_s=4 / 32768).validate()  # four ticks: the shortest period
+            GaitConfig(period_s=period_s)
+    GaitConfig(period_s=4 / 32768)  # four ticks: the shortest period
     # every configuration type checks itself when built
     for build in (lambda: SchemeParams(sample_every=0),
                   lambda: SchemeParams(resync_period_s=0),

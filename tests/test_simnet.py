@@ -1,5 +1,6 @@
 """Event engine: determinism, delivery rules, resync coupling, commands."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,15 @@ def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
         assert len(angles) == 4
         # the left knees (legs 0-2) reverse from period 0 on; the right keep theirs
         assert turned[servo] == ([-a for a in angles] if servo < 9 else angles)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["base_latency_s", "jitter_bound_s",
+                                  "resync_period_s", "duration_s"])
+def test_non_finite_link_and_run_times_rejected_when_built(name, value):
+    config = LinkModel if name in LinkModel.__dataclass_fields__ else SchemeParams
+    with pytest.raises(ValueError, match="finite"):
+        config(**{name: value})
 
 
 def test_drops_defer_delivery_by_slots():

@@ -22,7 +22,6 @@ from hexsync.clock import (
     make_clock,
     tick_gap_factors,
     tick_gap_us,
-    tick_of_local,
     ticks_at,
     true_time_of_tick,
 )
@@ -41,6 +40,7 @@ from hexsync.gait import (
 from hexsync.tsch import (
     TICKS_PER_SLOT,
     asn_at,
+    first_boundary_tick,
     make_mote,
     pairwise_sync_error,
     resync_to_parent,
@@ -156,9 +156,9 @@ def test_local_periods_match_fraction_reference(ppm, t, period):
     assert expected == math.floor(local_seconds_at(c, t) / Fraction(period))
 
 
-@given(ppm=ppms, t=times, local=times)
+@given(ppm=ppms, t=times)
 @settings(max_examples=300, deadline=None)
-def test_clock_conversions_match_fraction_reference(ppm, t, local):
+def test_clock_conversions_match_fraction_reference(ppm, t):
     c = make_clock(ppm)
     k = ticks_at(c, t)  # t off the tick grid
     assert k == ref_ticks_at(c, t)
@@ -168,8 +168,6 @@ def test_clock_conversions_match_fraction_reference(ppm, t, local):
     if k > 0:
         just_before = on_grid - Fraction(1, 10**12)
         assert ticks_at(c, just_before) == ref_ticks_at(c, just_before) == k - 1
-    n, d = Fraction(local).as_integer_ratio()
-    assert true_time_of_tick(c, tick_of_local(n, d)) == ref_true_time_of_local(c, Fraction(local))
 
 
 @given(a=ppms, b=ppms, ka=st.integers(0, 2**45), kb=st.integers(0, 2**45))
@@ -206,6 +204,39 @@ def test_slot_conversions_match_reference_around_a_resync(ppm, root_ppm, t_sync,
         assert pairwise_sync_error(node, root, asn) == float(
             (boundary - ref_slot_boundary_true_time(root, asn)) * 10**6)
     assert asn_at(node, t_sync) == ref_asn_at(node, t_sync)
+
+
+def ref_first_boundary_slot(node, t):
+    """The smallest slot whose boundary is at or after t, found by search."""
+    asn = ref_asn_at(node, t)  # a start; the two loops settle the slot
+    while ref_slot_boundary_true_time(node, asn) < t:
+        asn += 1
+    while ref_slot_boundary_true_time(node, asn - 1) >= t:
+        asn -= 1
+    return asn
+
+
+@given(ppm=ppms, root_ppm=st.sampled_from(LISTED_PPM), t_sync=resync_times,
+       resync=st.booleans(),
+       slots=st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+       tick_shift=st.sampled_from([-1, 0, 1]),
+       nudge=st.sampled_from([Fraction(0), Fraction(1, 10**12), -Fraction(1, 10**12)]))
+@settings(max_examples=200, deadline=None)
+def test_first_boundary_tick_matches_reference(ppm, root_ppm, t_sync, resync, slots,
+                                               tick_shift, nudge):
+    root = make_mote("root", make_clock(root_ppm))
+    node = resynced_mote("m", ppm, t_sync if resync else None, root)
+    # arrivals on a boundary tick, one tick either side of one, and just off
+    # each of those ticks; negative slots lie before the grid origin, and
+    # every 25th slot's boundary sits a whole number of slot ratios from it
+    for asn in (node.asn_origin + s for s in (*slots, -25, 0, 25)):
+        boundary = ref_slot_boundary_true_time(node, asn)
+        t = boundary + tick_shift * ref_true_time_of_tick(node.clock, 1) + nudge
+        if t < 0:
+            continue
+        tick = first_boundary_tick(node, (t.numerator, t.denominator))
+        assert true_time_of_tick(node.clock, tick) == ref_slot_boundary_true_time(
+            node, ref_first_boundary_slot(node, t))
 
 
 # -- gait --------------------------------------------------------------------
@@ -285,7 +316,7 @@ def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_
             for offset in offsets:
                 assert event_tick(node, k, as_ratio(offset)) == ref_event_tick(node, k, offset)
                 c, a, b, d = event_tick_form(node, as_ratio(offset))
-                assert c + (a + b * k) // d == event_tick(node, k, as_ratio(offset))
+                assert c + (a + b * k) // d == ref_event_tick(node, k, offset)
         assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
     # the batched errors take both nodes' forms and the tick-gap factors once
     stepped = range(ks[0], ks[0] + 7, 3)
@@ -327,6 +358,7 @@ def test_hot_conversions_do_no_fraction_arithmetic(monkeypatch, ppm):
         "ticks_at": lambda: ticks_at(node.clock, t),
         "asn_at": lambda: asn_at(node, t),
         "slot_boundary_true_time": lambda: slot_boundary_true_time(node, asn),
+        "first_boundary_tick": lambda: first_boundary_tick(node, (t.numerator, t.denominator)),
         "gait_event_true_time (ASN)": lambda: gait_event_true_time(node, 3, PHASES[3]),
         "gait_event_true_time (free-running)": lambda: gait_event_true_time(free, 3, PHASES[1]),
     }
