@@ -6,7 +6,6 @@ from .clock import (
     TICK_US,
     local_seconds_at,
     make_clock,
-    relative_drift_ppm,
     ticks_at,
     true_time_of_tick,
 )

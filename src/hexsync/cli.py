@@ -1,7 +1,8 @@
 """Command-line frontend: run schemes, sweep resync periods, dump servo traces.
 
 Subcommands:
-  run    -- one scheme run; writes the error-trace CSV
+  run    -- one scheme run; writes the error-trace CSV (--plot adds a
+            fixed-size ASCII plot of it on stderr)
   sweep  -- synchronized-scheme runs over several resync periods; writes a table
   trace  -- one run with servo setpoints enabled; writes the setpoint CSV
 
@@ -221,10 +222,11 @@ def _write_lines(lines: List[str], path: Optional[str]) -> None:
 
 # -- plotting --------------------------------------------------------------
 
-def render_ascii_plot(trace: ErrorTrace, width: int = 72, height: int = 16) -> str:
+PLOT_WIDTH, PLOT_HEIGHT = 72, 16  # the plot's canvas, in characters
+
+
+def render_ascii_plot(trace: ErrorTrace) -> str:
     """Monospaced scatter of error vs time; cosmetic only."""
-    if width < 8 or height < 8:
-        raise ValueError("plot needs width and height >= 8")
     if not trace.samples:
         return "(no samples)"
     ts = [s[0] for s in trace.samples]
@@ -233,10 +235,10 @@ def render_ascii_plot(trace: ErrorTrace, width: int = 72, height: int = 16) -> s
     e_lo, e_hi = min(es), max(es)
     t_span = (t_hi - t_lo) or 1.0
     e_span = (e_hi - e_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * PLOT_WIDTH for _ in range(PLOT_HEIGHT)]
     for t, e in zip(ts, es):
-        col = min(width - 1, int((t - t_lo) / t_span * (width - 1)))
-        row = min(height - 1, int((e_hi - e) / e_span * (height - 1)))
+        col = min(PLOT_WIDTH - 1, int((t - t_lo) / t_span * (PLOT_WIDTH - 1)))
+        row = min(PLOT_HEIGHT - 1, int((e_hi - e) / e_span * (PLOT_HEIGHT - 1)))
         grid[row][col] = "*"
     top = f"error_us  max={e_hi:.3f}"
     bottom = f"          min={e_lo:.3f}   t: {t_lo:.1f}..{t_hi:.1f} s"

@@ -1,14 +1,15 @@
 """Free-running 32.768 kHz crystal model with parts-per-million frequency error.
 
-All timing error in the simulator originates here. A clock maps true
-(simulation) time to an integer tick count. Its rate is stored once, when
-the clock is built, as a reduced integer pair rate_num / rate_den ticks per
-true second, derived exactly from the ppm value. Every conversion is then a
-single integer division, never a stepping of ticks and never Fraction
-arithmetic, so a query at t = 1e6 s is as cheap and as exact as one at
-t = 1 s. A returned true time is an exact Fraction built once from an
-integer pair. The gap between two clocks' ticks has one definition, over
-the clock pair's tick_gap_factors.
+All timing error in the simulator originates here. Every crystal has one
+fixed tolerance, +/-10 ppm (PPM_MAX), which make_clock enforces. A clock
+maps true (simulation) time to an integer tick count. Its rate is stored
+once, when the clock is built, as a reduced integer pair rate_num /
+rate_den ticks per true second, derived exactly from the ppm value. Every
+conversion is then a single integer division, never a stepping of ticks
+and never Fraction arithmetic, so a query at t = 1e6 s is as cheap and as
+exact as one at t = 1 s. A returned true time is an exact Fraction built
+once from an integer pair. The gap between two clocks' ticks has one
+definition, over the clock pair's tick_gap_factors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Tuple
 NOMINAL_FREQ_HZ = 32768
 TICK_S = Fraction(1, NOMINAL_FREQ_HZ)
 TICK_US = 1e6 / NOMINAL_FREQ_HZ  # ~30.518 us, the quantization floor
-DEFAULT_PPM_MAX = 10.0
+PPM_MAX = 10.0  # the crystal's frequency tolerance, in ppm
 
 
 def as_ratio(t) -> Tuple[int, int]:
@@ -62,12 +63,12 @@ class DriftingClock:
         object.__setattr__(self, "rate_den", rate.denominator)
 
 
-def make_clock(ppm_error, ppm_max: float = DEFAULT_PPM_MAX) -> DriftingClock:
-    """Build a clock, rejecting ppm errors outside the crystal's spec."""
+def make_clock(ppm_error) -> DriftingClock:
+    """Build a clock, rejecting ppm errors outside the crystal's +/-PPM_MAX."""
     ppm = Fraction(ppm_error)
-    if abs(ppm) > Fraction(ppm_max):
+    if abs(ppm) > PPM_MAX:
         raise ValueError(
-            f"ppm_error {float(ppm)} outside +/-{ppm_max} ppm crystal tolerance")
+            f"ppm_error {float(ppm)} outside +/-{PPM_MAX} ppm crystal tolerance")
     return DriftingClock(ppm)
 
 
@@ -126,8 +127,3 @@ def tick_gap_factors(a: DriftingClock, b: DriftingClock) -> Tuple[int, int, int]
 def local_seconds_at(clock: DriftingClock, t_true) -> Fraction:
     """The clock's local reading in seconds, quantized to whole ticks."""
     return Fraction(ticks_at(clock, t_true), NOMINAL_FREQ_HZ)
-
-
-def relative_drift_ppm(a: DriftingClock, b: DriftingClock) -> float:
-    """Rate at which a's local time diverges from b's, in us per true second."""
-    return float(a.ppm_error - b.ppm_error)

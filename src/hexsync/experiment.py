@@ -74,17 +74,19 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
 
     With resync marks present the fit runs within each inter-resync window
     and the per-window slopes are averaged, so the sawtooth resets do not
-    bias the estimate. If no window holds MIN_WINDOW_SAMPLES samples, the
-    resyncs are denser than the sampling and there is no drift to fit:
-    the result is None. A fitted set of samples that all share one time
-    raises statistics.StatisticsError, a ValueError.
+    bias the estimate. A window is skipped when it holds fewer than
+    MIN_WINDOW_SAMPLES samples, or when its samples all share one time and
+    so have no least-squares slope (servo commands of several sub-slot
+    gait periods can land on one slot boundary). If every window is
+    skipped, the resyncs are denser than the sampling and there is no
+    drift to fit: the result is None. Without marks the whole trace is one
+    window of any size, skipped by the same one-time rule.
     """
     samples = trace.samples
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit a slope")
     if not trace.resync_marks:
-        return linear_regression([s[0] for s in samples],
-                                 [s[2] for s in samples]).slope
+        return _slope([s[0] for s in samples], [s[2] for s in samples])
 
     # window i holds the samples with marks[i-1] < t <= marks[i], in sample
     # order; the first and last windows are open-ended
@@ -96,11 +98,19 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
     for window in windows:
         if len(window) < MIN_WINDOW_SAMPLES:
             continue
-        slopes.append(linear_regression([w[0] for w in window],
-                                        [w[1] for w in window]).slope)
+        slope = _slope([w[0] for w in window], [w[1] for w in window])
+        if slope is not None:
+            slopes.append(slope)
     if not slopes:
         return None
     return fmean(slopes)
+
+
+def _slope(ts: List[float], es: List[float]) -> Optional[float]:
+    """Least-squares slope of es against ts; None when every t is equal."""
+    if min(ts) == max(ts):
+        return None
+    return linear_regression(ts, es).slope
 
 
 def time_to_opposition(slope_us_per_s: float, period_s: float) -> Optional[float]:

@@ -1,9 +1,12 @@
 """Dual tripod gait: schedule compilation, per-controller timing, sync error.
 
-The gait is split across two controllers: M1 drives all six hip servos,
-M2 all six knee servos. Each controller fires its events from its own time
-reference: either its free-running local clock, or the network's absolute
-slot number. On either reference the tick of a period-k event is one affine
+The gait's shape is fixed: four phases a quarter period apart (PHASES)
+and one servo angle per action (ACTION_ANGLE_DEG); a GaitConfig sets only
+the period on each time reference. The gait is split across two
+controllers (CONTROLLER_OF): M1 drives all six hip servos, M2 all six knee
+servos. Each controller fires its events from its own time reference:
+either its free-running local clock, or the network's absolute slot
+number. On either reference the tick of a period-k event is one affine
 floor in k (event_tick_form), which event_tick evaluates for one k and
 sync_errors for a run of them. The central metric is the gait
 synchronization error, the difference between the two controllers'
@@ -73,36 +76,32 @@ LEFT_LEGS = (0, 1, 2)
 HIP_SERVO_BASE = 0   # hip servo id = leg
 KNEE_SERVO_BASE = 6  # knee servo id = leg + 6
 PHASE_ZERO = (0, 1)  # the period start, as event_tick's (num, den) phase pair
+# the four gait phases, a quarter period apart, indexed by phase_index
+PHASES = (PHASE_ZERO, (1, 4), (1, 2), (3, 4))
+# the servo angle each action commands: hips swing down and up, knees back
+# and forward
+ACTION_ANGLE_DEG = {
+    GaitAction.DOWN: 30.0,
+    GaitAction.UP: -30.0,
+    GaitAction.BACK: 25.0,
+    GaitAction.FORWARD: -25.0,
+}
+# M1 drives every hip servo, M2 every knee servo
+CONTROLLER_OF = {JointGroup.HIP: Controller.M1, JointGroup.KNEE: Controller.M2}
 
 
 @dataclass(frozen=True)
 class GaitConfig:
     period_slots: int = 68          # 1.02 s at 15 ms/slot, used by the ASN reference
     period_s: float = 1.0           # used by the free-running reference
-    event_offsets: Tuple[Fraction, ...] = (
-        Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    hip_down_deg: float = 30.0
-    hip_up_deg: float = -30.0
-    knee_back_deg: float = 25.0
-    knee_forward_deg: float = -25.0
 
     def __post_init__(self) -> None:
-        # four ticks give each of the four phases its own tick, as
-        # period_slots >= 4 gives each its own slot
+        # four ticks give each of the four phases its own tick; a multiple
+        # of 4 slots puts each phase on a whole slot of its own
         if not 4 * TICK_S <= self.period_s < math.inf:
             raise ValueError("period_s must be finite and at least 4 ticks (4/32768 s)")
-        offs = [Fraction(o) for o in self.event_offsets]
-        if len(offs) != 4:
-            raise ValueError("exactly four phase offsets required")
-        if any(not (0 <= o < 1) for o in offs):
-            raise ValueError("phase offsets must lie in [0, 1)")
-        if any(b <= a for a, b in zip(offs, offs[1:])):
-            raise ValueError("phase offsets must be strictly increasing")
-        if self.period_slots < 4:
-            raise ValueError("period_slots must be >= 4")
-        default = offs == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-        if default and self.period_slots % 4:
-            raise ValueError("period_slots must be divisible by 4 with the default offsets")
+        if self.period_slots < 4 or self.period_slots % 4:
+            raise ValueError("period_slots must be a positive multiple of 4")
 
     def period_on(self, ref: TimeRef) -> Fraction:
         """The gait period in seconds as ref counts it: period_s of local
@@ -114,12 +113,17 @@ class GaitConfig:
 
 @dataclass(frozen=True)
 class GaitEvent:
-    phase_index: int
-    phase_offset: Fraction
+    phase_index: int  # the event fires at phase PHASES[phase_index]
     tripod: Tripod
     joint_group: JointGroup
     action: GaitAction
     target_angle_deg: float
+    # CONTROLLER_OF[joint_group], looked up once here: an Enum key hashes
+    # through a Python-level __hash__, too slow for every setpoint
+    controller: Controller = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "controller", CONTROLLER_OF[self.joint_group])
 
 
 class ServoSetpoint(NamedTuple):
@@ -156,32 +160,25 @@ class GaitArmState:
         self.period = as_ratio(self.config.period_s)
 
 
-def build_schedule(config: GaitConfig) -> List[GaitEvent]:
+def build_schedule() -> List[GaitEvent]:
     """Compile the dual tripod cycle: 8 events per period, 4 phases x 2 tripods.
 
     T2 mirrors T1 half a period later: its action at phase k is T1's at
     phase (k+2) mod 4.
     """
     t1_actions = [GaitAction.DOWN, GaitAction.BACK, GaitAction.UP, GaitAction.FORWARD]
-    angles = {
-        GaitAction.DOWN: config.hip_down_deg,
-        GaitAction.UP: config.hip_up_deg,
-        GaitAction.BACK: config.knee_back_deg,
-        GaitAction.FORWARD: config.knee_forward_deg,
-    }
     events = []
-    for phase, offset in enumerate(config.event_offsets):
+    for phase in range(len(PHASES)):
         group = JointGroup.HIP if phase % 2 == 0 else JointGroup.KNEE
         for tripod in (Tripod.T1, Tripod.T2):
             shift = 0 if tripod is Tripod.T1 else 2
             action = t1_actions[(phase + shift) % 4]
             events.append(GaitEvent(
                 phase_index=phase,
-                phase_offset=Fraction(offset),
                 tripod=tripod,
                 joint_group=group,
                 action=action,
-                target_angle_deg=angles[action],
+                target_angle_deg=ACTION_ANGLE_DEG[action],
             ))
     return events
 
@@ -189,8 +186,7 @@ def build_schedule(config: GaitConfig) -> List[GaitEvent]:
 def events_for_controller(schedule: Sequence[GaitEvent],
                           controller: Controller) -> List[GaitEvent]:
     """M1 owns every hip event, M2 every knee event; together they partition."""
-    group = JointGroup.HIP if controller is Controller.M1 else JointGroup.KNEE
-    return [e for e in schedule if e.joint_group is group]
+    return [e for e in schedule if e.controller is controller]
 
 
 def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) -> int:
@@ -303,14 +299,16 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
     return true_time_of_tick(node.clock, event_tick(node, k, as_ratio(phase_offset)))
 
 
-def setpoints_for_event(event: GaitEvent, controller: Controller, t_true,
+def setpoints_for_event(event: GaitEvent, t_true,
                         swap_left: bool = False, swap_right: bool = False) -> List[ServoSetpoint]:
-    """Expand one tripod-group event into its three per-servo setpoints.
+    """Expand one tripod-group event into its three per-servo setpoints,
+    commanded by the controller that drives the event's joint group.
 
     Turning reverses the knee sweep on one body side: Back and Forward
     angles are swapped for that side's knee servos.
     """
     t = float(t_true)
+    controller = event.controller
     left = right = event.target_angle_deg
     if event.joint_group is JointGroup.HIP:
         base = HIP_SERVO_BASE
@@ -345,8 +343,9 @@ def servo_trace(sim, t_end) -> List[ServoSetpoint]:
     """Run the simulation to t_end and return its chronological setpoint log."""
     sim.run_until(t_end)
     # (time, servo_id) orders as (time, controller, servo_id) would: the servo
-    # id fixes the controller (hips 0-5 are M1, knees 6-11 are M2). Same-time
-    # setpoints do occur (T1 and T2 share each phase, and offsets can put
-    # several phases in one slot), and the stable sort keeps them in the
-    # order they were emitted.
+    # id fixes the controller (hips 0-5 are M1, knees 6-11 are M2). Each
+    # phase has a slot of its own, but same-time setpoints still occur: T1
+    # and T2 share each phase, both controllers can fire at one instant, and
+    # a centralized servo command applies a whole plan at once. The stable
+    # sort keeps them in the order they were emitted.
     return sorted(sim.servo_setpoints, key=itemgetter(0, 2))

@@ -14,6 +14,11 @@ events still run as one entry per sample would order them, and
 run_until's count is of heap entries, so a window counts once.
 Centralized samples come from the servo commands as they are applied.
 
+The gait's phases and angles are fixed, so each child's plan (its events
+and the phases it fires them at) depends on no run setting: the two plans
+are compiled once, when the module loads (_PLANS). A setpoint's controller
+follows from its event's joint group, so no handler carries one.
+
 Simulation time is one integer t over a per-sim denominator D: the instant
 t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
 a clock falls at k * rate_den / rate_num), twice the denominators of both
@@ -48,6 +53,7 @@ from . import gait as gaitmod
 from .clock import as_ratio, make_clock
 from .gait import (
     PHASE_ZERO,
+    PHASES,
     Controller,
     GaitArmState,
     GaitConfig,
@@ -61,10 +67,25 @@ from .tsch import SLOT_LENGTH_S, MoteState, first_boundary_tick, make_mote, resy
 
 _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 
-# One phase a controller fires each period: the phase offset as a
-# (num, den) pair, that phase's events in schedule order, and whether it is
-# the controller's last phase of the period.
+# One phase a controller fires each period: the phase as a (num, den) pair,
+# that phase's events in schedule order, and whether it is the controller's
+# last phase of the period.
 _Phase = Tuple[Tuple[int, int], Tuple[GaitEvent, ...], bool]
+
+
+def _plan(controller: Controller) -> Tuple[Tuple[GaitEvent, ...], Tuple[_Phase, ...]]:
+    """The controller's events (a centralized servo command applies them at
+    once) and the phases it fires them at, in order."""
+    events = tuple(events_for_controller(build_schedule(), controller))
+    phases = sorted({e.phase_index for e in events})
+    return events, tuple(
+        (PHASES[phase], tuple(e for e in events if e.phase_index == phase),
+         phase == phases[-1])
+        for phase in phases)
+
+
+# each child's plan by node id: m1 drives the hips (M1), m2 the knees (M2)
+_PLANS = {"m1": _plan(Controller.M1), "m2": _plan(Controller.M2)}
 
 
 class MessageKind(Enum):
@@ -158,8 +179,9 @@ class SchemeParams:
             raise ValueError("sample_every must be >= 1")
         if self.resync_period_s <= 0:
             raise ValueError("resync_period_s must be positive")
-        if not (math.isfinite(self.resync_period_s) and math.isfinite(self.duration_s)):
-            raise ValueError("resync_period_s and duration_s must be finite")
+        if not all(map(math.isfinite, (self.ppm_m1, self.ppm_m2, self.ppm_root,
+                                       self.resync_period_s, self.duration_s))):
+            raise ValueError("ppm errors, resync_period_s and duration_s must be finite")
 
 
 class Sim:
@@ -184,20 +206,6 @@ class Sim:
         self.resync_marks: List[float] = []
         self.servo_setpoints: List[ServoSetpoint] = []
 
-        # Each child's plan, compiled once: m1 drives the hips (M1), m2 the
-        # knees (M2). Per node id: the controller, all its events (the
-        # centralized scheme applies them at once) and the phases it fires.
-        schedule = build_schedule(params.gait)
-        self._plans: Dict[str, Tuple[Controller, Tuple[GaitEvent, ...],
-                                     Tuple[_Phase, ...]]] = {}
-        for child, ctrl in zip(self.children, (Controller.M1, Controller.M2)):
-            events = tuple(events_for_controller(schedule, ctrl))
-            phases = sorted({e.phase_index for e in events})
-            self._plans[child.node_id] = (ctrl, events, tuple(
-                (as_ratio(params.gait.event_offsets[phase]),
-                 tuple(e for e in events if e.phase_index == phase),
-                 phase == phases[-1])
-                for phase in phases))
         # (num, den) seconds of one gait period on the scheme's time reference
         self._period_ratio = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
         self._keepalive_ratio = as_ratio(params.resync_period_s)
@@ -444,28 +452,27 @@ class Sim:
         self._push(t, Sim._handle_samples, (gen, k))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
-        ctrl, _, phases = self._plans[child.node_id]
+        _, phases = _PLANS[child.node_id]
         unit = self._tick_unit[child.node_id]
         gen = self._gen
-        for offset, events, last in phases:
-            self._push(gaitmod.event_tick(child, k, offset) * unit,
-                       Sim._handle_controller_phase, (child, ctrl, gen, k, events, last))
+        for phase, events, last in phases:
+            self._push(gaitmod.event_tick(child, k, phase) * unit,
+                       Sim._handle_controller_phase, (child, gen, k, events, last))
 
-    def _handle_controller_phase(self, child: MoteState, ctrl: Controller, gen: int,
-                                 k: int, events: Tuple[GaitEvent, ...], last: bool) -> None:
+    def _handle_controller_phase(self, child: MoteState, gen: int, k: int,
+                                 events: Tuple[GaitEvent, ...], last: bool) -> None:
         if gen != self._gen:
             return
-        self._emit(ctrl, events, *_swaps_at(child.gait, k))
+        self._emit(events, *_swaps_at(child.gait, k))
         if last:
             self._schedule_controller_period(child, k + 1)
 
-    def _emit(self, ctrl: Controller, events: Tuple[GaitEvent, ...],
-              swap_left: bool, swap_right: bool) -> None:
-        """Record the servo setpoints of ctrl's events, fired now."""
+    def _emit(self, events: Tuple[GaitEvent, ...], swap_left: bool, swap_right: bool) -> None:
+        """Record the servo setpoints of the events, fired now."""
         now_s = self._t / self._D
         out = self.servo_setpoints
         for event in events:
-            out.extend(gaitmod.setpoints_for_event(event, ctrl, now_s, swap_left, swap_right))
+            out.extend(gaitmod.setpoints_for_event(event, now_s, swap_left, swap_right))
 
     # -- centralized (root-timed) control ----------------------------------
 
@@ -487,8 +494,8 @@ class Sim:
         applied = self._s0_applied.setdefault(k, {})
         applied[child.node_id] = self._t
         if self.emit_setpoints:
-            ctrl, events, _ = self._plans[child.node_id]
-            self._emit(ctrl, events, swap_left, swap_right)
+            events, _ = _PLANS[child.node_id]
+            self._emit(events, swap_left, swap_right)
         if len(applied) == 2:
             del self._s0_applied[k]
             if k % self.params.sample_every == 0:

@@ -18,7 +18,7 @@ from hexsync.experiment import (
     sweep_resync_period,
     time_to_opposition,
 )
-from hexsync.gait import GaitConfig, GaitHealth, build_schedule, classify_gait
+from hexsync.gait import GaitConfig, GaitHealth, TimeRef, build_schedule, classify_gait
 from hexsync.gait import Controller, JointGroup, Tripod, events_for_controller
 from hexsync.simnet import LinkModel
 
@@ -108,8 +108,7 @@ def test_criterion_7_gait_structure():
     ok = True
     for _ in range(50):
         slots = 4 * rng.randint(1, 60)
-        cfg = GaitConfig(period_slots=slots)
-        sched = build_schedule(cfg)
+        sched = build_schedule()
         by_key = {(e.tripod, e.phase_index): e for e in sched}
         for phase in range(4):
             mirrored = by_key[(Tripod.T2, (phase + 2) % 4)]
@@ -117,7 +116,7 @@ def test_criterion_7_gait_structure():
         m1 = set(events_for_controller(sched, Controller.M1))
         m2 = set(events_for_controller(sched, Controller.M2))
         ok = ok and (m1 | m2 == set(sched)) and not (m1 & m2)
-        period_s = slots * 0.015
+        period_s = float(GaitConfig(period_slots=slots).period_on(TimeRef.ASN))
         ok = ok and classify_gait(0.0, period_s) is GaitHealth.IN_SYNC
         ok = ok and classify_gait(period_s / 2 * 1e6, period_s) is GaitHealth.OPPOSED
     report(7, ok, "50 random configs: half-period mirror, controller partition, "

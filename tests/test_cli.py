@@ -107,6 +107,16 @@ def test_run_with_one_sample_exits_zero(tmp_path):
     assert len(read_trace_csv(str(out))) == 1
 
 
+@pytest.mark.parametrize("period_s", ["0.01", "0.005", "0.001"])
+def test_centralized_sub_slot_period_exits_zero(tmp_path, period_s):
+    # servo commands of several periods land on one slot boundary, so whole
+    # inter-resync windows share one sample time; the slope fit skips them
+    code, out = run_cli(tmp_path, "run", "--scheme", "centralized",
+                        "--gait-period-s", period_s, "--duration-s", "5")
+    assert code == 0
+    assert len(read_trace_csv(str(out))) >= 1
+
+
 def test_run_ending_before_first_sample_exits_one(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "run", "--duration-s", "1.5")
     assert code == 1
@@ -219,12 +229,6 @@ def test_ascii_plot_shapes():
     first_star = next(i for i, l in enumerate(rows) if "*" in l[:10])
     last_star = next(i for i, l in enumerate(rows) if "*" in l[-10:])
     assert first_star < last_star  # visible downward ramp
-
-
-def test_ascii_plot_rejects_tiny_canvas():
-    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[])
-    with pytest.raises(ValueError):
-        render_ascii_plot(trace, width=4, height=4)
 
 
 def test_config_file_values_take_the_declared_option_type(tmp_path):

@@ -12,6 +12,7 @@ from hexsync.gait import (
     GaitAction,
     GaitConfig,
     GaitHealth,
+    PHASES,
     JointGroup,
     TimeRef,
     Tripod,
@@ -39,21 +40,23 @@ def armed_mote(ppm, ref, config=None, node_id="m", t=0.0):
 
 
 def test_schedule_has_eight_events():
-    sched = build_schedule(GaitConfig())
+    sched = build_schedule()
     assert len(sched) == 8
     assert {e.phase_index for e in sched} == {0, 1, 2, 3}
 
 
 def test_hip_and_knee_phase_placement():
-    sched = build_schedule(GaitConfig())
-    hips = {e.phase_offset for e in sched if e.joint_group is JointGroup.HIP}
-    knees = {e.phase_offset for e in sched if e.joint_group is JointGroup.KNEE}
+    sched = build_schedule()
+    hips = {Fraction(*PHASES[e.phase_index]) for e in sched
+            if e.joint_group is JointGroup.HIP}
+    knees = {Fraction(*PHASES[e.phase_index]) for e in sched
+             if e.joint_group is JointGroup.KNEE}
     assert hips == {Fraction(0), Fraction(1, 2)}
     assert knees == {Fraction(1, 4), Fraction(3, 4)}
 
 
 def test_tripods_offset_by_half_period():
-    sched = build_schedule(GaitConfig())
+    sched = build_schedule()
     t1 = {e.phase_index: e.action for e in sched if e.tripod is Tripod.T1}
     t2 = {e.phase_index: e.action for e in sched if e.tripod is Tripod.T2}
     for phase in range(4):
@@ -61,14 +64,15 @@ def test_tripods_offset_by_half_period():
 
 
 def test_four_step_cycle_order():
-    sched = build_schedule(GaitConfig())
-    t1 = [e.action for e in sorted(sched, key=lambda e: e.phase_index)
-          if e.tripod is Tripod.T1]
-    assert t1 == [GaitAction.DOWN, GaitAction.BACK, GaitAction.UP, GaitAction.FORWARD]
+    sched = build_schedule()
+    t1 = [e for e in sorted(sched, key=lambda e: e.phase_index) if e.tripod is Tripod.T1]
+    assert [e.action for e in t1] == [GaitAction.DOWN, GaitAction.BACK,
+                                      GaitAction.UP, GaitAction.FORWARD]
+    assert [e.target_angle_deg for e in t1] == [30.0, 25.0, -30.0, -25.0]
 
 
 def test_controller_partition():
-    sched = build_schedule(GaitConfig())
+    sched = build_schedule()
     m1 = events_for_controller(sched, Controller.M1)
     m2 = events_for_controller(sched, Controller.M2)
     assert len(m1) == 4 and len(m2) == 4
@@ -83,19 +87,10 @@ def test_empty_schedule_partitions_to_empty():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ValueError):
-        GaitConfig(period_slots=66)  # not divisible by 4
-    with pytest.raises(ValueError):
-        GaitConfig(period_slots=2)  # fewer than 4 slots
-    with pytest.raises(ValueError):
-        GaitConfig(period_slots=2, event_offsets=(Fraction(0), Fraction(1, 8),
-                                                  Fraction(1, 2), Fraction(5, 8)))
-    with pytest.raises(ValueError):
-        GaitConfig(event_offsets=(Fraction(0), Fraction(1, 2),
-                                  Fraction(1, 4), Fraction(3, 4)))
-    with pytest.raises(ValueError):
-        GaitConfig(event_offsets=(Fraction(0), Fraction(1, 4),
-                                  Fraction(1, 2), Fraction(1)))
+    for period_slots in (66, 2, 0, -4):  # not a positive multiple of 4
+        with pytest.raises(ValueError):
+            GaitConfig(period_slots=period_slots)
+    GaitConfig(period_slots=4)  # one slot per phase: the shortest period
     for period_s in (0.0, float("inf"), float("nan"), 1e-300, 3 / 32768):
         with pytest.raises(ValueError):
             GaitConfig(period_s=period_s)
@@ -200,24 +195,3 @@ def test_classify_rejects_bad_period():
     with pytest.raises(ValueError):
         classify_gait(0, 0)
 
-
-valid_period_slots = st.integers(min_value=1, max_value=50).map(lambda n: 4 * n)
-
-
-@given(period_slots=valid_period_slots,
-       hip=st.floats(5, 60, allow_nan=False), knee=st.floats(5, 60, allow_nan=False))
-@settings(max_examples=100)
-def test_schedule_properties_hold_for_random_configs(period_slots, hip, knee):
-    cfg = GaitConfig(period_slots=period_slots, hip_down_deg=hip,
-                     hip_up_deg=-hip, knee_back_deg=knee, knee_forward_deg=-knee)
-    sched = build_schedule(cfg)
-    # half-period antisymmetry
-    by_key = {(e.tripod, e.phase_index): e for e in sched}
-    for phase in range(4):
-        e1 = by_key[(Tripod.T1, phase)]
-        e2 = by_key[(Tripod.T2, (phase + 2) % 4)]
-        assert e1.action == e2.action and e1.joint_group == e2.joint_group
-    # controller partition
-    m1 = set(events_for_controller(sched, Controller.M1))
-    m2 = set(events_for_controller(sched, Controller.M2))
-    assert m1 | m2 == set(sched) and not (m1 & m2)

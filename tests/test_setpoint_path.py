@@ -5,8 +5,8 @@ and the CSV row formatter as they were before setpoints became named
 tuples: a frozen dataclass per setpoint, a per-leg test of the knee swap, a
 (time, controller name, servo id) sort key and one f-string per row. The
 simulation must emit, order and format exactly what they do, for every
-scheme, with turns, drops, jitter and phase offsets that put several
-phases in one slot.
+scheme, with turns, drops, jitter and gait periods down to one slot per
+phase.
 """
 
 from dataclasses import dataclass
@@ -47,8 +47,8 @@ class ReferenceSetpoint:
     angle_deg: float
 
 
-def reference_setpoints_for_event(event, controller, t_true,
-                                  swap_left=False, swap_right=False):
+def reference_setpoints_for_event(event, t_true, swap_left=False, swap_right=False):
+    controller = Controller.M1 if event.joint_group is JointGroup.HIP else Controller.M2
     legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
     base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
     true_time_s = float(t_true)
@@ -84,11 +84,10 @@ def as_row(sp):
 
 
 def test_expansion_matches_reference_for_every_event():
-    config = GaitConfig(knee_back_deg=0.0)  # -0.0 and 0.0 must stay apart
-    for event, ctrl, swap_left, swap_right in product(
-            build_schedule(config), Controller, (False, True), (False, True)):
-        got = gait.setpoints_for_event(event, ctrl, Fraction(7, 3), swap_left, swap_right)
-        want = reference_setpoints_for_event(event, ctrl, Fraction(7, 3), swap_left, swap_right)
+    for event, swap_left, swap_right in product(
+            build_schedule(), (False, True), (False, True)):
+        got = gait.setpoints_for_event(event, Fraction(7, 3), swap_left, swap_right)
+        want = reference_setpoints_for_event(event, Fraction(7, 3), swap_left, swap_right)
         assert [as_row(s) for s in got] == [as_row(s) for s in want]
         assert [str(s.angle_deg) for s in got] == [str(s.angle_deg) for s in want]
 
@@ -98,25 +97,15 @@ def reference_expander(sim):
     node that times the gait: a child, or the root in the centralized
     scheme. A servo command still in flight when the root stops carries the
     swap the root sent it with."""
-    def expand(event, controller, t_true, swap_left=False, swap_right=False):
+    def expand(event, t_true, swap_left=False, swap_right=False):
         if sim.scheme is SchemeId.S0_CENTRALIZED:
             node = sim.root
         else:
-            node = sim.children[0 if controller is Controller.M1 else 1]
+            node = sim.children[0 if event.joint_group is JointGroup.HIP else 1]
         if node.gait is not None:
             swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
-        return reference_setpoints_for_event(event, controller, t_true,
-                                             swap_left, swap_right)
+        return reference_setpoints_for_event(event, t_true, swap_left, swap_right)
     return expand
-
-
-# Default offsets; three phases in slot 0 of a period up to 32 slots; and
-# three phases within one tick, so in one slot on the ASN too.
-OFFSETS = [
-    (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    (Fraction(0), Fraction(1, 64), Fraction(1, 32), Fraction(1, 2)),
-    (Fraction(1, 10**6), Fraction(2, 10**6), Fraction(3, 10**6), Fraction(1, 2)),
-]
 
 
 @st.composite
@@ -133,8 +122,7 @@ def runs(draw):
         resync_period_s=draw(st.sampled_from([2.5, 30.0])),
         seed=draw(st.integers(1, 50)),
         gait=GaitConfig(period_s=draw(st.sampled_from([0.5, 0.7, 1.0])),
-                        period_slots=draw(st.sampled_from([8, 12, 68])),
-                        event_offsets=draw(st.sampled_from(OFFSETS))),
+                        period_slots=draw(st.sampled_from([4, 8, 12, 68]))),
         link=LinkModel(base_latency_s=draw(st.sampled_from([0.0, 0.0031])),
                        jitter_bound_s=draw(st.sampled_from([0.0, 0.011, 0.015])),
                        drop_probability=draw(st.sampled_from([0.0, 0.1, 0.3]))))

@@ -275,7 +275,8 @@ def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["base_latency_s", "jitter_bound_s",
-                                  "resync_period_s", "duration_s"])
+                                  "resync_period_s", "duration_s",
+                                  "ppm_m1", "ppm_m2", "ppm_root"])
 def test_non_finite_link_and_run_times_rejected_when_built(name, value):
     config = LinkModel if name in LinkModel.__dataclass_fields__ else SchemeParams
     with pytest.raises(ValueError, match="finite"):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsync.clock import (
@@ -25,6 +25,7 @@ from hexsync.clock import (
     ticks_at,
     true_time_of_tick,
 )
+from hexsync import gait
 from hexsync.gait import (
     GaitConfig,
     TimeRef,
@@ -54,7 +55,7 @@ ppms = st.one_of(
 times = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
 # late enough that 40 slots before the resync origin still lie after t = 0
 resync_times = st.floats(min_value=1, max_value=1e6, allow_nan=False, allow_infinity=False)
-PHASES = GaitConfig().event_offsets
+PHASES = [Fraction(*phase) for phase in gait.PHASES]
 
 
 # -- Fraction references -----------------------------------------------------
@@ -270,7 +271,7 @@ def test_gait_times_match_reference(ref, ppm1, ppm2, t_arm, resync, ks):
 def test_gait_times_match_reference_at_non_default_period_and_offsets(ref):
     # offsets whose slot position is not a whole slot: floor, not round
     offsets = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7))
-    cfg = GaitConfig(period_slots=100, period_s=0.7, event_offsets=offsets)
+    cfg = GaitConfig(period_slots=100, period_s=0.7)
     root = make_mote("root", make_clock(1.1))
     node = resynced_mote("m", -3.7, 12.34, root)
     (arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref)(node, cfg, 56.78)
@@ -284,7 +285,8 @@ def test_gait_times_match_reference_at_non_default_period_and_offsets(ref):
 gait_periods = st.one_of(
     st.sampled_from([0.7, 1.0, 1.02, 0.1, Fraction(1, 3), Fraction(4, NOMINAL_FREQ_HZ)]),
     st.floats(min_value=4 / NOMINAL_FREQ_HZ, max_value=10))
-# four strictly increasing phase offsets in [0, 1)
+# four distinct phase offsets in [0, 1): event_tick takes any phase, not
+# only the gait's four
 phase_offsets = st.lists(
     st.fractions(min_value=0, max_value=Fraction(999_999, 10**6), max_denominator=10**6),
     min_size=4, max_size=4, unique=True).map(sorted)
@@ -293,15 +295,14 @@ phase_offsets = st.lists(
 @given(ref=st.sampled_from(list(TimeRef)), ppm1=ppms, ppm2=ppms,
        root_ppm=st.sampled_from(LISTED_PPM),
        t_arm=st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
-       resync=st.booleans(), period_s=gait_periods, period_slots=st.integers(4, 200),
+       resync=st.booleans(), period_s=gait_periods,
+       period_slots=st.integers(1, 50).map(lambda n: 4 * n),
        offsets=phase_offsets, ks=st.lists(st.integers(0, 10**7), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_ppm, t_arm,
                                                           resync, period_s, period_slots,
                                                           offsets, ks):
-    default = offsets == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    assume(not (default and period_slots % 4))
-    cfg = GaitConfig(period_slots=period_slots, period_s=period_s, event_offsets=tuple(offsets))
+    cfg = GaitConfig(period_slots=period_slots, period_s=period_s)
     root = make_mote("root", make_clock(root_ppm))
     t_sync = t_arm if resync else None
     m1 = resynced_mote("m1", ppm1, t_sync, root)
