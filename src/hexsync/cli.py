@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -159,16 +158,10 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
 # -- CSV emission ----------------------------------------------------------
 
 def trace_csv_lines(trace: ErrorTrace) -> List[str]:
+    """The trace's samples as CSV rows; each sample carries its own resync flag."""
     lines = [TRACE_HEADER]
-    marks = sorted(trace.resync_marks)
-    # a row is flagged when a mark m has prev < m <= t: more marks lie at or
-    # before t than at or before the previous sample's time
-    marks_to_prev = 0
-    for t, k, err in trace.samples:
-        marks_to_t = bisect_right(marks, t)
-        resynced = marks_to_t > marks_to_prev
-        lines.append(f"{t:.6f},{k},{err:.3f},{1 if resynced else 0}")
-        marks_to_prev = marks_to_t
+    for t, k, err, resync in trace.samples:
+        lines.append(f"{t:.6f},{k},{err:.3f},{resync}")
     return lines
 
 
@@ -177,7 +170,8 @@ def write_trace_csv(trace: ErrorTrace, path: Optional[str]) -> None:
 
 
 def read_trace_csv(path: str) -> List[Tuple[float, int, float, int]]:
-    """Parse a trace CSV back into (time, period, error, resync) rows."""
+    """Parse a trace CSV back into rows of ErrorTrace.samples' type:
+    (true_time_s, period_index, error_us, resync)."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()

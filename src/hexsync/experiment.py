@@ -8,7 +8,6 @@ resync period.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from statistics import fmean, linear_regression
 from typing import List, Optional, Sequence, Tuple
@@ -21,7 +20,14 @@ MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slop
 
 @dataclass
 class ErrorTrace:
-    samples: List[Tuple[float, int, float]]  # (true_time_s, period_index, error_us)
+    """A run's samples and resync marks.
+
+    Each sample is (true_time_s, period_index, error_us, resync); resync is
+    1 when the run resynced a child after the previous sample (see
+    hexsync.simnet). The marks are the resync times in seconds, kept as
+    the run appended them.
+    """
+    samples: List[Tuple[float, int, float, int]]
     resync_marks: List[float]
 
 
@@ -72,33 +78,34 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
 def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
     """Least-squares slope of error vs time, in us/s.
 
-    With resync marks present the fit runs within each inter-resync window
-    and the per-window slopes are averaged, so the sawtooth resets do not
-    bias the estimate. A window is skipped when it holds fewer than
-    MIN_WINDOW_SAMPLES samples, or when its samples all share one time and
-    so have no least-squares slope (servo commands of several sub-slot
-    gait periods can land on one slot boundary). If every window is
-    skipped, the resyncs are denser than the sampling and there is no
-    drift to fit: the result is None. Without marks the whole trace is one
-    window of any size, skipped by the same one-time rule.
+    Each sample flagged as resynced opens a new inter-resync window; the
+    fit runs within each window and the per-window slopes are averaged, so
+    the sawtooth resets do not bias the estimate. A window is skipped when
+    it holds fewer than MIN_WINDOW_SAMPLES samples, or when its samples all
+    share one time and so have no least-squares slope. If every window is
+    skipped, the resyncs are as dense as the sampling or denser (every
+    centralized sample follows the delivery that resynced its child) and
+    there is no drift to fit: the result is None. A trace with no flagged
+    sample is one window of any size, skipped by the same one-time rule.
     """
     samples = trace.samples
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit a slope")
-    if not trace.resync_marks:
+    if not any(s[3] for s in samples):
         return _slope([s[0] for s in samples], [s[2] for s in samples])
 
-    # window i holds the samples with marks[i-1] < t <= marks[i], in sample
-    # order; the first and last windows are open-ended
-    marks = sorted(set(trace.resync_marks))
-    windows: List[List[Tuple[float, float]]] = [[] for _ in range(len(marks) + 1)]
-    for t, _, e in samples:
-        windows[bisect_left(marks, t)].append((t, e))
+    windows: List[Tuple[List[float], List[float]]] = []
+    for t, _, e, resync in samples:
+        if resync or not windows:
+            windows.append(([], []))
+        ts, es = windows[-1]
+        ts.append(t)
+        es.append(e)
     slopes = []
-    for window in windows:
-        if len(window) < MIN_WINDOW_SAMPLES:
+    for ts, es in windows:
+        if len(ts) < MIN_WINDOW_SAMPLES:
             continue
-        slope = _slope([w[0] for w in window], [w[1] for w in window])
+        slope = _slope(ts, es)
         if slope is not None:
             slopes.append(slope)
     if not slopes:

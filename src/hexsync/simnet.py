@@ -12,7 +12,15 @@ sample before the heap's next event and within run_until's bound, then
 re-queues itself at the next sample (Sim._handle_samples). Equal-time
 events still run as one entry per sample would order them, and
 run_until's count is of heap entries, so a window counts once.
-Centralized samples come from the servo commands as they are applied.
+Centralized samples are fixed when the root sends a period's two servo
+commands, whose delivery times are then known, and recorded when the
+later of the two is applied.
+
+A sample is a row (true_time_s, period_index, error_us, resync). Its
+resync flag is 1 exactly when the loop appended a resync mark after the
+previous sample (for the first sample: since the run began). The loop
+knows this as it records the sample, so no consumer has to place marks
+against sample times.
 
 The gait's phases and angles are fixed, so each child's plan (its events
 and the phases it fires them at) depends on no run setting: the two plans
@@ -24,10 +32,10 @@ t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
 a clock falls at k * rate_den / rate_num), twice the denominators of both
 gait periods (samples sit mid-period) and the keep-alive period's
 denominator, so every time the loop queues is an exact int. Heap keys, the
-run bound, keep-alive due times and the centralized apply times are such
-ints. A command or run-end time whose denominator d does not divide D
-rescales the sim: D becomes lcm(D, d) and every stored int is multiplied by
-the same positive factor, which keeps their order. A frame's arrival (sent
+run bound and keep-alive due times are such ints. A command or run-end
+time whose denominator d does not divide D rescales the sim: D becomes
+lcm(D, d) and every stored int is multiplied by the same positive factor,
+which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until tsch.first_boundary_tick finds the receiver's first slot boundary at
 or after it; only that boundary's time is queued.
@@ -47,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import gait as gaitmod
 from .clock import as_ratio, make_clock
@@ -202,8 +210,11 @@ class Sim:
             for node_id, ppm in (("m1", params.ppm_m1), ("m2", params.ppm_m2))
         ]
 
-        self.samples: List[Tuple[float, int, float]] = []
+        self.samples: List[Tuple[float, int, float, int]] = []
         self.resync_marks: List[float] = []
+        # 1 from a resync mark until the next sample is recorded, which
+        # takes it as its resync flag
+        self._resynced = 0
         self.servo_setpoints: List[ServoSetpoint] = []
 
         # (num, den) seconds of one gait period on the scheme's time reference
@@ -222,8 +233,6 @@ class Sim:
         self._t_end = 0  # run_until's bound over D; no sample window passes it
         # each child's last resync: its keep-alive falls due one period later
         self._last_resync = {c.node_id: 0 for c in self.children}
-        # centralized: per-period apply times, by child node id
-        self._s0_applied: Dict[int, Dict[str, int]] = {}
         self._rescale(math.lcm(
             *(node.clock.rate_num for node in (self.root, *self.children)),
             2 * self._period_ratio[1],
@@ -251,9 +260,6 @@ class Sim:
         self._heap[:] = [(t * f, *rest) for t, *rest in self._heap]
         for node_id, t in self._last_resync.items():
             self._last_resync[node_id] = t * f
-        for applied in self._s0_applied.values():
-            for node_id, t in applied.items():
-                applied[node_id] = t * f
         # D / (seconds per tick), per node: tick k falls at k * unit over D
         self._tick_unit = {node.node_id: node.clock.rate_den * (D // node.clock.rate_num)
                            for node in (self.root, *self.children)}
@@ -355,6 +361,7 @@ class Sim:
             resync_to_parent(child, self.root, (self._t, self._D))
             self._last_resync[child.node_id] = self._t
             self.resync_marks.append(self._t / self._D)
+            self._resynced = 1
         if msg.kind is MessageKind.KEEP_ALIVE:
             self._push(self._keepalive_due(child), Sim._handle_keepalive_due, (child,))
         elif msg.kind is MessageKind.COMMAND:
@@ -444,9 +451,12 @@ class Sim:
         # window, common when controller phases interleave, skips them
         errs = (gaitmod.sync_errors(m1, m2, range(k, k + n * every, every)) if n > 1
                 else (gaitmod.gait_sync_error(m1, m2, k),))
+        # nothing runs inside a window, so only its first sample can follow a mark
+        resync, self._resynced = self._resynced, 0
         append = self.samples.append
         for err in errs:
-            append((round(t / D, 6), k, round(err, 3)))
+            append((round(t / D, 6), k, round(err, 3), resync))
+            resync = 0
             t += step
             k += every
         self._push(t, Sim._handle_samples, (gen, k))
@@ -481,29 +491,31 @@ class Sim:
             return
         # nominally simultaneous per-period commands to both controllers,
         # each carrying the period's knee swap state
-        body = (k, *_swaps_at(self.root.gait, k))
-        for child in self.children:
-            self.send(Message(MessageKind.SERVO_COMMAND, child, (self._t, self._D),
-                              body=body))
+        swaps = _swaps_at(self.root.gait, k)
+        now = (self._t, self._D)
+        m1, m2 = msgs = [Message(MessageKind.SERVO_COMMAND, child, now, body=(*swaps, None))
+                         for child in self.children]
+        for msg in msgs:
+            self.send(msg)
+        if k % self.params.sample_every == 0:
+            # both deliveries are fixed now, over one D: the sample is the
+            # gap between them, recorded when the later frame is applied
+            # (m2 on a tie, as it was pushed second)
+            d1, d2, D = m1.delivered[0], m2.delivered[0], self._D
+            sample = (round(max(d1, d2) / D, 6), k, round((d2 - d1) * 10**6 / D, 3))
+            (m1 if d1 > d2 else m2).body = (*swaps, sample)
         self._push(self._period_start(self.root, k + 1),
                    Sim._handle_root_period, (gen, k + 1))
 
     def _apply_servo_command(self, child: MoteState,
-                             body: Tuple[int, bool, bool]) -> None:
-        k, swap_left, swap_right = body
-        applied = self._s0_applied.setdefault(k, {})
-        applied[child.node_id] = self._t
+                             body: Tuple[bool, bool, Optional[tuple]]) -> None:
+        swap_left, swap_right, sample = body
         if self.emit_setpoints:
             events, _ = _PLANS[child.node_id]
             self._emit(events, swap_left, swap_right)
-        if len(applied) == 2:
-            del self._s0_applied[k]
-            if k % self.params.sample_every == 0:
-                D = self._D
-                m1, m2 = self.children
-                err = (applied[m2.node_id] - applied[m1.node_id]) * 10**6 / D
-                t = max(applied.values())
-                self.samples.append((round(t / D, 6), k, round(err, 3)))
+        if sample is not None:
+            self.samples.append((*sample, self._resynced))
+            self._resynced = 0
 
 
 # the knee swap (left, right) each turn verb sets

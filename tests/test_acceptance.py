@@ -95,7 +95,7 @@ def test_criterion_6_oracle_equivalence():
                             SchemeParams(ppm_m1=ppm_m1, ppm_m2=ppm_m2,
                                          duration_s=duration))
         rel = ppm_m1 - ppm_m2
-        for t, _, err in result.trace.samples:
+        for t, _, err, _ in result.trace.samples:
             dev = abs(err - rel * t)
             worst = max(worst, dev)
             ok = ok and dev <= TWO_TICKS_US
@@ -158,7 +158,7 @@ def test_criterion_10_phase_opposition_at_paper_horizon():
     result = run_scheme(SchemeId.S1_OPEN_LOOP,
                         SchemeParams(ppm_m1=-5.0, duration_s=100_000))
     first = {}
-    for t, k, err in result.trace.samples:
+    for t, k, err, _ in result.trace.samples:
         first.setdefault(classify_gait(err, 1.0), (k, t))
     ok = (first[GaitHealth.DEGRADED] == (9_999, 10_000.5)
           and first[GaitHealth.OPPOSED] == (79_999, 80_000.5))

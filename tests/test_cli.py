@@ -220,10 +220,10 @@ def test_config_file_defaults_with_flag_override(tmp_path):
 
 
 def test_ascii_plot_shapes():
-    flat = ErrorTrace(samples=[(float(t), t, 0.0) for t in range(50)], resync_marks=[])
+    flat = ErrorTrace(samples=[(float(t), t, 0.0, 0) for t in range(50)], resync_marks=[])
     art = render_ascii_plot(flat)
     assert "*" in art and "max=" in art
-    ramp = ErrorTrace(samples=[(float(t), t, -5.0 * t) for t in range(50)], resync_marks=[])
+    ramp = ErrorTrace(samples=[(float(t), t, -5.0 * t, 0) for t in range(50)], resync_marks=[])
     art = render_ascii_plot(ramp)
     rows = [l for l in art.splitlines() if l.startswith("|")]
     first_star = next(i for i, l in enumerate(rows) if "*" in l[:10])

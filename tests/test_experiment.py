@@ -1,7 +1,6 @@
 """Scheme runs, slope fitting, bounds, and the resync-period sweep."""
 
 import math
-from bisect import bisect_left
 
 import pytest
 
@@ -62,18 +61,19 @@ def test_duration_shorter_than_period_rejected():
 
 
 def test_fit_slope_exact_synthetic_line():
-    trace = ErrorTrace(samples=[(float(t), t, 5.0 * t) for t in range(100)], resync_marks=[])
+    trace = ErrorTrace(samples=[(float(t), t, 5.0 * t, 0) for t in range(100)], resync_marks=[])
     assert fit_drift_slope(trace) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_fit_slope_needs_two_samples():
-    trace = ErrorTrace(samples=[(0.0, 0, 0.0)], resync_marks=[])
+    trace = ErrorTrace(samples=[(0.0, 0, 0.0, 0)], resync_marks=[])
     with pytest.raises(ValueError):
         fit_drift_slope(trace)
 
 
 def test_fit_slope_windows_ignore_sawtooth_resets():
-    # sawtooth: slope -3 within 30 s windows, reset at each mark
+    # sawtooth: slope -3 within 30 s windows, reset at each mark; the
+    # first sample after a mark carries the resync flag
     samples = []
     marks = []
     for w in range(5):
@@ -81,18 +81,24 @@ def test_fit_slope_windows_ignore_sawtooth_resets():
         marks.append(base)
         for i in range(29):
             t = base + 1.0 + i
-            samples.append((t, len(samples), -3.0 * (t - base)))
+            samples.append((t, len(samples), -3.0 * (t - base), 1 if i == 0 else 0))
     trace = ErrorTrace(samples=samples, resync_marks=marks)
     assert fit_drift_slope(trace) == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_centralized_run_reports_no_slope():
-    # a resync mark on every delivery leaves no window to fit: link jitter
-    # alone must not pass for a drift slope or an opposition time
-    result = run_scheme(SchemeId.S0_CENTRALIZED, SchemeParams(ppm_m1=-3.0))
-    assert len(result.trace.resync_marks) > len(result.trace.samples)
-    assert result.fitted_slope_us_per_s is None
-    assert result.opposition_eta_s is None
+    # every sample is taken at the delivery that resyncs its child, so each
+    # window holds one sample: link jitter alone must not pass for a drift
+    # slope or an opposition time. At a sub-slot gait period the servo
+    # commands of several periods land on one slot boundary, 28 us or a
+    # slot apart.
+    for params in (SchemeParams(ppm_m1=-3.0),
+                   SchemeParams(duration_s=5, gait=GaitConfig(period_s=0.01))):
+        result = run_scheme(SchemeId.S0_CENTRALIZED, params)
+        assert len(result.trace.resync_marks) > len(result.trace.samples) > 1
+        assert all(s[3] == 1 for s in result.trace.samples)
+        assert result.fitted_slope_us_per_s is None
+        assert result.opposition_eta_s is None
 
 
 def test_resyncs_denser_than_samples_report_no_slope():
@@ -179,7 +185,7 @@ def test_s1_oracle_equivalence_spot_check():
     params = SchemeParams(ppm_m1=2.5, ppm_m2=-1.5, duration_s=300)
     result = run_scheme(SchemeId.S1_OPEN_LOOP, params)
     rel = params.ppm_m1 - params.ppm_m2
-    for t, _, err in result.trace.samples:
+    for t, _, err, _ in result.trace.samples:
         assert abs(err - rel * t) <= 2 * TICK_US
 
 
@@ -195,11 +201,13 @@ def test_s2_oracle_drift_within_two_tick_band_per_window(ppm_m1, ppm_m2,
     params = SchemeParams(ppm_m1=ppm_m1, ppm_m2=ppm_m2, duration_s=200,
                           resync_period_s=resync_period_s, link=link)
     result = run_scheme(SchemeId.S2_SYNCHRONIZED, params)
-    marks = sorted(set(result.trace.resync_marks))
     rel = ppm_m1 - ppm_m2
+    # a sample flagged as resynced opens the next inter-resync window
     windows = {}
-    for t, _, err in result.trace.samples:
-        windows.setdefault(bisect_left(marks, t), []).append(err - rel * t)
+    window = 0
+    for t, _, err, resync in result.trace.samples:
+        window += resync
+        windows.setdefault(window, []).append(err - rel * t)
     assert len(windows) > 1
     for residuals in windows.values():
         assert max(residuals) - min(residuals) <= 2 * TICK_US

@@ -1,9 +1,10 @@
 """The window sampler emits exactly the samples one heap entry per sample would.
 
 PerSampleSim keeps the per-sample heap sampler as the reference: sample k
-is its own heap entry, queued when sample k - sample_every runs. The
-window sampler must give the same samples, in the same order, after every
-run_until, including when a delivery, a command or a pause lands exactly
+is its own heap entry, queued when sample k - sample_every runs, and it
+flags a sample as resynced when a resync mark was appended since the
+previous sample. The window sampler must give the same samples, flags
+included, in the same order, after every run_until, including when a delivery, a command or a pause lands exactly
 on a sample's time. With ppm-0 clocks such ties are common: at 0.75 s
 (free-running) or 100 slots (ASN) every sample sits on a slot boundary,
 and at 68 slots every 25th does (12.75 s is slot 850, tick 417,792).
@@ -32,6 +33,8 @@ HORIZON_S = 40
 class PerSampleSim(Sim):
     """The decentralized sampler as one heap entry per sample."""
 
+    _marks_sampled = 0  # len(resync_marks) when the last sample was recorded
+
     def _start_sampler(self) -> None:
         self._sample_origin = self.children[0].gait.arm_period_index
         self._push(self._sample_time(0), PerSampleSim._handle_sample, (self._gen, 0))
@@ -46,7 +49,10 @@ class PerSampleSim(Sim):
         m1, m2 = self.children
         err = tick_gap_us(m1.clock, event_tick(m1, k, PHASE_ZERO),
                           m2.clock, event_tick(m2, k, PHASE_ZERO))
-        self.samples.append((round(self._t / self._D, 6), k, round(err, 3)))
+        marks = len(self.resync_marks)
+        resync = 1 if marks > self._marks_sampled else 0
+        self._marks_sampled = marks
+        self.samples.append((round(self._t / self._D, 6), k, round(err, 3), resync))
         k_next = k + self.params.sample_every
         self._push(self._sample_time(k_next), PerSampleSim._handle_sample, (gen, k_next))
 
