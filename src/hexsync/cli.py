@@ -6,17 +6,16 @@ Subcommands:
   sweep  -- synchronized-scheme runs over several resync periods; writes a table
   trace  -- one run with servo setpoints enabled; writes the setpoint CSV
 
-Defaults reproduce the two published 400 s comparison runs. An optional
-line-oriented key=value file can set defaults; explicit flags win.
+Defaults reproduce the two published 400 s comparison runs; each run
+setting's default is read from SchemeParams(). An optional line-oriented
+key=value file can set defaults; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .experiment import (
     ErrorTrace,
@@ -31,116 +30,108 @@ from .gait import GaitConfig, servo_trace
 from .simnet import LinkModel, Verb
 
 _SCHEME_BY_NAME = {s.value: s for s in SchemeId}
-_DEFAULT_PPM_M1 = {
-    SchemeId.S0_CENTRALIZED: -3.0,
-    SchemeId.S1_OPEN_LOOP: -5.0,
-    SchemeId.S2_SYNCHRONIZED: -3.0,
-}
+_DEFAULTS = SchemeParams()
+# the published open-loop run's hip clock; other schemes take _DEFAULTS.ppm_m1
+_DEFAULT_PPM_M1 = {SchemeId.S1_OPEN_LOOP: -5.0}
 
 TRACE_HEADER = "true_time_s,period_index,error_us,resync"
 SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
 SERVO_HEADER = "true_time_s,controller,servo_id,angle_deg"
 
 
-def _build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
-    """The hexsync argument parser. With explicit_only, every subcommand
-    argument defaults to SUPPRESS, so a parse returns only what argv set."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The hexsync argument parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hexsync",
         description="Simulate decentralized hexapod gait control over a "
                     "time-synchronized three-node wireless network.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(p, *flags, **kwargs):
-        if explicit_only:
-            kwargs["default"] = argparse.SUPPRESS
-        p.add_argument(*flags, **kwargs)
+    gait, link = _DEFAULTS.gait, _DEFAULTS.link
 
     def add_scheme(p):
-        add(p, "--scheme", choices=sorted(_SCHEME_BY_NAME), default="synchronized")
+        p.add_argument("--scheme", choices=sorted(_SCHEME_BY_NAME),
+                       default=SchemeId.S2_SYNCHRONIZED.value)
 
     def add_common(p):
-        add(p, "--duration-s", type=float, default=400.0)
-        add(p, "--ppm-m1", type=float, default=None,
-            help="hip controller clock error (default: per scheme)")
-        add(p, "--ppm-m2", type=float, default=0.0)
-        add(p, "--ppm-root", type=float, default=0.0)
-        add(p, "--resync-period-s", type=float, default=30.0)
-        add(p, "--gait-period-s", type=float, default=1.0)
-        add(p, "--gait-period-slots", type=int, default=68)
-        add(p, "--base-latency-s", type=float, default=0.0)
-        add(p, "--jitter-s", type=float, default=0.015)
-        add(p, "--drop-prob", type=float, default=0.0)
-        add(p, "--seed", type=int, default=1)
-        add(p, "--sample-every", type=int, default=1)
-        add(p, "--out", default=None, help="output CSV path (default stdout)")
-        add(p, "--config", default=None,
-            help="key=value file supplying flag defaults")
+        p.add_argument("--duration-s", type=float, default=_DEFAULTS.duration_s)
+        p.add_argument("--ppm-m1", type=float, default=None,
+                       help="hip controller clock error (default: per scheme)")
+        p.add_argument("--ppm-m2", type=float, default=_DEFAULTS.ppm_m2)
+        p.add_argument("--ppm-root", type=float, default=_DEFAULTS.ppm_root)
+        p.add_argument("--resync-period-s", type=float, default=_DEFAULTS.resync_period_s)
+        p.add_argument("--gait-period-s", type=float, default=gait.period_s)
+        p.add_argument("--gait-period-slots", type=int, default=gait.period_slots)
+        p.add_argument("--base-latency-s", type=float, default=link.base_latency_s)
+        p.add_argument("--jitter-s", type=float, default=link.jitter_bound_s)
+        p.add_argument("--drop-prob", type=float, default=link.drop_probability)
+        p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+        p.add_argument("--sample-every", type=int, default=_DEFAULTS.sample_every)
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        p.add_argument("--config", default=None,
+                       help="key=value file supplying flag defaults")
 
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_scheme(run_p)
     add_common(run_p)
-    add(run_p, "--plot", action="store_true",
-        help="print an ASCII error-vs-time plot to stderr")
+    run_p.add_argument("--plot", action="store_true",
+                       help="print an ASCII error-vs-time plot to stderr")
 
     sweep_p = sub.add_parser("sweep", help="sweep the worst-case resync period")
     add_common(sweep_p)
-    add(sweep_p, "--periods", default="30,10",
-        help="comma-separated resync periods in seconds")
+    sweep_p.add_argument("--periods", default="30,10",
+                         help="comma-separated resync periods in seconds")
 
     trace_p = sub.add_parser("trace", help="write the servo setpoint trace")
     add_scheme(trace_p)
     add_common(trace_p)
-    add(trace_p, "--stop-s", type=float, default=None,
-        help="inject a Stop command at this time")
-    return parser
+    trace_p.add_argument("--stop-s", type=float, default=None,
+                         help="inject a Stop command at this time")
+    return parser, sub.choices
 
 
-def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill in defaults from a key=value file; explicit flags keep priority."""
-    if not args.config:
-        return
-    # argparse itself says which flags argv set, so an abbreviation such as
-    # --dur for --duration-s counts as explicit too
-    explicit = set(vars(_build_parser(explicit_only=True).parse_args(list(argv))))
-    # a file value is converted as argparse converts the flag's argv value
-    subparsers = next(a for a in _build_parser()._actions if a.dest == "subcommand")
-    types = {a.dest: a.type for a in subparsers.choices[args.subcommand]._actions}
-    with open(args.config) as fh:
-        for line in fh:
+def _config_defaults(path: str, subparsers: Dict[str, argparse.ArgumentParser],
+                     subcommand: str) -> Dict[str, object]:
+    """The key=value lines of a --config file, as defaults for subcommand.
+
+    A key that only another subcommand takes is skipped (sweep has no
+    --scheme); a line without '=' or a key no subcommand takes is an error.
+    A flag's value is true for 1, true or yes; every other value stays the
+    string argparse converts with the option's declared type.
+    """
+    options = {name: vars(p.parse_args([])) for name, p in subparsers.items()}
+    own = options[subcommand]
+    defaults: Dict[str, object] = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in explicit or not hasattr(args, key):
-                continue
-            value = value.strip()
-            if isinstance(getattr(args, key), bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, (types.get(key) or str)(value))
-
-
-def _finite(flag: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"--{flag} must be a finite number, got {value}")
-    return value
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key = key.strip()
+            dest = key.replace("-", "_")
+            if not any(dest in o for o in options.values()):
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            if dest in own:
+                value = value.strip()
+                is_flag = isinstance(own[dest], bool)
+                defaults[dest] = value.lower() in ("1", "true", "yes") if is_flag else value
+    return defaults
 
 
 def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]:
     """Build the run's parameters. Values from argv and from --config both
-    arrive here, so every non-finite number and unknown scheme is caught."""
-    for key, value in vars(args).items():
-        if isinstance(value, float):
-            _finite(key.replace("_", "-"), value)
+    arrive here; GaitConfig, LinkModel and SchemeParams reject the values
+    they cannot run, the non-finite ones included."""
     # sweep has no --scheme: it always runs the synchronized scheme
     name = getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)
     if name not in _SCHEME_BY_NAME:
         raise ValueError(f"--scheme must be one of {', '.join(sorted(_SCHEME_BY_NAME))}, "
                          f"got {name!r}")
     scheme = _SCHEME_BY_NAME[name]
-    ppm_m1 = args.ppm_m1 if args.ppm_m1 is not None else _DEFAULT_PPM_M1[scheme]
+    ppm_m1 = (args.ppm_m1 if args.ppm_m1 is not None
+              else _DEFAULT_PPM_M1.get(scheme, _DEFAULTS.ppm_m1))
     gait = GaitConfig(period_slots=args.gait_period_slots,
                       period_s=args.gait_period_s)
     link = LinkModel(base_latency_s=args.base_latency_s,
@@ -243,13 +234,17 @@ def render_ascii_plot(trace: ErrorTrace) -> str:
 # -- dispatch --------------------------------------------------------------
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config_file(args, argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's values become the subcommand's defaults and argv is
+            # parsed again: its flags win, however spelled, and argparse
+            # converts each file value with the option's declared type
+            subparsers[args.subcommand].set_defaults(
+                **_config_defaults(args.config, subparsers, args.subcommand))
+            args = parser.parse_args(argv)
         scheme, params = _params_from_args(args)
         if args.subcommand == "run":
             result = run_scheme(scheme, params)
@@ -257,8 +252,7 @@ def dispatch(argv: Sequence[str]) -> int:
             if args.plot:
                 print(render_ascii_plot(result.trace), file=sys.stderr)
         elif args.subcommand == "sweep":
-            periods = [_finite("periods", float(p))
-                       for p in args.periods.split(",") if p.strip()]
+            periods = [float(p) for p in args.periods.split(",") if p.strip()]
             rows = sweep_resync_period(periods, params)
             _write_lines(sweep_csv_lines(rows), args.out)
         elif args.subcommand == "trace":
@@ -268,6 +262,9 @@ def dispatch(argv: Sequence[str]) -> int:
             setpoints = servo_trace(sim, params.duration_s)
             _write_lines(servo_csv_lines(setpoints), args.out)
         return 0
+    except SystemExit as exc:
+        # only argparse exits: 0 after --help, 2 on a usage error
+        return int(exc.code or 0)
     except (OSError, ValueError) as exc:
         print(f"hexsync: error: {exc}", file=sys.stderr)
         return 1

@@ -31,11 +31,15 @@ def as_ratio(t) -> Tuple[int, int]:
     Fraction for an int or a float: a float converts via its exact binary
     value, which is deterministic across runs and platforms. An (n, d) tuple
     with d > 0 is already such a pair and is returned as it is, unreduced.
+    NaN and +/-inf have no such pair and raise ValueError.
     """
     if type(t) is tuple:
         return t
     if isinstance(t, float):
-        return t.as_integer_ratio()
+        try:
+            return t.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise ValueError(f"time must be finite, got {t}") from None
     if not isinstance(t, (int, Fraction)):
         t = Fraction(t)
     return t.numerator, t.denominator

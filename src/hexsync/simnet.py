@@ -534,5 +534,7 @@ def _swaps_at(arm: GaitArmState, k: int) -> Tuple[bool, bool]:
 
 def make_sim(scheme: SchemeId, params: SchemeParams,
              emit_setpoints: bool = False) -> Sim:
-    """Build a primed simulation; identical (scheme, params) replay identically."""
+    """Build a simulation at t = 0 with no command queued, so its gait never
+    starts until one is injected (experiment.build_sim queues the Start).
+    Identical (scheme, params) replay identically."""
     return Sim(scheme, params, emit_setpoints)

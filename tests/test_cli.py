@@ -14,7 +14,8 @@ from hexsync.cli import (
     trace_csv_lines,
     write_trace_csv,
 )
-from hexsync.experiment import ErrorTrace
+from hexsync.cli import _build_parser, _params_from_args
+from hexsync.experiment import ErrorTrace, SchemeId, SchemeParams
 
 
 def run_cli(tmp_path, *argv):
@@ -254,3 +255,71 @@ def test_abbreviated_or_joined_flag_beats_config_file(tmp_path, flag):
     out = tmp_path / "out.csv"
     assert dispatch(["run", "--config", str(cfg), *flag, "--out", str(out)]) == 0
     assert read_trace_csv(str(out))[-1][0] < 21
+
+
+@pytest.mark.parametrize("argv,scheme", [
+    (["run"], SchemeId.S2_SYNCHRONIZED),
+    (["sweep"], SchemeId.S2_SYNCHRONIZED),
+    *[([sub, "--scheme", s.value], s) for sub in ("run", "trace") for s in SchemeId],
+])
+def test_flag_defaults_are_the_config_objects_defaults(argv, scheme):
+    # only open-loop's hip clock differs from SchemeParams(): the published
+    # open-loop run drifts at -5 ppm
+    expected = (SchemeParams(ppm_m1=-5.0) if scheme is SchemeId.S1_OPEN_LOOP
+                else SchemeParams())
+    parser, _ = _build_parser()
+    assert _params_from_args(parser.parse_args(argv)) == (scheme, expected)
+
+
+@pytest.mark.parametrize("value,plotted", [("true", True), ("false", False)])
+def test_config_file_sets_a_flag(tmp_path, capsys, value, plotted):
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text(f"plot={value}\n")
+    code, _ = run_cli(tmp_path, "run", "--duration-s", "5", "--config", str(cfg))
+    assert code == 0
+    assert ("max=" in capsys.readouterr().err) == plotted
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--seed", "abc"], None),
+    (["run"], "seed=abc\n"),
+])
+def test_unconvertible_value_exits_two(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,key", [
+    ("durration-s=5", "durration-s"),  # an option of no subcommand
+    ("duration-s 5", "duration-s 5"),  # no '='
+])
+def test_malformed_config_line_exits_one(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# defaults\n{line}\n")
+    code, out = run_cli(tmp_path, "run", "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hexsync: error: {cfg}:2: ") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["run"], "stop-s=2"),
+    (["trace"], "plot=true"),
+    (["trace"], "periods=5"),
+])
+def test_config_key_of_another_subcommand_is_skipped(tmp_path, argv, line):
+    argv = argv + ["--duration-s", "5"]
+    code, plain = run_cli(tmp_path, *argv)
+    assert code == 0
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"{line}\n")
+    configured = tmp_path / "configured.csv"
+    assert dispatch(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()

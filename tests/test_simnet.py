@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexsync.clock import TICK_US
+from hexsync.clock import TICK_US, ticks_at
 from hexsync.gait import GaitConfig, servo_trace
 from hexsync.simnet import (
     LinkModel,
@@ -281,6 +281,18 @@ def test_non_finite_link_and_run_times_rejected_when_built(name, value):
     config = LinkModel if name in LinkModel.__dataclass_fields__ else SchemeParams
     with pytest.raises(ValueError, match="finite"):
         config(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda sim, t: sim.inject_command(Verb.STOP, t),
+    lambda sim, t: sim.run_until(t),
+    lambda sim, t: ticks_at(sim.root.clock, t),
+    lambda sim, t: Message(MessageKind.COMMAND, sim.children[0], t),
+], ids=["inject_command", "run_until", "ticks_at", "Message"])
+def test_non_finite_times_rejected(call, value):
+    with pytest.raises(ValueError, match="finite"):
+        call(new_sim(), value)
 
 
 def test_drops_defer_delivery_by_slots():
