@@ -183,16 +183,30 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
 
 
 def servo_csv_lines(setpoints) -> List[str]:
+    """The setpoints as CSV rows, one per setpoint, in the order given.
+
+    A row is its time field plus a ",controller,servo_id,angle" suffix. The
+    gait commands a few distinct (controller, servo, angle) triples over and
+    over, so each suffix is formatted once per call, and each run of equal
+    times once. Keys compare as numbers, and 0.0 == -0.0 although they
+    format apart, so a zero time or angle is never reused.
+    """
     lines = [SERVO_HEADER]
     append = lines.append
+    suffixes: Dict[tuple, str] = {}
     last_t = time_field = None
     for t, controller, servo_id, angle in setpoints:
-        if t != last_t:
-            # setpoints come in runs of equal times: format each time once
+        if t != last_t or not t:
             last_t = t
             time_field = f"{t:.6f}"
         # _value_ is the member's plain attribute; .value is a Python-level descriptor
-        append(f"{time_field},{controller._value_},{servo_id},{angle:.3f}")
+        key = (controller._value_, servo_id, angle)
+        suffix = suffixes.get(key)
+        if suffix is None:
+            suffix = f",{key[0]},{servo_id},{angle:.3f}"
+            if angle:
+                suffixes[key] = suffix
+        append(time_field + suffix)
     return lines
 
 

@@ -13,7 +13,7 @@ from statistics import fmean, linear_regression
 from typing import List, Optional, Sequence, Tuple
 
 from .clock import TICK_US
-from .simnet import GAIT_TIME_REF, SchemeId, SchemeParams, Sim, Verb, make_sim
+from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
 
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
 
@@ -52,8 +52,12 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     """Run one scheme start-to-finish and derive its summary metrics.
 
     A run too short for two samples has no slope to fit: its slope and
-    opposition time are None. A run that ends before its first sample is
-    an error.
+    opposition time are None. The synchronized scheme reports an analytic
+    bound and no opposition time: resyncs keep its error within the bound,
+    so its controllers never drift half a period apart, whatever slope
+    the drift between resyncs fits. Only open-loop runs report one (a
+    centralized run fits no slope). A run that ends before its first sample
+    is an error.
     """
     sim = build_sim(scheme, params)
     sim.run_until(params.duration_s)
@@ -69,9 +73,10 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
         bound = analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
                                   params.resync_period_s)
     eta = None
-    if slope is not None:
-        # the synchronized scheme counts its period in slots, the others in local time
-        eta = time_to_opposition(slope, float(params.gait.period_on(GAIT_TIME_REF[scheme])))
+    if slope is not None and bound is None:
+        # a bounded error never reaches opposition; the unbounded schemes
+        # time their gait in periods of local time
+        eta = time_to_opposition(slope, params.gait.period_s)
     return ExperimentResult(trace, max_abs, slope, bound, eta)
 
 

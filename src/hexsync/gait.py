@@ -111,21 +111,6 @@ class GaitConfig:
         return self.period_slots * SLOT_LENGTH_S
 
 
-@dataclass(frozen=True)
-class GaitEvent:
-    phase_index: int  # the event fires at phase PHASES[phase_index]
-    tripod: Tripod
-    joint_group: JointGroup
-    action: GaitAction
-    target_angle_deg: float
-    # CONTROLLER_OF[joint_group], looked up once here: an Enum key hashes
-    # through a Python-level __hash__, too slow for every setpoint
-    controller: Controller = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controller", CONTROLLER_OF[self.joint_group])
-
-
 class ServoSetpoint(NamedTuple):
     """One servo angle command. The servo id fixes the controller: hips
     0-5 belong to M1, knees 6-11 to M2."""
@@ -136,6 +121,48 @@ class ServoSetpoint(NamedTuple):
 
 
 _new_setpoint = tuple.__new__  # _new_setpoint(ServoSetpoint, fields), with no Python-level __new__
+# a setpoint without its time: (controller, servo_id, angle_deg)
+_Row = Tuple[Controller, int, float]
+
+
+@dataclass(frozen=True)
+class GaitEvent:
+    phase_index: int  # the event fires at phase PHASES[phase_index]
+    tripod: Tripod
+    joint_group: JointGroup
+    action: GaitAction
+    target_angle_deg: float
+    # CONTROLLER_OF[joint_group], looked up once here: an Enum key hashes
+    # through a Python-level __hash__, too slow for every setpoint
+    controller: Controller = field(init=False, repr=False, compare=False)
+    # rows[swap_left][swap_right]: the event's three (controller, servo_id,
+    # angle_deg) setpoint rows under each knee swap state, compiled here so
+    # that setpoints_for_event only adds the time
+    rows: Tuple[Tuple[Tuple[_Row, ...], ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "controller", CONTROLLER_OF[self.joint_group])
+        object.__setattr__(self, "rows", tuple(
+            tuple(self._compile_rows(swap_left, swap_right) for swap_right in (False, True))
+            for swap_left in (False, True)))
+
+    def _compile_rows(self, swap_left: bool, swap_right: bool) -> Tuple[_Row, ...]:
+        """The three setpoint rows, one per leg of the tripod. Turning
+        reverses the knee sweep on one body side: Back and Forward angles
+        are negated for that side's knee servos."""
+        left = right = self.target_angle_deg
+        if self.joint_group is JointGroup.HIP:
+            base = HIP_SERVO_BASE
+        else:
+            base = KNEE_SERVO_BASE
+            if self.action is GaitAction.BACK or self.action is GaitAction.FORWARD:
+                if swap_left:
+                    left = -left
+                if swap_right:
+                    right = -right
+        return tuple((self.controller, base + leg, left if leg in LEFT_LEGS else right)
+                     for leg in (T1_LEGS if self.tripod is Tripod.T1 else T2_LEGS))
 
 
 @dataclass
@@ -302,28 +329,15 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
 def setpoints_for_event(event: GaitEvent, t_true,
                         swap_left: bool = False, swap_right: bool = False) -> List[ServoSetpoint]:
     """Expand one tripod-group event into its three per-servo setpoints,
-    commanded by the controller that drives the event's joint group.
+    commanded by the controller that drives the event's joint group, in
+    the tripod's leg order.
 
-    Turning reverses the knee sweep on one body side: Back and Forward
-    angles are swapped for that side's knee servos.
+    The rows for each knee swap state were compiled when the event was
+    built (GaitEvent.rows); here each row only gains the time.
     """
     t = float(t_true)
-    controller = event.controller
-    left = right = event.target_angle_deg
-    if event.joint_group is JointGroup.HIP:
-        base = HIP_SERVO_BASE
-    else:
-        base = KNEE_SERVO_BASE
-        if event.action is GaitAction.BACK or event.action is GaitAction.FORWARD:
-            if swap_left:
-                left = -left
-            if swap_right:
-                right = -right
-    out = []
-    for leg in T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS:
-        out.append(_new_setpoint(ServoSetpoint, (
-            t, controller, base + leg, left if leg in LEFT_LEGS else right)))
-    return out
+    return [_new_setpoint(ServoSetpoint, (t, controller, servo_id, angle))
+            for controller, servo_id, angle in event.rows[swap_left][swap_right]]
 
 
 def classify_gait(error_us: float, period_s: float) -> GaitHealth:
@@ -340,12 +354,17 @@ def classify_gait(error_us: float, period_s: float) -> GaitHealth:
 
 
 def servo_trace(sim, t_end) -> List[ServoSetpoint]:
-    """Run the simulation to t_end and return its chronological setpoint log."""
+    """Run the simulation to t_end and return its setpoints ordered by
+    (time, servo id); same-time setpoints of one servo keep the order they
+    were emitted in."""
     sim.run_until(t_end)
     # (time, servo_id) orders as (time, controller, servo_id) would: the servo
     # id fixes the controller (hips 0-5 are M1, knees 6-11 are M2). Each
     # phase has a slot of its own, but same-time setpoints still occur: T1
     # and T2 share each phase, both controllers can fire at one instant, and
-    # a centralized servo command applies a whole plan at once. The stable
-    # sort keeps them in the order they were emitted.
-    return sorted(sim.servo_setpoints, key=itemgetter(0, 2))
+    # a centralized servo command applies a whole plan at once. Two stable
+    # single-key sorts, the minor key first, give the (time, servo_id) order
+    # without building a key tuple per setpoint.
+    out = sorted(sim.servo_setpoints, key=itemgetter(2))
+    out.sort(key=itemgetter(0))
+    return out

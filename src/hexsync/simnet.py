@@ -478,7 +478,8 @@ class Sim:
             self._schedule_controller_period(child, k + 1)
 
     def _emit(self, events: Tuple[GaitEvent, ...], swap_left: bool, swap_right: bool) -> None:
-        """Record the servo setpoints of the events, fired now."""
+        """Record the servo setpoints of the events, fired now, in event order;
+        each event's rows were compiled when it was built (GaitEvent.rows)."""
         now_s = self._t / self._D
         out = self.servo_setpoints
         for event in events:

@@ -9,13 +9,14 @@ scheme, with turns, drops, jitter and gait periods down to one slot per
 phase.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsync import gait
@@ -153,10 +154,47 @@ def test_trace_and_csv_match_reference(scheme, run):
     assert servo_csv_lines(got) == reference_csv_lines(want)
 
 
-def test_csv_formats_each_row_as_reference():
-    # equal times in a run, a time repeated after a different one, -0.0
-    rows = [(0.5, Controller.M1, 0, 30.0), (0.5, Controller.M2, 6, -0.0),
-            (0.25, Controller.M2, 7, 25.0), (0.5, Controller.M1, 1, 1e-4),
-            (1234.5678915, Controller.M1, 5, -30.0)]
+# small pools, so that drawn rows repeat times and (controller, servo,
+# angle) triples; signed zeros, nan and inf among them
+CSV_TIMES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1234.5678915, math.nan, math.inf]) | st.floats()
+CSV_ANGLES = (st.sampled_from([0.0, -0.0])
+              | st.sampled_from([1e-4, -1e-4, 25.0, -30.0, math.nan, -math.inf]) | st.floats())
+CSV_ROWS = st.lists(st.tuples(CSV_TIMES, st.sampled_from(list(Controller)),
+                              st.sampled_from([0, 6]), CSV_ANGLES), max_size=40)
+
+
+@given(rows=CSV_ROWS)
+# equal times in a run, a time repeated after a different one, -0.0
+@example(rows=[(0.5, Controller.M1, 0, 30.0), (0.5, Controller.M2, 6, -0.0),
+               (0.25, Controller.M2, 7, 25.0), (0.5, Controller.M1, 1, 1e-4),
+               (1234.5678915, Controller.M1, 5, -30.0)])
+# 0.0 then -0.0 on one servo in one time run, and the reverse: equal as keys
+@example(rows=[(0.5, Controller.M2, 6, 0.0), (0.5, Controller.M2, 6, -0.0),
+               (0.5, Controller.M2, 6, 0.0)])
+# one servo id under both controllers, with the same angle
+@example(rows=[(0.5, Controller.M1, 6, 25.0), (0.5, Controller.M2, 6, 25.0),
+               (0.75, Controller.M1, 6, 25.0)])
+# a zero time followed by a negative zero time, unsorted times, nan and inf
+@example(rows=[(0.0, Controller.M1, 0, 30.0), (-0.0, Controller.M1, 0, 30.0),
+               (2.0, Controller.M1, 0, math.nan), (1.0, Controller.M2, 7, math.inf),
+               (math.nan, Controller.M2, 7, math.inf), (math.nan, Controller.M2, 7, -0.0)])
+def test_csv_formats_each_row_as_reference(rows):
     got = servo_csv_lines([gait.ServoSetpoint(*r) for r in rows])
     assert got == reference_csv_lines([ReferenceSetpoint(*r) for r in rows])
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+@given(run=runs())
+# a turn each way and a Stop, over a lossy link with 30 ms of jitter
+@example(run=(SchemeParams(duration_s=10, resync_period_s=2.5,
+                           link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3)),
+              [(Verb.START, 0), (Verb.LEFT, 2.3), (Verb.RIGHT, 4.1), (Verb.STOP, 7.7)]))
+@settings(max_examples=40, deadline=None)
+def test_setpoints_are_emitted_in_nondecreasing_time(scheme, run):
+    # servo_trace's sort then only orders each instant's setpoints by servo
+    # id, and a consumer could take them as the run emits them
+    params, commands = run
+    sim = primed(scheme, params, commands)
+    sim.run_until(params.duration_s)
+    times = [s.true_time_s for s in sim.servo_setpoints]
+    assert times == sorted(times)
