@@ -1,14 +1,14 @@
 """Dual tripod gait: schedule compilation, per-controller timing, sync error.
 
-The gait's shape is fixed: four phases a quarter period apart (PHASES)
-and one servo angle per action (ACTION_ANGLE_DEG); a GaitConfig sets only
-the period on each time reference. The gait is split across two
-controllers (CONTROLLER_OF): M1 drives all six hip servos, M2 all six knee
-servos. Each controller fires its events from its own time reference:
-either its free-running local clock, or the network's absolute slot
-number. On either reference the tick of a period-k event is one affine
-floor in k (event_tick_form), which event_tick evaluates for one k and
-sync_errors for a run of them. The central metric is the gait
+The gait's shape is fixed: four phases a quarter period apart (PHASES),
+each firing six servos of one controller (GAIT_TABLE), plus the knee swap
+that a turn applies; a GaitConfig sets only the period on each time
+reference. M1 drives all six hip servos, at phases 0 and 2; M2 all six
+knee servos, at phases 1 and 3. Each controller fires its events from its
+own time reference: either its free-running local clock, or the network's
+absolute slot number. On either reference the tick of a period-k event is
+one affine floor in k (event_tick_form), which event_tick evaluates for
+one k and sync_errors for a run of them. The central metric is the gait
 synchronization error, the difference between the two controllers'
 believed start of gait period k.
 """
@@ -34,23 +34,6 @@ from .clock import (
 from .tsch import SLOT_LENGTH_S, SLOT_TICKS_DEN, SLOT_TICKS_NUM, MoteState, asn_at
 
 
-class Tripod(Enum):
-    T1 = "T1"
-    T2 = "T2"
-
-
-class JointGroup(Enum):
-    HIP = "hip"
-    KNEE = "knee"
-
-
-class GaitAction(Enum):
-    DOWN = "down"
-    UP = "up"
-    BACK = "back"
-    FORWARD = "forward"
-
-
 class Controller(Enum):
     M1 = "M1"  # hips
     M2 = "M2"  # knees
@@ -68,26 +51,20 @@ class GaitHealth(Enum):
     OPPOSED = "opposed"
 
 
-# Leg layout: legs 0..5, left side 0-2, right side 3-5. A tripod is the
-# front and back leg of one side plus the middle leg of the other.
-T1_LEGS = (0, 2, 4)
-T2_LEGS = (1, 3, 5)
-LEFT_LEGS = (0, 1, 2)
-HIP_SERVO_BASE = 0   # hip servo id = leg
-KNEE_SERVO_BASE = 6  # knee servo id = leg + 6
 PHASE_ZERO = (0, 1)  # the period start, as event_tick's (num, den) phase pair
 # the four gait phases, a quarter period apart, indexed by phase_index
 PHASES = (PHASE_ZERO, (1, 4), (1, 2), (3, 4))
-# the servo angle each action commands: hips swing down and up, knees back
-# and forward
-ACTION_ANGLE_DEG = {
-    GaitAction.DOWN: 30.0,
-    GaitAction.UP: -30.0,
-    GaitAction.BACK: 25.0,
-    GaitAction.FORWARD: -25.0,
-}
-# M1 drives every hip servo, M2 every knee servo
-CONTROLLER_OF = {JointGroup.HIP: Controller.M1, JointGroup.KNEE: Controller.M2}
+# The dual tripod gait, per phase: the controller that fires it and its six
+# (servo_id, angle_deg) rows, tripod T1's legs (0, 2, 4) first and then T2's
+# (1, 3, 5). Hip servo = leg, on M1; knee servo = leg + 6, on M2. T1 steps
+# down, back, up, forward (hips 30, knees 25, hips -30, knees -25 degrees);
+# T2 runs that cycle half a period later, so it commands T1's angle negated.
+GAIT_TABLE = (
+    (Controller.M1, ((0, 30.0), (2, 30.0), (4, 30.0), (1, -30.0), (3, -30.0), (5, -30.0))),
+    (Controller.M2, ((6, 25.0), (8, 25.0), (10, 25.0), (7, -25.0), (9, -25.0), (11, -25.0))),
+    (Controller.M1, ((0, -30.0), (2, -30.0), (4, -30.0), (1, 30.0), (3, 30.0), (5, 30.0))),
+    (Controller.M2, ((6, -25.0), (8, -25.0), (10, -25.0), (7, 25.0), (9, 25.0), (11, 25.0))),
+)
 
 
 @dataclass(frozen=True)
@@ -100,8 +77,8 @@ class GaitConfig:
         # of 4 slots puts each phase on a whole slot of its own
         if not 4 * TICK_S <= self.period_s < math.inf:
             raise ValueError("period_s must be finite and at least 4 ticks (4/32768 s)")
-        if self.period_slots < 4 or self.period_slots % 4:
-            raise ValueError("period_slots must be a positive multiple of 4")
+        if type(self.period_slots) is not int or self.period_slots < 4 or self.period_slots % 4:
+            raise ValueError("period_slots must be an int, a positive multiple of 4")
 
     def period_on(self, ref: TimeRef) -> Fraction:
         """The gait period in seconds as ref counts it: period_s of local
@@ -125,44 +102,15 @@ _new_setpoint = tuple.__new__  # _new_setpoint(ServoSetpoint, fields), with no P
 _Row = Tuple[Controller, int, float]
 
 
-@dataclass(frozen=True)
-class GaitEvent:
-    phase_index: int  # the event fires at phase PHASES[phase_index]
-    tripod: Tripod
-    joint_group: JointGroup
-    action: GaitAction
-    target_angle_deg: float
-    # CONTROLLER_OF[joint_group], looked up once here: an Enum key hashes
-    # through a Python-level __hash__, too slow for every setpoint
-    controller: Controller = field(init=False, repr=False, compare=False)
-    # rows[swap_left][swap_right]: the event's three (controller, servo_id,
-    # angle_deg) setpoint rows under each knee swap state, compiled here so
-    # that setpoints_for_event only adds the time
-    rows: Tuple[Tuple[Tuple[_Row, ...], ...], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controller", CONTROLLER_OF[self.joint_group])
-        object.__setattr__(self, "rows", tuple(
-            tuple(self._compile_rows(swap_left, swap_right) for swap_right in (False, True))
-            for swap_left in (False, True)))
-
-    def _compile_rows(self, swap_left: bool, swap_right: bool) -> Tuple[_Row, ...]:
-        """The three setpoint rows, one per leg of the tripod. Turning
-        reverses the knee sweep on one body side: Back and Forward angles
-        are negated for that side's knee servos."""
-        left = right = self.target_angle_deg
-        if self.joint_group is JointGroup.HIP:
-            base = HIP_SERVO_BASE
-        else:
-            base = KNEE_SERVO_BASE
-            if self.action is GaitAction.BACK or self.action is GaitAction.FORWARD:
-                if swap_left:
-                    left = -left
-                if swap_right:
-                    right = -right
-        return tuple((self.controller, base + leg, left if leg in LEFT_LEGS else right)
-                     for leg in (T1_LEGS if self.tripod is Tripod.T1 else T2_LEGS))
+class GaitEvent(NamedTuple):
+    """One phase of the gait: the controller that fires it at
+    PHASES[phase_index], and its six setpoint rows under each knee swap
+    state. rows[swap_left][swap_right] holds (controller, servo_id,
+    angle_deg) rows in GAIT_TABLE order, compiled once so that
+    setpoints_for_event only adds the time."""
+    phase_index: int
+    controller: Controller
+    rows: Tuple[Tuple[Tuple[_Row, ...], ...], ...]
 
 
 @dataclass
@@ -188,31 +136,28 @@ class GaitArmState:
 
 
 def build_schedule() -> List[GaitEvent]:
-    """Compile the dual tripod cycle: 8 events per period, 4 phases x 2 tripods.
+    """Compile GAIT_TABLE: one event per phase, in phase order, each with
+    its rows under every knee swap state."""
+    return [GaitEvent(phase, controller, tuple(
+                tuple(_turned(controller, rows, swap_left, swap_right) for swap_right in (False, True))
+                for swap_left in (False, True)))
+            for phase, (controller, rows) in enumerate(GAIT_TABLE)]
 
-    T2 mirrors T1 half a period later: its action at phase k is T1's at
-    phase (k+2) mod 4.
-    """
-    t1_actions = [GaitAction.DOWN, GaitAction.BACK, GaitAction.UP, GaitAction.FORWARD]
-    events = []
-    for phase in range(len(PHASES)):
-        group = JointGroup.HIP if phase % 2 == 0 else JointGroup.KNEE
-        for tripod in (Tripod.T1, Tripod.T2):
-            shift = 0 if tripod is Tripod.T1 else 2
-            action = t1_actions[(phase + shift) % 4]
-            events.append(GaitEvent(
-                phase_index=phase,
-                tripod=tripod,
-                joint_group=group,
-                action=action,
-                target_angle_deg=ACTION_ANGLE_DEG[action],
-            ))
-    return events
+
+def _turned(controller: Controller, rows: Sequence[Tuple[int, float]],
+            swap_left: bool, swap_right: bool) -> Tuple[_Row, ...]:
+    """A phase's table rows as setpoint rows under a knee swap state. A turn
+    negates the knee angles on the swapped side: knees 6-8 are the left
+    side's, 9-11 the right side's. Hips never change."""
+    return tuple((controller, servo_id,
+                  -angle if servo_id >= 6 and (swap_left if servo_id < 9 else swap_right) else angle)
+                 for servo_id, angle in rows)
 
 
 def events_for_controller(schedule: Sequence[GaitEvent],
                           controller: Controller) -> List[GaitEvent]:
-    """M1 owns every hip event, M2 every knee event; together they partition."""
+    """The schedule's events that the controller fires: M1 owns the hip
+    phases, M2 the knee phases; together they partition the schedule."""
     return [e for e in schedule if e.controller is controller]
 
 
@@ -328,9 +273,8 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
 
 def setpoints_for_event(event: GaitEvent, t_true,
                         swap_left: bool = False, swap_right: bool = False) -> List[ServoSetpoint]:
-    """Expand one tripod-group event into its three per-servo setpoints,
-    commanded by the controller that drives the event's joint group, in
-    the tripod's leg order.
+    """Expand one phase event into its six per-servo setpoints, commanded
+    by the event's controller, in GAIT_TABLE order: T1's legs, then T2's.
 
     The rows for each knee swap state were compiled when the event was
     built (GaitEvent.rows); here each row only gains the time.

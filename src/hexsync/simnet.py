@@ -22,10 +22,10 @@ previous sample (for the first sample: since the run began). The loop
 knows this as it records the sample, so no consumer has to place marks
 against sample times.
 
-The gait's phases and angles are fixed, so each child's plan (its events
-and the phases it fires them at) depends on no run setting: the two plans
-are compiled once, when the module loads (_PLANS). A setpoint's controller
-follows from its event's joint group, so no handler carries one.
+The gait's phases and angles are fixed, so each child's plan (the gait
+events it fires, one per phase, in phase order) depends on no run setting:
+the two plans are compiled once, when the module loads (_PLANS). Each
+event names its controller and phase, so no handler carries either.
 
 Simulation time is one integer t over a per-sim denominator D: the instant
 t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
@@ -75,25 +75,10 @@ from .tsch import SLOT_LENGTH_S, MoteState, first_boundary_tick, make_mote, resy
 
 _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 
-# One phase a controller fires each period: the phase as a (num, den) pair,
-# that phase's events in schedule order, and whether it is the controller's
-# last phase of the period.
-_Phase = Tuple[Tuple[int, int], Tuple[GaitEvent, ...], bool]
-
-
-def _plan(controller: Controller) -> Tuple[Tuple[GaitEvent, ...], Tuple[_Phase, ...]]:
-    """The controller's events (a centralized servo command applies them at
-    once) and the phases it fires them at, in order."""
-    events = tuple(events_for_controller(build_schedule(), controller))
-    phases = sorted({e.phase_index for e in events})
-    return events, tuple(
-        (PHASES[phase], tuple(e for e in events if e.phase_index == phase),
-         phase == phases[-1])
-        for phase in phases)
-
-
-# each child's plan by node id: m1 drives the hips (M1), m2 the knees (M2)
-_PLANS = {"m1": _plan(Controller.M1), "m2": _plan(Controller.M2)}
+# each child's plan by node id, its events in phase order: m1 drives the
+# hips (M1), m2 the knees (M2)
+_PLANS = {node_id: tuple(events_for_controller(build_schedule(), controller))
+          for node_id, controller in (("m1", Controller.M1), ("m2", Controller.M2))}
 
 
 class MessageKind(Enum):
@@ -183,8 +168,10 @@ class SchemeParams:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an int")
+        if type(self.sample_every) is not int or self.sample_every < 1:
+            raise ValueError("sample_every must be an int >= 1")
         if self.resync_period_s <= 0:
             raise ValueError("resync_period_s must be positive")
         if not all(map(math.isfinite, (self.ppm_m1, self.ppm_m2, self.ppm_root,
@@ -199,7 +186,7 @@ class Sim:
                  emit_setpoints: bool = False):
         self.scheme = scheme
         self.params = params
-        self.seed = int(params.seed)
+        self.seed = params.seed
         self.emit_setpoints = emit_setpoints
         # Free-running control deliberately leaves child timebases alone.
         self.resync_enabled = scheme is not SchemeId.S1_OPEN_LOOP
@@ -462,28 +449,20 @@ class Sim:
         self._push(t, Sim._handle_samples, (gen, k))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
-        _, phases = _PLANS[child.node_id]
         unit = self._tick_unit[child.node_id]
         gen = self._gen
-        for phase, events, last in phases:
-            self._push(gaitmod.event_tick(child, k, phase) * unit,
-                       Sim._handle_controller_phase, (child, gen, k, events, last))
+        for event in _PLANS[child.node_id]:
+            self._push(gaitmod.event_tick(child, k, PHASES[event.phase_index]) * unit,
+                       Sim._handle_controller_phase, (child, gen, k, event))
 
     def _handle_controller_phase(self, child: MoteState, gen: int, k: int,
-                                 events: Tuple[GaitEvent, ...], last: bool) -> None:
+                                 event: GaitEvent) -> None:
         if gen != self._gen:
             return
-        self._emit(events, *_swaps_at(child.gait, k))
-        if last:
+        self.servo_setpoints.extend(gaitmod.setpoints_for_event(
+            event, self._t / self._D, *_swaps_at(child.gait, k)))
+        if event is _PLANS[child.node_id][-1]:
             self._schedule_controller_period(child, k + 1)
-
-    def _emit(self, events: Tuple[GaitEvent, ...], swap_left: bool, swap_right: bool) -> None:
-        """Record the servo setpoints of the events, fired now, in event order;
-        each event's rows were compiled when it was built (GaitEvent.rows)."""
-        now_s = self._t / self._D
-        out = self.servo_setpoints
-        for event in events:
-            out.extend(gaitmod.setpoints_for_event(event, now_s, swap_left, swap_right))
 
     # -- centralized (root-timed) control ----------------------------------
 
@@ -512,8 +491,12 @@ class Sim:
                              body: Tuple[bool, bool, Optional[tuple]]) -> None:
         swap_left, swap_right, sample = body
         if self.emit_setpoints:
-            events, _ = _PLANS[child.node_id]
-            self._emit(events, swap_left, swap_right)
+            # the child's whole plan at one instant, in phase order: hip 0
+            # gets +30 and then -30, an order servo_trace's stable sort keeps
+            now_s = self._t / self._D
+            for event in _PLANS[child.node_id]:
+                self.servo_setpoints.extend(
+                    gaitmod.setpoints_for_event(event, now_s, swap_left, swap_right))
         if sample is not None:
             self.samples.append((*sample, self._resynced))
             self._resynced = 0

@@ -19,8 +19,9 @@ from hexsync.experiment import (
     time_to_opposition,
 )
 from hexsync.gait import GaitConfig, GaitHealth, TimeRef, build_schedule, classify_gait
-from hexsync.gait import Controller, JointGroup, Tripod, events_for_controller
+from hexsync.gait import Controller, events_for_controller
 from hexsync.simnet import LinkModel
+from paper_gait import JOINT_AT_PHASE, TRIPODS, servo_of, tripod_angle
 
 TWO_TICKS_US = 2 * TICK_US  # ~61.04 us
 
@@ -109,10 +110,16 @@ def test_criterion_7_gait_structure():
     for _ in range(50):
         slots = 4 * rng.randint(1, 60)
         sched = build_schedule()
-        by_key = {(e.tripod, e.phase_index): e for e in sched}
+        # each tripod's commanded angle per phase, read from the rows: T2
+        # runs T1's cycle half a period later
+        angles = {}
+        for e in sched:
+            by_servo = {servo: angle for _, servo, angle in e.rows[False][False]}
+            for tripod, legs in enumerate(TRIPODS):
+                angles[tripod, e.phase_index] = {
+                    by_servo.get(servo_of(JOINT_AT_PHASE[e.phase_index], leg)) for leg in legs}
         for phase in range(4):
-            mirrored = by_key[(Tripod.T2, (phase + 2) % 4)]
-            ok = ok and by_key[(Tripod.T1, phase)].action == mirrored.action
+            ok = ok and angles[1, (phase + 2) % 4] == angles[0, phase] == {tripod_angle(0, phase)}
         m1 = set(events_for_controller(sched, Controller.M1))
         m2 = set(events_for_controller(sched, Controller.M2))
         ok = ok and (m1 | m2 == set(sched)) and not (m1 & m2)

@@ -1,6 +1,7 @@
 """Dual tripod schedule structure, per-controller timing, health classes."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,10 @@ from hypothesis import strategies as st
 from hexsync.clock import TICK_US, make_clock
 from hexsync.gait import (
     Controller,
-    GaitAction,
     GaitConfig,
     GaitHealth,
     PHASES,
-    JointGroup,
     TimeRef,
-    Tripod,
     arm_asn_ref,
     arm_free_running,
     build_schedule,
@@ -24,9 +22,21 @@ from hexsync.gait import (
     gait_sync_error,
     period_index_at,
     period_start_true_time,
+    setpoints_for_event,
 )
 from hexsync.simnet import LinkModel, SchemeParams
 from hexsync.tsch import make_mote, resync_to_parent
+from paper_gait import (
+    CONTROLLER_OF,
+    HIP,
+    JOINT_AT_PHASE,
+    KNEE,
+    QUARTER_PHASES,
+    TRIPODS,
+    T1_CYCLE_DEG,
+    paper_rows,
+    servo_of,
+)
 
 
 def armed_mote(ppm, ref, config=None, node_id="m", t=0.0):
@@ -39,45 +49,71 @@ def armed_mote(ppm, ref, config=None, node_id="m", t=0.0):
     return node
 
 
-def test_schedule_has_eight_events():
+def joint_of(event):
+    """The joint whose six servos the event's rows command, or None."""
+    servos = {servo for _, servo, _ in event.rows[False][False]}
+    for joint in (HIP, KNEE):
+        if servos == {servo_of(joint, leg) for leg in range(6)}:
+            return joint
+    return None
+
+
+def commanded_angle(event, tripod):
+    """The one angle the event's rows give the tripod's servos, unturned."""
+    angle = {servo: a for _, servo, a in event.rows[False][False]}
+    (only,) = {angle[servo_of(joint_of(event), leg)] for leg in TRIPODS[tripod]}
+    return only
+
+
+def test_schedule_has_four_events():
     sched = build_schedule()
-    assert len(sched) == 8
-    assert {e.phase_index for e in sched} == {0, 1, 2, 3}
+    assert len(sched) == 4
+    assert [e.phase_index for e in sched] == [0, 1, 2, 3]
+
+
+def test_schedule_matches_paper_gait():
+    # every phase's rows, under every knee swap state, are the paper's
+    for event, swap_left, swap_right in product(build_schedule(), (False, True), (False, True)):
+        want = paper_rows(event.phase_index, swap_left, swap_right)
+        assert list(event.rows[swap_left][swap_right]) == want
+        got = setpoints_for_event(event, Fraction(7, 3), swap_left, swap_right)
+        assert [(s.controller, s.servo_id, s.angle_deg) for s in got] == want
+        assert {s.true_time_s for s in got} == {7 / 3}
 
 
 def test_hip_and_knee_phase_placement():
     sched = build_schedule()
-    hips = {Fraction(*PHASES[e.phase_index]) for e in sched
-            if e.joint_group is JointGroup.HIP}
-    knees = {Fraction(*PHASES[e.phase_index]) for e in sched
-             if e.joint_group is JointGroup.KNEE}
+    for e in sched:
+        assert Fraction(*PHASES[e.phase_index]) == QUARTER_PHASES[e.phase_index]
+    hips = {Fraction(*PHASES[e.phase_index]) for e in sched if joint_of(e) == HIP}
+    knees = {Fraction(*PHASES[e.phase_index]) for e in sched if joint_of(e) == KNEE}
     assert hips == {Fraction(0), Fraction(1, 2)}
     assert knees == {Fraction(1, 4), Fraction(3, 4)}
 
 
 def test_tripods_offset_by_half_period():
     sched = build_schedule()
-    t1 = {e.phase_index: e.action for e in sched if e.tripod is Tripod.T1}
-    t2 = {e.phase_index: e.action for e in sched if e.tripod is Tripod.T2}
+    t1 = {e.phase_index: commanded_angle(e, 0) for e in sched}
+    t2 = {e.phase_index: commanded_angle(e, 1) for e in sched}
     for phase in range(4):
         assert t2[phase] == t1[(phase + 2) % 4]
 
 
 def test_four_step_cycle_order():
     sched = build_schedule()
-    t1 = [e for e in sorted(sched, key=lambda e: e.phase_index) if e.tripod is Tripod.T1]
-    assert [e.action for e in t1] == [GaitAction.DOWN, GaitAction.BACK,
-                                      GaitAction.UP, GaitAction.FORWARD]
-    assert [e.target_angle_deg for e in t1] == [30.0, 25.0, -30.0, -25.0]
+    t1 = sorted(sched, key=lambda e: e.phase_index)
+    # down, back, up, forward
+    assert [joint_of(e) for e in t1] == list(JOINT_AT_PHASE)
+    assert [commanded_angle(e, 0) for e in t1] == list(T1_CYCLE_DEG)
 
 
 def test_controller_partition():
     sched = build_schedule()
     m1 = events_for_controller(sched, Controller.M1)
     m2 = events_for_controller(sched, Controller.M2)
-    assert len(m1) == 4 and len(m2) == 4
-    assert all(e.joint_group is JointGroup.HIP for e in m1)
-    assert all(e.joint_group is JointGroup.KNEE for e in m2)
+    assert len(m1) == 2 and len(m2) == 2
+    assert all(CONTROLLER_OF[joint_of(e)] is Controller.M1 for e in m1)
+    assert all(CONTROLLER_OF[joint_of(e)] is Controller.M2 for e in m2)
     assert set(m1) | set(m2) == set(sched)
     assert set(m1) & set(m2) == set()
 
@@ -87,7 +123,7 @@ def test_empty_schedule_partitions_to_empty():
 
 
 def test_invalid_configs_rejected():
-    for period_slots in (66, 2, 0, -4):  # not a positive multiple of 4
+    for period_slots in (66, 2, 0, -4, 68.0, True):  # not an int, a positive multiple of 4
         with pytest.raises(ValueError):
             GaitConfig(period_slots=period_slots)
     GaitConfig(period_slots=4)  # one slot per phase: the shortest period
@@ -97,6 +133,9 @@ def test_invalid_configs_rejected():
     GaitConfig(period_s=4 / 32768)  # four ticks: the shortest period
     # every configuration type checks itself when built
     for build in (lambda: SchemeParams(sample_every=0),
+                  lambda: SchemeParams(sample_every=2.0),
+                  lambda: SchemeParams(seed=1.5),
+                  lambda: SchemeParams(seed=1.0),
                   lambda: SchemeParams(resync_period_s=0),
                   lambda: LinkModel(drop_probability=1.0)):
         with pytest.raises(ValueError):

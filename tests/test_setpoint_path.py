@@ -1,8 +1,9 @@
 """The servo setpoint path against a reference copy of its earlier form.
 
-The references below are the setpoint expansion, the chronological sort
-and the CSV row formatter as they were before setpoints became named
-tuples: a frozen dataclass per setpoint, a per-leg test of the knee swap, a
+The reference setpoint expansion is the paper's gait as tests/paper_gait.py
+spells it, with a per-leg test of the knee swap. The references for the
+chronological sort and the CSV row formatter are those two as they were
+before setpoints became named tuples: a frozen dataclass per setpoint, a
 (time, controller name, servo id) sort key and one f-string per row. The
 simulation must emit, order and format exactly what they do, for every
 scheme, with turns, drops, jitter and gait periods down to one slot per
@@ -21,23 +22,9 @@ from hypothesis import strategies as st
 
 from hexsync import gait
 from hexsync.cli import SERVO_HEADER, servo_csv_lines
-from hexsync.gait import (
-    HIP_SERVO_BASE,
-    KNEE_SERVO_BASE,
-    LEFT_LEGS,
-    T1_LEGS,
-    T2_LEGS,
-    Controller,
-    GaitAction,
-    GaitConfig,
-    JointGroup,
-    Tripod,
-    build_schedule,
-    servo_trace,
-)
+from hexsync.gait import Controller, GaitConfig, build_schedule, servo_trace
 from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Verb, make_sim
-
-RIGHT_LEGS = (3, 4, 5)
+from paper_gait import paper_rows
 
 
 @dataclass(frozen=True)
@@ -49,23 +36,11 @@ class ReferenceSetpoint:
 
 
 def reference_setpoints_for_event(event, t_true, swap_left=False, swap_right=False):
-    controller = Controller.M1 if event.joint_group is JointGroup.HIP else Controller.M2
-    legs = T1_LEGS if event.tripod is Tripod.T1 else T2_LEGS
-    base = HIP_SERVO_BASE if event.joint_group is JointGroup.HIP else KNEE_SERVO_BASE
+    """The paper's commands at the event's phase (tests/paper_gait.py), at t_true."""
     true_time_s = float(t_true)
-    out = []
-    for leg in legs:
-        angle = event.target_angle_deg
-        if event.joint_group is JointGroup.KNEE and event.action in (
-                GaitAction.BACK, GaitAction.FORWARD):
-            swapped = (swap_left and leg in LEFT_LEGS) or (swap_right and leg in RIGHT_LEGS)
-            if swapped:
-                angle = -angle
-        out.append(ReferenceSetpoint(true_time_s=true_time_s,
-                                     controller=controller,
-                                     servo_id=base + leg,
-                                     angle_deg=angle))
-    return out
+    return [ReferenceSetpoint(true_time_s=true_time_s, controller=controller,
+                              servo_id=servo_id, angle_deg=angle)
+            for controller, servo_id, angle in paper_rows(event.phase_index, swap_left, swap_right)]
 
 
 def reference_sort(setpoints):
@@ -102,7 +77,7 @@ def reference_expander(sim):
         if sim.scheme is SchemeId.S0_CENTRALIZED:
             node = sim.root
         else:
-            node = sim.children[0 if event.joint_group is JointGroup.HIP else 1]
+            node = sim.children[0 if event.controller is Controller.M1 else 1]
         if node.gait is not None:
             swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
         return reference_setpoints_for_event(event, t_true, swap_left, swap_right)
