@@ -9,11 +9,13 @@ conversion is then a single integer division, never a stepping of ticks
 and never Fraction arithmetic, so a query at t = 1e6 s is as cheap and as
 exact as one at t = 1 s. A returned true time is an exact Fraction built
 once from an integer pair. The gap between two clocks' ticks has one
-definition, over the clock pair's tick_gap_factors.
+definition, tick_gap_us: one correctly rounded int / int division.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
@@ -43,6 +45,16 @@ def as_ratio(t) -> Tuple[int, int]:
     if not isinstance(t, (int, Fraction)):
         t = Fraction(t)
     return t.numerator, t.denominator
+
+
+def check_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a finite real
+    number; a bool is not one. A configuration calls this before its range
+    checks, which would raise TypeError on a string."""
+    for name, x in values.items():
+        # a compare, not math.isfinite, which overflows on a huge int or Fraction
+        if type(x) is bool or not isinstance(x, numbers.Real) or not -math.inf < x < math.inf:
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -113,19 +125,9 @@ def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:
     """
     if ka < 0 or kb < 0:
         raise ValueError(f"ticks {ka}, {kb} precede the clocks' epoch")
-    fa, fb, den = tick_gap_factors(a, b)
-    return (kb * fb - ka * fa) / den
-
-
-def tick_gap_factors(a: DriftingClock, b: DriftingClock) -> Tuple[int, int, int]:
-    """(fa, fb, den) with tick_gap_us(a, ka, b, kb) == (kb * fb - ka * fa) / den.
-
-    The tick gap cross-multiplied over a.rate_num * b.rate_num: the factors
-    depend only on the clock pair, so a caller that takes many gaps between
-    two clocks computes them once.
-    """
-    return (a.rate_den * b.rate_num * 10**6, b.rate_den * a.rate_num * 10**6,
-            a.rate_num * b.rate_num)
+    # the gap cross-multiplied over a.rate_num * b.rate_num
+    return ((kb * b.rate_den * a.rate_num - ka * a.rate_den * b.rate_num) * 10**6
+            / (a.rate_num * b.rate_num))
 
 
 def local_seconds_at(clock: DriftingClock, t_true) -> Fraction:

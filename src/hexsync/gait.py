@@ -8,26 +8,26 @@ knee servos, at phases 1 and 3. Each controller fires its events from its
 own time reference: either its free-running local clock, or the network's
 absolute slot number. On either reference the tick of a period-k event is
 one affine floor in k (event_tick_form), which event_tick evaluates for
-one k and sync_errors for a run of them. The central metric is the gait
-synchronization error, the difference between the two controllers'
-believed start of gait period k.
+one k; a caller stepping k over one unchanged arm state takes the form
+once. The central metric is the gait synchronization error
+(gait_sync_error), the difference between the two controllers' believed
+start of gait period k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import (
     NOMINAL_FREQ_HZ,
     TICK_S,
     as_ratio,
+    check_finite,
     local_periods_at,
-    tick_gap_factors,
     tick_gap_us,
     true_time_of_tick,
 )
@@ -75,8 +75,9 @@ class GaitConfig:
     def __post_init__(self) -> None:
         # four ticks give each of the four phases its own tick; a multiple
         # of 4 slots puts each phase on a whole slot of its own
-        if not 4 * TICK_S <= self.period_s < math.inf:
-            raise ValueError("period_s must be finite and at least 4 ticks (4/32768 s)")
+        check_finite(period_s=self.period_s)
+        if self.period_s < 4 * TICK_S:
+            raise ValueError("period_s must be at least 4 ticks (4/32768 s)")
         if type(self.period_slots) is not int or self.period_slots < 4 or self.period_slots % 4:
             raise ValueError("period_slots must be an int, a positive multiple of 4")
 
@@ -211,20 +212,6 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     """
     return tick_gap_us(m1.clock, event_tick(m1, k, PHASE_ZERO),
                        m2.clock, event_tick(m2, k, PHASE_ZERO))
-
-
-def sync_errors(m1: MoteState, m2: MoteState, ks: Iterable[int]) -> List[float]:
-    """gait_sync_error(m1, m2, k) for each k in ks, in order.
-
-    Each node's event_tick_form and the clock pair's tick_gap_factors are
-    computed once for all of ks, so a run of periods costs one affine
-    floor per node and one division per period.
-    """
-    c1, a1, b1, d1 = event_tick_form(m1, PHASE_ZERO)
-    c2, a2, b2, d2 = event_tick_form(m2, PHASE_ZERO)
-    f1, f2, den = tick_gap_factors(m1.clock, m2.clock)
-    return [((c2 + (a2 + b2 * k) // d2) * f2 - (c1 + (a1 + b1 * k) // d1) * f1) / den
-            for k in ks]
 
 
 def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:

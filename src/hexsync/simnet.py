@@ -14,7 +14,9 @@ events still run as one entry per sample would order them, and
 run_until's count is of heap entries, so a window counts once.
 Centralized samples are fixed when the root sends a period's two servo
 commands, whose delivery times are then known, and recorded when the
-later of the two is applied.
+later of the two is applied. Either sampler's error is one formula: the
+gap between two instants over D (two period starts, or two deliveries),
+times 10**6 / D as one int / int division.
 
 A sample is a row (true_time_s, period_index, error_us, resync). Its
 resync flag is 1 exactly when the loop appended a resync mark after the
@@ -58,7 +60,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_ratio, make_clock
+from .clock import as_ratio, check_finite, make_clock
 from .gait import (
     PHASE_ZERO,
     PHASES,
@@ -146,8 +148,8 @@ class LinkModel:
     drop_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.base_latency_s) and math.isfinite(self.jitter_bound_s)):
-            raise ValueError("latencies must be finite")
+        check_finite(base_latency_s=self.base_latency_s, jitter_bound_s=self.jitter_bound_s,
+                     drop_probability=self.drop_probability)
         if self.base_latency_s < 0 or self.jitter_bound_s < 0:
             raise ValueError("latencies must be non-negative")
         if not (0 <= self.drop_probability < 1):
@@ -172,11 +174,12 @@ class SchemeParams:
             raise ValueError("seed must be an int")
         if type(self.sample_every) is not int or self.sample_every < 1:
             raise ValueError("sample_every must be an int >= 1")
+        check_finite(ppm_m1=self.ppm_m1, ppm_m2=self.ppm_m2, ppm_root=self.ppm_root,
+                     resync_period_s=self.resync_period_s, duration_s=self.duration_s)
         if self.resync_period_s <= 0:
             raise ValueError("resync_period_s must be positive")
-        if not all(map(math.isfinite, (self.ppm_m1, self.ppm_m2, self.ppm_root,
-                                       self.resync_period_s, self.duration_s))):
-            raise ValueError("ppm errors, resync_period_s and duration_s must be finite")
+        if self.duration_s < 0:
+            raise ValueError("duration_s must be non-negative")
 
 
 class Sim:
@@ -417,6 +420,12 @@ class Sim:
         is strictly before the heap head's and at or before run_until's
         bound; then re-queue at the next sample.
 
+        Sample k's error is the gap between the children's period-k starts,
+        each the instant _period_start gives, subtracted over D as the
+        centralized sampler subtracts its two deliveries. Each child's
+        event_tick_form is taken once per window, whatever its size, and
+        the gap rounds the same rational as gait.gait_sync_error.
+
         A sample only reads state and nothing else runs inside a window, so
         each sample reads what its own heap entry would have read. The strict
         bound keeps equal-time order: an event already queued outranks, at
@@ -434,19 +443,19 @@ class Sim:
             last = heap[0][0] - 1
         n = 1 + max(0, (last - t) // step)
         m1, m2 = self.children
-        # the hoisted constants pay off from two samples on; a one-sample
-        # window, common when controller phases interleave, skips them
-        errs = (gaitmod.sync_errors(m1, m2, range(k, k + n * every, every)) if n > 1
-                else (gaitmod.gait_sync_error(m1, m2, k),))
+        c1, a1, b1, d1 = gaitmod.event_tick_form(m1, PHASE_ZERO)
+        c2, a2, b2, d2 = gaitmod.event_tick_form(m2, PHASE_ZERO)
+        # a tick's instant over D, scaled to us: the error is one int / int
+        u1, u2 = (self._tick_unit[c.node_id] * 10**6 for c in self.children)
         # nothing runs inside a window, so only its first sample can follow a mark
         resync, self._resynced = self._resynced, 0
         append = self.samples.append
-        for err in errs:
+        for k in range(k, k + n * every, every):
+            err = ((c2 + (a2 + b2 * k) // d2) * u2 - (c1 + (a1 + b1 * k) // d1) * u1) / D
             append((round(t / D, 6), k, round(err, 3), resync))
             resync = 0
             t += step
-            k += every
-        self._push(t, Sim._handle_samples, (gen, k))
+        self._push(t, Sim._handle_samples, (gen, k + every))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
         unit = self._tick_unit[child.node_id]

@@ -58,6 +58,7 @@ def test_unwritable_output_exits_one(capsys):
     (["run", "--resync-period-s", "-1"], None),
     (["sweep", "--periods", "-5"], None),
     (["run", "--scheme", "open-loop", "--gait-period-s", "1e-300", "--duration-s", "1"], None),
+    (["run", "--duration-s", "-5"], None),
 ])
 def test_bad_values_exit_one_without_traceback(tmp_path, capsys, argv, config):
     if config is not None:

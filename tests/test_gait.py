@@ -127,7 +127,7 @@ def test_invalid_configs_rejected():
         with pytest.raises(ValueError):
             GaitConfig(period_slots=period_slots)
     GaitConfig(period_slots=4)  # one slot per phase: the shortest period
-    for period_s in (0.0, float("inf"), float("nan"), 1e-300, 3 / 32768):
+    for period_s in (0.0, float("inf"), float("nan"), 1e-300, 3 / 32768, None, True):
         with pytest.raises(ValueError):
             GaitConfig(period_s=period_s)
     GaitConfig(period_s=4 / 32768)  # four ticks: the shortest period
@@ -140,6 +140,20 @@ def test_invalid_configs_rejected():
                   lambda: LinkModel(drop_probability=1.0)):
         with pytest.raises(ValueError):
             build()
+    # a value of the wrong type, or a negative duration, is named in the message
+    for name, build in (("duration_s", lambda: SchemeParams(duration_s=-5.0)),
+                        ("duration_s", lambda: SchemeParams(duration_s=float("-inf"))),
+                        ("duration_s", lambda: SchemeParams(duration_s="400")),
+                        ("ppm_m1", lambda: SchemeParams(ppm_m1="x")),
+                        ("ppm_root", lambda: SchemeParams(ppm_root=None)),
+                        ("resync_period_s", lambda: SchemeParams(resync_period_s="30")),
+                        ("period_s", lambda: GaitConfig(period_s="1.0")),
+                        ("jitter_bound_s", lambda: LinkModel(jitter_bound_s="0.015")),
+                        ("drop_probability", lambda: LinkModel(drop_probability=None)),
+                        ("base_latency_s", lambda: LinkModel(base_latency_s=False))):
+        with pytest.raises(ValueError, match=name):
+            build()
+    SchemeParams(duration_s=0.0, ppm_m1=Fraction(-37, 10))  # a Fraction is a number
 
 
 def test_free_running_period_starts_nominal():

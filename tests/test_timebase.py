@@ -20,7 +20,6 @@ from hexsync.clock import (
     local_periods_at,
     local_seconds_at,
     make_clock,
-    tick_gap_factors,
     tick_gap_us,
     ticks_at,
     true_time_of_tick,
@@ -35,9 +34,9 @@ from hexsync.gait import (
     event_tick_form,
     gait_event_true_time,
     gait_sync_error,
-    sync_errors,
     whole_periods_at,
 )
+from hexsync.simnet import GAIT_TIME_REF, LinkModel, SchemeId, SchemeParams, Sim, Verb
 from hexsync.tsch import (
     TICKS_PER_SLOT,
     asn_at,
@@ -177,8 +176,6 @@ def test_tick_gap_rounds_like_the_fraction_difference(a, b, ka, kb):
     ca, cb = make_clock(a), make_clock(b)
     expected = float((ref_true_time_of_tick(cb, kb) - ref_true_time_of_tick(ca, ka)) * 10**6)
     assert tick_gap_us(ca, ka, cb, kb) == expected
-    fa, fb, den = tick_gap_factors(ca, cb)
-    assert (kb * fb - ka * fa) / den == expected
 
 
 # -- tsch --------------------------------------------------------------------
@@ -319,10 +316,38 @@ def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_
                 c, a, b, d = event_tick_form(node, as_ratio(offset))
                 assert c + (a + b * k) // d == ref_event_tick(node, k, offset)
         assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
-    # the batched errors take both nodes' forms and the tick-gap factors once
-    stepped = range(ks[0], ks[0] + 7, 3)
-    for batch in (ks, stepped):
-        assert sync_errors(m1, m2, batch) == [ref_gait_sync_error(m1, m2, k) for k in batch]
+
+
+@given(scheme=st.sampled_from([SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED]),
+       ppm1=ppms, ppm2=ppms, root_ppm=st.sampled_from(LISTED_PPM), period_s=gait_periods,
+       period_slots=st.integers(1, 50).map(lambda n: 4 * n),
+       jitter=st.sampled_from([0.0, 0.011, 0.015]),
+       sample_every=st.one_of(st.sampled_from([1, 10**6]), st.integers(1, 10**6)))
+@settings(max_examples=100, deadline=None)
+def test_sim_samples_match_reference_up_to_large_k(scheme, ppm1, ppm2, root_ppm, period_s,
+                                                   period_slots, jitter, sample_every):
+    # The window sampler's errors, one window per run: no keep-alive falls
+    # due inside it, so the arm state and slot grids that the final
+    # children hold are the ones every sample read. With sample_every up to
+    # 1e6, the last of the 30 samples reaches k near 3e7.
+    n = 30
+    gait_cfg = GaitConfig(period_slots=period_slots, period_s=period_s)
+    params = SchemeParams(ppm_m1=ppm1, ppm_m2=ppm2, ppm_root=root_ppm,
+                          resync_period_s=1e10, gait=gait_cfg,
+                          link=LinkModel(jitter_bound_s=jitter), sample_every=sample_every)
+    sim = Sim(scheme, params)
+    sim.inject_command(Verb.START, 0)
+    sim.run_until(Fraction(1, 20))  # both Starts are delivered by now
+    m1, m2 = sim.children
+    origin = m1.gait.arm_period_index
+    period = gait_cfg.period_on(GAIT_TIME_REF[scheme])
+    # the instant of the n-th sample, k = (n - 1) * sample_every
+    sim.run_until(max(Fraction(1, 20), (origin + sample_every * (n - 1) + Fraction(1, 2)) * period))
+    assert len(sim.samples) >= n
+    for j, (t, k, error_us, _) in enumerate(sim.samples):
+        assert k == j * sample_every
+        assert t == round(float((origin + k + Fraction(1, 2)) * period), 6)
+        assert error_us == round(ref_gait_sync_error(m1, m2, k), 3)
 
 
 # -- no Fraction arithmetic on the hot conversions ---------------------------
