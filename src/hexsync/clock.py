@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
@@ -57,34 +56,68 @@ def check_finite(**values) -> None:
             raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
-@dataclass(frozen=True)
-class DriftingClock:
+class Value:
+    """An immutable value: __init__ checks its arguments and stores the fields
+    that _fields names, once, in the instance __dict__. Values compare, hash
+    and print field by field; assigning or deleting an attribute raises
+    AttributeError; replace builds a changed copy through __init__, so the
+    copy is checked too. It is written out by hand to keep the CLI's cold
+    start short (README, Layout).
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked as a new value is."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class DriftingClock(Value):
     """A crystal oscillator running at 32768 * (1 + ppm_error/1e6) Hz.
 
     rate_num / rate_den is that rate in ticks per true second, in lowest
-    terms, derived from ppm_error when the clock is built. The tick count is
-    zero at true time 0. Resynchronization never touches the clock: it
-    re-pins a node's slot grid against it (tsch.MoteState).
+    terms, derived from ppm_error when the clock is built; neither is a
+    field. The tick count is zero at true time 0. Resynchronization never
+    touches the clock: it re-pins a node's slot grid against it
+    (tsch.MoteState).
     """
 
-    ppm_error: Fraction
-    rate_num: int = field(init=False, repr=False, compare=False)
-    rate_den: int = field(init=False, repr=False, compare=False)
+    _fields = ("ppm_error",)
 
-    def __post_init__(self) -> None:
-        ppm = Fraction(self.ppm_error)
+    def __init__(self, ppm_error) -> None:
+        ppm = Fraction(ppm_error)
         den = 10**6 * ppm.denominator
         rate = Fraction(NOMINAL_FREQ_HZ * (den + ppm.numerator), den)
-        object.__setattr__(self, "rate_num", rate.numerator)
-        object.__setattr__(self, "rate_den", rate.denominator)
+        self.__dict__.update(ppm_error=ppm_error, rate_num=rate.numerator,
+                             rate_den=rate.denominator)
 
 
 def make_clock(ppm_error) -> DriftingClock:
     """Build a clock, rejecting ppm errors outside the crystal's +/-PPM_MAX."""
     ppm = Fraction(ppm_error)
     if abs(ppm) > PPM_MAX:
-        raise ValueError(
-            f"ppm_error {float(ppm)} outside +/-{PPM_MAX} ppm crystal tolerance")
+        # the value as given: float() overflows on an int or Fraction past float range
+        raise ValueError(f"ppm_error {ppm_error} outside +/-{PPM_MAX} ppm crystal tolerance")
     return DriftingClock(ppm)
 
 

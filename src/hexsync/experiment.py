@@ -8,9 +8,8 @@ resync period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from statistics import fmean, linear_regression
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import TICK_US
 from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
@@ -18,8 +17,7 @@ from .simnet import SchemeId, SchemeParams, Sim, Verb, make_sim
 MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slope fit
 
 
-@dataclass
-class ErrorTrace:
+class ErrorTrace(NamedTuple):
     """A run's samples and resync marks.
 
     Each sample is (true_time_s, period_index, error_us, resync); resync is
@@ -31,8 +29,7 @@ class ErrorTrace:
     resync_marks: List[float]
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     trace: ErrorTrace
     max_abs_error_us: float
     fitted_slope_us_per_s: Optional[float]
@@ -142,8 +139,7 @@ def analytic_bound_us(relative_ppm: float, resync_period_s: float) -> float:
     return relative_ppm * resync_period_s + TICK_US
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     resync_period_s: float
     max_abs_error_us: float
     analytic_bound_us: float
@@ -157,7 +153,7 @@ def sweep_resync_period(periods: Sequence[float],
     rows = []
     for p in sorted(periods):
         result = run_scheme(SchemeId.S2_SYNCHRONIZED,
-                            replace(params, resync_period_s=float(p)))
+                            params.replace(resync_period_s=float(p)))
         rows.append(SweepRow(float(p), result.max_abs_error_us,
                              result.analytic_bound_us))
     return rows

@@ -16,7 +16,6 @@ start of gait period k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -25,6 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .clock import (
     NOMINAL_FREQ_HZ,
     TICK_S,
+    Value,
     as_ratio,
     check_finite,
     local_periods_at,
@@ -67,19 +67,21 @@ GAIT_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class GaitConfig:
-    period_slots: int = 68          # 1.02 s at 15 ms/slot, used by the ASN reference
-    period_s: float = 1.0           # used by the free-running reference
+class GaitConfig(Value):
+    """The gait period on each time reference: period_slots slots of the
+    ASN (68 slots, 1.02 s at 15 ms/slot) or period_s of local time."""
 
-    def __post_init__(self) -> None:
+    _fields = ("period_slots", "period_s")
+
+    def __init__(self, period_slots: int = 68, period_s: float = 1.0) -> None:
         # four ticks give each of the four phases its own tick; a multiple
         # of 4 slots puts each phase on a whole slot of its own
-        check_finite(period_s=self.period_s)
-        if self.period_s < 4 * TICK_S:
+        check_finite(period_s=period_s)
+        if period_s < 4 * TICK_S:
             raise ValueError("period_s must be at least 4 ticks (4/32768 s)")
-        if type(self.period_slots) is not int or self.period_slots < 4 or self.period_slots % 4:
+        if type(period_slots) is not int or period_slots < 4 or period_slots % 4:
             raise ValueError("period_slots must be an int, a positive multiple of 4")
+        self.__dict__.update(period_slots=period_slots, period_s=period_s)
 
     def period_on(self, ref: TimeRef) -> Fraction:
         """The gait period in seconds as ref counts it: period_s of local
@@ -114,26 +116,26 @@ class GaitEvent(NamedTuple):
     rows: Tuple[Tuple[Tuple[_Row, ...], ...], ...]
 
 
-@dataclass
 class GaitArmState:
-    """Per-node arming record created when a Start command is applied."""
-    config: GaitConfig
-    ref: TimeRef
-    # Period 0 is whole period arm_period_index counted on ref: it starts at
-    # local time arm_period_index * period_s, or at slot
-    # arm_period_index * period_slots.
-    arm_period_index: int = 0
-    # Turn state: whether knee sweep is reversed per body side, plus a
-    # pending change that takes effect at a later period index.
-    swap_left: bool = False
-    swap_right: bool = False
-    pending_turn: Optional[Tuple[bool, bool, int]] = None
-    # config.period_s as an exact (num, den) pair, decomposed once here
-    # rather than on every free-running event
-    period: Tuple[int, int] = field(init=False, repr=False)
+    """Per-node arming record created when a Start command is applied; it
+    compares by identity."""
 
-    def __post_init__(self) -> None:
-        self.period = as_ratio(self.config.period_s)
+    def __init__(self, config: GaitConfig, ref: TimeRef, arm_period_index: int = 0) -> None:
+        self.config = config
+        self.ref = ref
+        # Period 0 is whole period arm_period_index counted on ref: it starts at
+        # local time arm_period_index * period_s, or at slot
+        # arm_period_index * period_slots.
+        self.arm_period_index = arm_period_index
+        # Turn state: whether knee sweep is reversed per body side, plus a
+        # pending change (swap_left, swap_right, from_period) that takes
+        # effect at a later period index.
+        self.swap_left = False
+        self.swap_right = False
+        self.pending_turn: Optional[Tuple[bool, bool, int]] = None
+        # config.period_s as an exact (num, den) pair, decomposed once here
+        # rather than on every free-running event
+        self.period = as_ratio(config.period_s)
 
 
 def build_schedule() -> List[GaitEvent]:

@@ -54,13 +54,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import gait as gaitmod
-from .clock import as_ratio, check_finite, make_clock
+from .clock import Value, as_ratio, check_finite, make_clock
 from .gait import (
     PHASE_ZERO,
     PHASES,
@@ -111,24 +110,26 @@ GAIT_TIME_REF = {
 }
 
 
-@dataclass(slots=True)
 class Message:
     """A frame from the root to one of its children; every frame flows that way.
 
     sent and delivered hold the times as exact (num, den) pairs, unreduced,
     so two messages compare equal when their pairs are equal term by term.
     sent may be given as any time value; delivered is None until Sim.send
-    schedules the frame.
+    schedules the frame. Unlike a Value, a message is mutable.
     """
-    kind: MessageKind
-    dst: MoteState
-    sent: Tuple[int, int]
-    body: object = None
-    delivered: Optional[Tuple[int, int]] = None
 
-    def __post_init__(self) -> None:
-        if type(self.sent) is not tuple:
-            self.sent = as_ratio(self.sent)
+    __slots__ = _fields = ("kind", "dst", "sent", "body", "delivered")
+    # field-wise, as a Value compares and prints
+    _values, __eq__, __repr__ = Value._values, Value.__eq__, Value.__repr__
+
+    def __init__(self, kind: MessageKind, dst: MoteState, sent, body: object = None,
+                 delivered: Optional[Tuple[int, int]] = None) -> None:
+        self.kind = kind
+        self.dst = dst
+        self.sent = sent if type(sent) is tuple else as_ratio(sent)
+        self.body = body
+        self.delivered = delivered
 
     @property
     def sent_true_s(self) -> Fraction:
@@ -141,45 +142,46 @@ class Message:
         return None if self.delivered is None else Fraction(*self.delivered)
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    base_latency_s: float = 0.0
-    jitter_bound_s: float = 0.015
-    drop_probability: float = 0.0
+class LinkModel(Value):
+    """Every frame's latency draw and drop probability."""
 
-    def __post_init__(self) -> None:
-        check_finite(base_latency_s=self.base_latency_s, jitter_bound_s=self.jitter_bound_s,
-                     drop_probability=self.drop_probability)
-        if self.base_latency_s < 0 or self.jitter_bound_s < 0:
+    _fields = ("base_latency_s", "jitter_bound_s", "drop_probability")
+
+    def __init__(self, base_latency_s: float = 0.0, jitter_bound_s: float = 0.015,
+                 drop_probability: float = 0.0) -> None:
+        check_finite(base_latency_s=base_latency_s, jitter_bound_s=jitter_bound_s,
+                     drop_probability=drop_probability)
+        if base_latency_s < 0 or jitter_bound_s < 0:
             raise ValueError("latencies must be non-negative")
-        if not (0 <= self.drop_probability < 1):
+        if not (0 <= drop_probability < 1):
             raise ValueError("drop_probability must lie in [0, 1)")
+        self.__dict__.update(base_latency_s=base_latency_s, jitter_bound_s=jitter_bound_s,
+                             drop_probability=drop_probability)
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Value):
     """The one run configuration of the root, M1 (hips) and M2 (knees) network."""
-    ppm_m1: float = -3.0
-    ppm_m2: float = 0.0
-    ppm_root: float = 0.0
-    duration_s: float = 400.0
-    resync_period_s: float = 30.0
-    seed: int = 1
-    gait: GaitConfig = field(default_factory=GaitConfig)
-    link: LinkModel = field(default_factory=LinkModel)
-    sample_every: int = 1
 
-    def __post_init__(self) -> None:
-        if type(self.seed) is not int:
+    _fields = ("ppm_m1", "ppm_m2", "ppm_root", "duration_s", "resync_period_s", "seed",
+               "gait", "link", "sample_every")
+
+    def __init__(self, ppm_m1: float = -3.0, ppm_m2: float = 0.0, ppm_root: float = 0.0,
+                 duration_s: float = 400.0, resync_period_s: float = 30.0, seed: int = 1,
+                 gait: GaitConfig = GaitConfig(), link: LinkModel = LinkModel(),
+                 sample_every: int = 1) -> None:
+        if type(seed) is not int:
             raise ValueError("seed must be an int")
-        if type(self.sample_every) is not int or self.sample_every < 1:
+        if type(sample_every) is not int or sample_every < 1:
             raise ValueError("sample_every must be an int >= 1")
-        check_finite(ppm_m1=self.ppm_m1, ppm_m2=self.ppm_m2, ppm_root=self.ppm_root,
-                     resync_period_s=self.resync_period_s, duration_s=self.duration_s)
-        if self.resync_period_s <= 0:
+        check_finite(ppm_m1=ppm_m1, ppm_m2=ppm_m2, ppm_root=ppm_root,
+                     resync_period_s=resync_period_s, duration_s=duration_s)
+        if resync_period_s <= 0:
             raise ValueError("resync_period_s must be positive")
-        if self.duration_s < 0:
+        if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
+        self.__dict__.update(ppm_m1=ppm_m1, ppm_m2=ppm_m2, ppm_root=ppm_root,
+                             duration_s=duration_s, resync_period_s=resync_period_s,
+                             seed=seed, gait=gait, link=link, sample_every=sample_every)
 
 
 class Sim:

@@ -12,7 +12,6 @@ arrival (first_boundary_tick).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,22 +29,24 @@ SLOT_TICKS_NUM = TICKS_PER_SLOT.numerator    # 12288
 SLOT_TICKS_DEN = TICKS_PER_SLOT.denominator  # 25
 
 
-@dataclass
 class MoteState:
     """One network node: identity, role, clock and ASN alignment.
 
     asn_origin / origin_local_ticks pin the node's slot grid: slot
     asn_origin begins at local tick origin_local_ticks. Resynchronization
     rewrites this alignment against the unchanged local clock, so
-    free-running local-time readings are untouched by it.
+    free-running local-time readings are untouched by it. A node compares
+    by identity.
     """
 
-    node_id: str
-    clock: DriftingClock
-    parent_id: Optional[str] = None
-    asn_origin: int = 0
-    origin_local_ticks: int = 0
-    gait: Optional["object"] = None  # gait.GaitArmState once armed
+    def __init__(self, node_id: str, clock: DriftingClock,
+                 parent_id: Optional[str] = None) -> None:
+        self.node_id = node_id
+        self.clock = clock
+        self.parent_id = parent_id
+        self.asn_origin = 0
+        self.origin_local_ticks = 0
+        self.gait = None  # gait.GaitArmState once armed
 
     @property
     def is_root(self) -> bool:

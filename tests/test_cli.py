@@ -39,6 +39,8 @@ def test_missing_subcommand_exits_two(capsys):
 def test_invalid_value_exits_one(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "run", "--ppm-m1", "25")
     assert code == 1
+    assert capsys.readouterr().err == (
+        "hexsync: error: ppm_error 25.0 outside +/-10.0 ppm crystal tolerance\n")
 
 
 def test_unwritable_output_exits_one(capsys):

@@ -15,6 +15,7 @@ from hexsync.clock import (
     ticks_at,
     true_time_of_tick,
 )
+from hexsync.simnet import SchemeId, SchemeParams, make_sim
 
 ppm_values = st.floats(min_value=-10, max_value=10,
                        allow_nan=False, allow_infinity=False)
@@ -40,6 +41,11 @@ def test_ppm_out_of_tolerance_rejected():
         make_clock(-10.5)
     with pytest.raises(ValueError):
         make_clock(10.0001)
+    # past float range: the message must not go through float()
+    with pytest.raises(ValueError, match="outside"):
+        make_clock(10**400)
+    with pytest.raises(ValueError, match="outside"):
+        make_sim(SchemeId.S1_OPEN_LOOP, SchemeParams(ppm_m1=10**400))
 
 
 def test_nominal_frequency():

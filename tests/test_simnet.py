@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexsync.clock import TICK_US, ticks_at
+from hexsync.clock import TICK_US, DriftingClock, ticks_at
 from hexsync.gait import GaitConfig, servo_trace
 from hexsync.simnet import (
     LinkModel,
@@ -278,9 +278,34 @@ def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
                                   "resync_period_s", "duration_s",
                                   "ppm_m1", "ppm_m2", "ppm_root"])
 def test_non_finite_link_and_run_times_rejected_when_built(name, value):
-    config = LinkModel if name in LinkModel.__dataclass_fields__ else SchemeParams
+    config = LinkModel if name in LinkModel._fields else SchemeParams
     with pytest.raises(ValueError, match="finite"):
         config(**{name: value})
+
+
+@pytest.mark.parametrize("value, name, new, bad", [
+    (DriftingClock(Fraction(-37, 10)), "ppm_error", 1.1, "x"),
+    (GaitConfig(period_s=0.7), "period_slots", 8, 6),
+    (LinkModel(drop_probability=0.1), "jitter_bound_s", 0.03, -1.0),
+    (SchemeParams(gait=GaitConfig(period_s=0.7)), "resync_period_s", 3.0, 0),
+], ids=["DriftingClock", "GaitConfig", "LinkModel", "SchemeParams"])
+def test_configs_are_immutable_values(value, name, new, bad):
+    old = getattr(value, name)
+    for change in (lambda: setattr(value, name, new), lambda: delattr(value, name)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(value, name) == old
+    # built apart from the same fields: equal, with an equal hash
+    fields = {f: getattr(value, f) for f in type(value)._fields}
+    twin = type(value)(**fields)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+    changed = value.replace(**{name: new})
+    assert changed == type(value)(**{**fields, name: new}) and changed != value
+    assert getattr(value, name) == old
+    # the copy is built through __init__, so its checks run again
+    with pytest.raises(ValueError):
+        value.replace(**{name: bad})
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
