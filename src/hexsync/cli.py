@@ -4,7 +4,8 @@ Subcommands:
   run    -- one scheme run; writes the error-trace CSV (--plot adds a
             fixed-size ASCII plot of it on stderr)
   sweep  -- synchronized-scheme runs over several resync periods; writes a table
-  trace  -- one run with servo setpoints enabled; writes the setpoint CSV
+  trace  -- one run that records servo setpoints, and no error samples;
+            writes the setpoint CSV
 
 Defaults reproduce the two published 400 s comparison runs; each run
 setting's default is read from SchemeParams(). An optional line-oriented
@@ -23,7 +24,7 @@ from .experiment import (
     SchemeParams,
     SweepRow,
     build_sim,
-    run_scheme,
+    run_error_trace,
     sweep_resync_period,
 )
 from .gait import GaitConfig, servo_trace
@@ -37,6 +38,8 @@ _DEFAULT_PPM_M1 = {SchemeId.S1_OPEN_LOOP: -5.0}
 TRACE_HEADER = "true_time_s,period_index,error_us,resync"
 SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
 SERVO_HEADER = "true_time_s,controller,servo_id,angle_deg"
+# a --config file's spellings of a flag's two values
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
@@ -52,6 +55,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         p.add_argument("--scheme", choices=sorted(_SCHEME_BY_NAME),
                        default=SchemeId.S2_SYNCHRONIZED.value)
 
+    def add_sample_every(p):
+        p.add_argument("--sample-every", type=int, default=_DEFAULTS.sample_every)
+
     def add_common(p):
         p.add_argument("--duration-s", type=float, default=_DEFAULTS.duration_s)
         p.add_argument("--ppm-m1", type=float, default=None,
@@ -65,7 +71,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         p.add_argument("--jitter-s", type=float, default=link.jitter_bound_s)
         p.add_argument("--drop-prob", type=float, default=link.drop_probability)
         p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-        p.add_argument("--sample-every", type=int, default=_DEFAULTS.sample_every)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", default=None,
                        help="key=value file supplying flag defaults")
@@ -73,11 +78,13 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_scheme(run_p)
     add_common(run_p)
+    add_sample_every(run_p)
     run_p.add_argument("--plot", action="store_true",
                        help="print an ASCII error-vs-time plot to stderr")
 
     sweep_p = sub.add_parser("sweep", help="sweep the worst-case resync period")
     add_common(sweep_p)
+    add_sample_every(sweep_p)
     sweep_p.add_argument("--periods", default="30,10",
                          help="comma-separated resync periods in seconds")
 
@@ -95,8 +102,9 @@ def _config_defaults(path: str, subparsers: Dict[str, argparse.ArgumentParser],
 
     A key that only another subcommand takes is skipped (sweep has no
     --scheme); a line without '=' or a key no subcommand takes is an error.
-    A flag's value is true for 1, true or yes; every other value stays the
-    string argparse converts with the option's declared type.
+    A flag's value is 1, true or yes, or 0, false or no, in any case, and
+    anything else is an error; every other value stays the string argparse
+    converts with the option's declared type.
     """
     options = {name: vars(p.parse_args([])) for name, p in subparsers.items()}
     own = options[subcommand]
@@ -115,8 +123,13 @@ def _config_defaults(path: str, subparsers: Dict[str, argparse.ArgumentParser],
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if dest in own:
                 value = value.strip()
-                is_flag = isinstance(own[dest], bool)
-                defaults[dest] = value.lower() in ("1", "true", "yes") if is_flag else value
+                if isinstance(own[dest], bool):
+                    flag = _FLAG_VALUES.get(value.lower())
+                    if flag is None:
+                        raise ValueError(f"{path}:{lineno}: {key!r} takes 1/true/yes "
+                                         f"or 0/false/no, got {value!r}")
+                    value = flag
+                defaults[dest] = value
     return defaults
 
 
@@ -124,7 +137,8 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
     """Build the run's parameters. Values from argv and from --config both
     arrive here; GaitConfig, LinkModel and SchemeParams reject the values
     they cannot run, the non-finite ones included."""
-    # sweep has no --scheme: it always runs the synchronized scheme
+    # sweep has no --scheme: it always runs the synchronized scheme; trace
+    # has no --sample-every: it records no samples
     name = getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)
     if name not in _SCHEME_BY_NAME:
         raise ValueError(f"--scheme must be one of {', '.join(sorted(_SCHEME_BY_NAME))}, "
@@ -142,7 +156,8 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
                           duration_s=args.duration_s,
                           resync_period_s=args.resync_period_s,
                           seed=args.seed, gait=gait, link=link,
-                          sample_every=args.sample_every)
+                          sample_every=getattr(args, "sample_every",
+                                               _DEFAULTS.sample_every))
     return scheme, params
 
 
@@ -261,10 +276,10 @@ def dispatch(argv: Sequence[str]) -> int:
             args = parser.parse_args(argv)
         scheme, params = _params_from_args(args)
         if args.subcommand == "run":
-            result = run_scheme(scheme, params)
-            write_trace_csv(result.trace, args.out)
+            trace = run_error_trace(scheme, params)
+            write_trace_csv(trace, args.out)
             if args.plot:
-                print(render_ascii_plot(result.trace), file=sys.stderr)
+                print(render_ascii_plot(trace), file=sys.stderr)
         elif args.subcommand == "sweep":
             periods = [float(p) for p in args.periods.split(",") if p.strip()]
             rows = sweep_resync_period(periods, params)

@@ -3,7 +3,9 @@
 Runs a scheme, samples the gait synchronization error once per gait
 period, fits drift slopes, evaluates the analytic error bound, converts a
 slope into a time-to-phase-opposition figure, and sweeps the worst-case
-resync period.
+resync period. run_error_trace runs a scheme and derives nothing;
+run_scheme adds every derived metric, and the sweep only the two its rows
+hold.
 """
 
 from __future__ import annotations
@@ -45,30 +47,40 @@ def build_sim(scheme: SchemeId, params: SchemeParams,
     return sim
 
 
+def run_error_trace(scheme: SchemeId, params: SchemeParams) -> ErrorTrace:
+    """Run one scheme start-to-finish and return its samples and resync
+    marks; the one place a scheme is started and run. A run that ends
+    before its first sample is an error."""
+    sim = build_sim(scheme, params)
+    sim.run_until(params.duration_s)
+    if not sim.samples:
+        raise ValueError(f"the run ended at {params.duration_s} s, "
+                         "before its first sample")
+    return ErrorTrace(sim.samples, sim.resync_marks)
+
+
+def _sync_bound_us(params: SchemeParams) -> float:
+    """The synchronized scheme's analytic bound for these params."""
+    return analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
+                             params.resync_period_s)
+
+
 def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
-    """Run one scheme start-to-finish and derive its summary metrics.
+    """Run one scheme with run_error_trace and derive its summary metrics.
 
     A run too short for two samples has no slope to fit: its slope and
     opposition time are None. The synchronized scheme reports an analytic
     bound and no opposition time: resyncs keep its error within the bound,
     so its controllers never drift half a period apart, whatever slope
     the drift between resyncs fits. Only open-loop runs report one (a
-    centralized run fits no slope). A run that ends before its first sample
-    is an error.
+    centralized run fits no slope).
     """
-    sim = build_sim(scheme, params)
-    sim.run_until(params.duration_s)
-    if not sim.samples:
-        raise ValueError(f"the run ended at {params.duration_s} s, "
-                         "before its first sample")
-
-    trace = ErrorTrace(sim.samples, sim.resync_marks)
+    trace = run_error_trace(scheme, params)
     max_abs = max(abs(s[2]) for s in trace.samples)
     slope = fit_drift_slope(trace) if len(trace.samples) >= 2 else None
     bound = None
     if scheme is SchemeId.S2_SYNCHRONIZED:
-        bound = analytic_bound_us(abs(params.ppm_m1 - params.ppm_m2),
-                                  params.resync_period_s)
+        bound = _sync_bound_us(params)
     eta = None
     if slope is not None and bound is None:
         # a bounded error never reaches opposition; the unbounded schemes
@@ -147,13 +159,14 @@ class SweepRow(NamedTuple):
 
 def sweep_resync_period(periods: Sequence[float],
                         params: SchemeParams) -> List[SweepRow]:
-    """One synchronized-scheme run per resync period, sorted by period."""
+    """One synchronized-scheme run per resync period, sorted by period;
+    each row holds the figures run_scheme reports, with no slope fitted."""
     if not periods:
         raise ValueError("periods must be non-empty")
     rows = []
-    for p in sorted(periods):
-        result = run_scheme(SchemeId.S2_SYNCHRONIZED,
-                            params.replace(resync_period_s=float(p)))
-        rows.append(SweepRow(float(p), result.max_abs_error_us,
-                             result.analytic_bound_us))
+    for p in map(float, sorted(periods)):
+        run = params.replace(resync_period_s=p)
+        trace = run_error_trace(SchemeId.S2_SYNCHRONIZED, run)
+        rows.append(SweepRow(p, max(abs(s[2]) for s in trace.samples),
+                             _sync_bound_us(run)))
     return rows

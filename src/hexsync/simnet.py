@@ -6,6 +6,11 @@ the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 
+A run records one of two outputs, as emit_setpoints picks: a sample run
+(the default) records the gait-error samples and no servo setpoints, a
+setpoint run the servo setpoints and no samples. Both record the resync
+marks.
+
 The decentralized schemes sample the gait error once per period, and the
 samples share one heap entry per window: when it pops it emits every
 sample before the heap's next event and within run_until's bound, then
@@ -185,7 +190,12 @@ class SchemeParams(Value):
 
 
 class Sim:
-    """A single deterministic simulation; mutate only through its event loop."""
+    """A single deterministic simulation; mutate only through its event loop.
+
+    With emit_setpoints it records servo_setpoints and leaves samples
+    empty; without, it records samples and leaves servo_setpoints empty.
+    Either way it records resync_marks.
+    """
 
     def __init__(self, scheme: SchemeId, params: SchemeParams,
                  emit_setpoints: bool = False):
@@ -388,10 +398,11 @@ class Sim:
                            (self._gen, 0))
             elif all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
-                self._start_sampler()
                 if self.emit_setpoints:
                     for c in self.children:
                         self._schedule_controller_period(c, 0)
+                else:
+                    self._start_sampler()
         elif verb is Verb.STOP:
             node.gait = None
             self._gen += 1
@@ -488,7 +499,7 @@ class Sim:
                          for child in self.children]
         for msg in msgs:
             self.send(msg)
-        if k % self.params.sample_every == 0:
+        if not self.emit_setpoints and k % self.params.sample_every == 0:
             # both deliveries are fixed now, over one D: the sample is the
             # gap between them, recorded when the later frame is applied
             # (m2 on a tie, as it was pushed second)
@@ -531,5 +542,6 @@ def make_sim(scheme: SchemeId, params: SchemeParams,
              emit_setpoints: bool = False) -> Sim:
     """Build a simulation at t = 0 with no command queued, so its gait never
     starts until one is injected (experiment.build_sim queues the Start).
-    Identical (scheme, params) replay identically."""
+    It records servo setpoints if emit_setpoints, else gait-error samples
+    (see Sim). Identical (scheme, params) replay identically."""
     return Sim(scheme, params, emit_setpoints)

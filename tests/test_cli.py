@@ -32,6 +32,12 @@ def test_unknown_flag_exits_two(capsys):
     assert dispatch(["run", "--frobnicate"]) == 2
 
 
+def test_trace_takes_no_sample_every(capsys):
+    # a trace records no error samples, so there are none to thin
+    assert dispatch(["trace", "--sample-every", "2"]) == 2
+    assert "unrecognized arguments: --sample-every" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_two(capsys):
     assert dispatch([]) == 2
 
@@ -301,6 +307,7 @@ def test_unconvertible_value_exits_two(tmp_path, capsys, argv, config):
 @pytest.mark.parametrize("line,key", [
     ("durration-s=5", "durration-s"),  # an option of no subcommand
     ("duration-s 5", "duration-s 5"),  # no '='
+    ("plot=ture", "plot"),  # not a spelling of either flag value
 ])
 def test_malformed_config_line_exits_one(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -316,6 +323,7 @@ def test_malformed_config_line_exits_one(tmp_path, capsys, line, key):
     (["run"], "stop-s=2"),
     (["trace"], "plot=true"),
     (["trace"], "periods=5"),
+    (["trace"], "sample-every=2"),
 ])
 def test_config_key_of_another_subcommand_is_skipped(tmp_path, argv, line):
     argv = argv + ["--duration-s", "5"]

@@ -11,6 +11,7 @@ from hexsync.experiment import (
     SchemeParams,
     analytic_bound_us,
     fit_drift_slope,
+    run_error_trace,
     run_scheme,
     sweep_resync_period,
     time_to_opposition,
@@ -160,6 +161,23 @@ def test_sweep_monotone_and_bounded():
     assert rows[0].max_abs_error_us <= 61
     assert rows[1].max_abs_error_us <= 122
     assert all(r.max_abs_error_us <= r.analytic_bound_us + TICK_US for r in rows)
+
+
+@pytest.mark.parametrize("ppm_m1,ppm_m2", [(-3.7, 1.1), (4.0, 4.0)])
+@pytest.mark.parametrize("link", [LinkModel(jitter_bound_s=0.0),
+                                  LinkModel(jitter_bound_s=0.03, drop_probability=0.3)])
+def test_sweep_rows_are_run_schemes_figures(ppm_m1, ppm_m2, link):
+    # the sweep fits no slope, but each row must hold what run_scheme reports
+    params = SchemeParams(ppm_m1=ppm_m1, ppm_m2=ppm_m2, duration_s=60, link=link)
+    periods = [10, 0.5, 3]
+    rows = sweep_resync_period(periods, params)
+    assert [r.resync_period_s for r in rows] == sorted(periods)
+    for row in rows:
+        p = row.resync_period_s
+        run = params.replace(resync_period_s=p)
+        r = run_scheme(SchemeId.S2_SYNCHRONIZED, run)
+        assert row == (p, r.max_abs_error_us, r.analytic_bound_us)
+        assert r.trace == run_error_trace(SchemeId.S2_SYNCHRONIZED, run)
 
 
 def test_sweep_rejects_empty():

@@ -4,12 +4,16 @@ PerSampleSim keeps the per-sample heap sampler as the reference: sample k
 is its own heap entry, queued when sample k - sample_every runs, and it
 flags a sample as resynced when a resync mark was appended since the
 previous sample. The window sampler must give the same samples, flags
-included, in the same order, after every run_until, including when a delivery, a command or a pause lands exactly
-on a sample's time. Half the scenarios emit setpoints: their controller
-phases are heap entries too, which cut most windows to one sample, and
-the setpoints must match as well. With ppm-0 clocks such ties are common: at 0.75 s
-(free-running) or 100 slots (ASN) every sample sits on a slot boundary,
-and at 68 slots every 25th does (12.75 s is slot 850, tick 417,792).
+included, in the same order, after every run_until, including when a
+delivery, a command or a pause lands exactly on a sample's time. Every
+scenario is a sample run: a setpoint run records no samples and never
+starts the sampler, so it would compare two empty lists. Deliveries,
+keep-alive dues and commands cut the windows, and keep-alives every
+0.51 s cut every window of a 68-slot synchronized gait to one sample (an
+explicit example below).
+With ppm-0 clocks ties are common: at 0.75 s (free-running) or 100 slots
+(ASN) every sample sits on a slot boundary, and at 68 slots every 25th
+does (12.75 s is slot 850, tick 417,792).
 """
 
 from fractions import Fraction
@@ -98,26 +102,25 @@ def scenarios(draw):
         st.tuples(st.one_of(off_grid, on_sample),
                   st.none() | st.tuples(st.sampled_from([Fraction(0), Fraction(1, 3)]), verbs)),
         max_size=4))
-    return (scheme, params, commands, sorted(pauses, key=lambda p: p[0]),
-            draw(st.booleans()))
+    return scheme, params, commands, sorted(pauses, key=lambda p: p[0])
 
 
-def replay(cls, scheme, params, commands, pauses, emit_setpoints):
-    """Run the scenario; the samples, resync marks and setpoints after
-    each pause."""
-    sim = cls(scheme, params, emit_setpoints)
+def replay(cls, scheme, params, commands, pauses):
+    """Run the scenario as a sample run; the samples and resync marks
+    after each pause."""
+    sim = cls(scheme, params)
     sim.inject_command(Verb.START, 0)
     for t, verb in commands:
         sim.inject_command(verb, t)
     seen = []
     for t, during in pauses:
         sim.run_until(t)
-        seen.append((list(sim.samples), list(sim.resync_marks), list(sim.servo_setpoints)))
+        seen.append((list(sim.samples), list(sim.resync_marks)))
         if during is not None:
             delay, verb = during
             sim.inject_command(verb, t + delay)
     sim.run_until(HORIZON_S)
-    seen.append((sim.samples, sim.resync_marks, sim.servo_setpoints))
+    seen.append((sim.samples, sim.resync_marks))
     return seen
 
 
@@ -127,23 +130,26 @@ def replay(cls, scheme, params, commands, pauses, emit_setpoints):
           SchemeParams(ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_s=0.75),
                        link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0)),
           [(Fraction(10875, 1000) - Fraction(1625, 1000), Verb.STOP)],
-          [(Fraction(5), None), (Fraction(10875, 1000), (Fraction(0), Verb.START))],
-          False))
+          [(Fraction(5), None), (Fraction(10875, 1000), (Fraction(0), Verb.START))]))
 # Pauses on and between sample instants with keep-alives queued beyond them.
 @example((SchemeId.S2_SYNCHRONIZED,
           SchemeParams(ppm_m1=0.0, ppm_m2=0.0, resync_period_s=2.25,
                        gait=GaitConfig(period_slots=100),
                        link=LinkModel(jitter_bound_s=0.0)),
           [(Fraction(173, 10), Verb.LEFT)],
-          [(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))],
-          True))
+          [(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))]))
 # A Start re-arms mid-run; the next Start, in flight, lands on the sample
 # instant 6.75 s.
 @example((SchemeId.S2_SYNCHRONIZED,
           SchemeParams(ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_slots=100),
                        link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0)),
           [(Fraction(423, 200), Verb.START), (Fraction(27, 4) - Fraction(13, 8), Verb.START)],
-          [], True))
+          []))
+# Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
+@example((SchemeId.S2_SYNCHRONIZED,
+          SchemeParams(ppm_m1=-5.0, ppm_m2=3.7, resync_period_s=0.51,
+                       gait=GaitConfig(period_slots=68)),
+          [], []))
 @given(scenario=scenarios())
 @settings(max_examples=150, deadline=None)
 def test_window_sampler_matches_per_sample_heap(scenario):

@@ -141,18 +141,36 @@ def test_samples_arrive_once_per_gait_period():
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 def test_stop_quiesces_gait(scheme):
-    sim = new_sim(mode=scheme, emit_setpoints=True)
-    sent = record_sends(sim)
-    sim.inject_command(Verb.START, 0)
-    sim.inject_command(Verb.STOP, 20)
-    setpoints = servo_trace(sim, 60)
+    # a setpoint run records the setpoints, a sample run the samples; the
+    # two runs send the same frames at the same times
+    runs = []
+    for emit_setpoints in (True, False):
+        sim = new_sim(mode=scheme, emit_setpoints=emit_setpoints)
+        sent = record_sends(sim)
+        sim.inject_command(Verb.START, 0)
+        sim.inject_command(Verb.STOP, 20)
+        runs.append((sim, sent, servo_trace(sim, 60)))
+    (_, sent, setpoints), (sampled, sampled_sent, _) = runs
+    assert [(m.sent, m.delivered) for m in sent] == [(m.sent, m.delivered) for m in sampled_sent]
     first_stop = float(min(m.delivered_true_s for m in sent if m.body is Verb.STOP))
     assert first_stop <= 20 + SLOT + 0.015
-    assert setpoints and sim.samples
+    assert setpoints and sampled.samples
     assert all(sp.true_time_s <= first_stop for sp in setpoints)
-    assert all(s[0] <= first_stop for s in sim.samples)
+    assert all(s[0] <= first_stop for s in sampled.samples)
     # the centralized root stops timing the gait at its own Stop
     assert all(m.sent_true_s < 20 for m in sent if m.kind is MessageKind.SERVO_COMMAND)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_a_run_records_setpoints_or_samples(scheme):
+    for emit_setpoints in (True, False):
+        sim = new_sim(mode=scheme, emit_setpoints=emit_setpoints)
+        sim.inject_command(Verb.START, 0)
+        sim.run_until(10)
+        recorded, empty = ((sim.servo_setpoints, sim.samples) if emit_setpoints
+                           else (sim.samples, sim.servo_setpoints))
+        assert recorded and empty == []
+        assert sim.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
 
 
 def test_one_period_emits_24_setpoints():

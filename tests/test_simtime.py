@@ -95,22 +95,25 @@ def test_delivery_slot_matches_fraction_formula(ppm, root_ppm, seed, t_sync, sen
 def test_pausing_off_the_grid_changes_nothing(scheme):
     # every pause has a new prime in its denominator, so each one grows D
     # and rescales whatever is queued or pending; the run must not notice
+    # a sample run and a setpoint run, so each output is checked where it is recorded
     params = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
                           seed=3, link=LinkModel(jitter_bound_s=0.011, drop_probability=0.2))
-    straight = make_sim(scheme, params, emit_setpoints=True)
-    straight.inject_command(Verb.START, 0)
-    straight.run_until(30)
-    paused = make_sim(scheme, params, emit_setpoints=True)
-    paused.inject_command(Verb.START, 0)
     primes = [p for p in range(3, 5000) if all(p % q for q in range(2, int(p**0.5) + 1))]
-    for i, p in enumerate(primes[:599], start=1):
-        paused.run_until(Fraction(i, 20) + Fraction(1, 40 * p))
-    paused.run_until(30)
-    assert paused.now == straight.now == 30
-    assert straight.samples and straight.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
-    assert paused.samples == straight.samples
-    assert paused.resync_marks == straight.resync_marks
-    assert paused.servo_setpoints == straight.servo_setpoints
+    for emit_setpoints in (False, True):
+        straight = make_sim(scheme, params, emit_setpoints)
+        straight.inject_command(Verb.START, 0)
+        straight.run_until(30)
+        paused = make_sim(scheme, params, emit_setpoints)
+        paused.inject_command(Verb.START, 0)
+        for i, p in enumerate(primes[:599], start=1):
+            paused.run_until(Fraction(i, 20) + Fraction(1, 40 * p))
+        paused.run_until(30)
+        assert paused.now == straight.now == 30
+        assert straight.servo_setpoints if emit_setpoints else straight.samples
+        assert straight.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
+        assert paused.samples == straight.samples
+        assert paused.resync_marks == straight.resync_marks
+        assert paused.servo_setpoints == straight.servo_setpoints
 
 
 def test_off_grid_command_time_is_kept_exactly():
@@ -140,10 +143,10 @@ _LOSSY = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5
                                              drop_probability=0.3))
 
 
-def _lossy_sim_with_commands(scheme):
+def _lossy_sim_with_commands(scheme, emit_setpoints):
     """A lossy-link sim with a Start, a turn and an off-grid Stop queued, and
     the list every sent message is appended to."""
-    sim = make_sim(scheme, _LOSSY, emit_setpoints=True)
+    sim = make_sim(scheme, _LOSSY, emit_setpoints)
     sent = []
     send = sim.send
     sim.send = lambda msg: (send(msg), sent.append(msg))
@@ -155,7 +158,8 @@ def _lossy_sim_with_commands(scheme):
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
-    sim, sent = _lossy_sim_with_commands(scheme)
+    # a setpoint run and a sample run, so both recording paths are covered
+    runs = [_lossy_sim_with_commands(scheme, emit_setpoints) for emit_setpoints in (True, False)]
 
     def forbidden(*_):
         raise AssertionError("Fraction arithmetic or comparison in the event loop")
@@ -170,10 +174,12 @@ def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
         return original_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    processed = sim.run_until(20.7)
+    processed = [sim.run_until(20.7) for sim, _ in runs]
     monkeypatch.undo()
 
-    assert processed > 0 and sent and sim.samples and sim.servo_setpoints
+    (setpoint_sim, sent), (sample_sim, sample_sent) = runs
+    assert all(processed) and sent and sample_sent
+    assert setpoint_sim.servo_setpoints and sample_sim.samples
     # messages carry int pairs; no Fraction exists until a caller reads one
     assert built == []
 
@@ -192,7 +198,7 @@ _MESSAGE_TIMES = {
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 def test_message_times_read_back_as_the_same_exact_fractions(scheme):
-    sim, sent = _lossy_sim_with_commands(scheme)
+    sim, sent = _lossy_sim_with_commands(scheme, emit_setpoints=True)
     sim.run_until(20.7)
     for m in sent:
         for pair, value in ((m.sent, m.sent_true_s), (m.delivered, m.delivered_true_s)):
