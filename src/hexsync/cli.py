@@ -18,17 +18,9 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .experiment import (
-    ErrorTrace,
-    SchemeId,
-    SchemeParams,
-    SweepRow,
-    build_sim,
-    run_error_trace,
-    sweep_resync_period,
-)
+from .experiment import ErrorTrace, SweepRow, build_sim, run_error_trace, sweep_resync_period
 from .gait import GaitConfig, servo_trace
-from .simnet import LinkModel, Verb
+from .simnet import LinkModel, SchemeId, SchemeParams, Verb
 
 _SCHEME_BY_NAME = {s.value: s for s in SchemeId}
 _DEFAULTS = SchemeParams()

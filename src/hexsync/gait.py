@@ -120,7 +120,7 @@ class GaitArmState:
     """Per-node arming record created when a Start command is applied; it
     compares by identity."""
 
-    def __init__(self, config: GaitConfig, ref: TimeRef, arm_period_index: int = 0) -> None:
+    def __init__(self, config: GaitConfig, ref: TimeRef, arm_period_index: int) -> None:
         self.config = config
         self.ref = ref
         # Period 0 is whole period arm_period_index counted on ref: it starts at
@@ -261,7 +261,7 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
 
 
 def setpoints_for_event(event: GaitEvent, t_true,
-                        swap_left: bool = False, swap_right: bool = False) -> List[ServoSetpoint]:
+                        swap_left: bool, swap_right: bool) -> List[ServoSetpoint]:
     """Expand one phase event into its six per-servo setpoints, commanded
     by the event's controller, in GAIT_TABLE order: T1's legs, then T2's.
 

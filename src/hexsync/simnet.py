@@ -48,7 +48,7 @@ until tsch.first_boundary_tick finds the receiver's first slot boundary at
 or after it; only that boundary's time is queued.
 
 A Message carries its sent and delivered times as exact (num, den) int
-pairs, and the three senders pass the pair (t, D) for now. Floats come from
+pairs, and the three senders pass the pair (t, D). Floats come from
 int true division, which rounds the same rational as float(Fraction). A
 Fraction is built only when a caller reads one: Sim.now, and a Message's
 sent_true_s and delivered_true_s, which are views built from the pairs.
@@ -128,13 +128,12 @@ class Message:
     # field-wise, as a Value compares and prints
     _values, __eq__, __repr__ = Value._values, Value.__eq__, Value.__repr__
 
-    def __init__(self, kind: MessageKind, dst: MoteState, sent, body: object = None,
-                 delivered: Optional[Tuple[int, int]] = None) -> None:
+    def __init__(self, kind: MessageKind, dst: MoteState, sent, body: object = None) -> None:
         self.kind = kind
         self.dst = dst
         self.sent = sent if type(sent) is tuple else as_ratio(sent)
         self.body = body
-        self.delivered = delivered
+        self.delivered: Optional[Tuple[int, int]] = None
 
     @property
     def sent_true_s(self) -> Fraction:
@@ -158,6 +157,13 @@ class LinkModel(Value):
                      drop_probability=drop_probability)
         if base_latency_s < 0 or jitter_bound_s < 0:
             raise ValueError("latencies must be non-negative")
+        try:  # the longest latency Sim.send can draw, in the float sum it computes
+            longest = float(base_latency_s) + float(jitter_bound_s)
+        except OverflowError:
+            longest = math.inf
+        if longest == math.inf:
+            raise ValueError(f"base_latency_s + jitter_bound_s must be finite, "
+                             f"got {base_latency_s!r} + {jitter_bound_s!r}")
         if not (0 <= drop_probability < 1):
             raise ValueError("drop_probability must lie in [0, 1)")
         self.__dict__.update(base_latency_s=base_latency_s, jitter_bound_s=jitter_bound_s,

@@ -11,16 +11,10 @@ import pytest
 
 from hexsync.clock import TICK_US
 from hexsync.cli import dispatch, read_trace_csv
-from hexsync.experiment import (
-    SchemeId,
-    SchemeParams,
-    run_scheme,
-    sweep_resync_period,
-    time_to_opposition,
-)
+from hexsync.experiment import run_scheme, sweep_resync_period, time_to_opposition
 from hexsync.gait import GaitConfig, GaitHealth, TimeRef, build_schedule, classify_gait
 from hexsync.gait import Controller, events_for_controller
-from hexsync.simnet import LinkModel
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams
 from paper_gait import JOINT_AT_PHASE, TRIPODS, servo_of, tripod_angle
 
 TWO_TICKS_US = 2 * TICK_US  # ~61.04 us

@@ -15,7 +15,8 @@ from hexsync.cli import (
     write_trace_csv,
 )
 from hexsync.cli import _build_parser, _params_from_args
-from hexsync.experiment import ErrorTrace, SchemeId, SchemeParams
+from hexsync.experiment import ErrorTrace
+from hexsync.simnet import SchemeId, SchemeParams
 
 
 def run_cli(tmp_path, *argv):
@@ -67,6 +68,8 @@ def test_unwritable_output_exits_one(capsys):
     (["sweep", "--periods", "-5"], None),
     (["run", "--scheme", "open-loop", "--gait-period-s", "1e-300", "--duration-s", "1"], None),
     (["run", "--duration-s", "-5"], None),
+    (["run", "--scheme", "centralized", "--base-latency-s", "1.7e308", "--jitter-s", "1.7e308",
+      "--duration-s", "5"], None),
 ])
 def test_bad_values_exit_one_without_traceback(tmp_path, capsys, argv, config):
     if config is not None:
@@ -74,7 +77,8 @@ def test_bad_values_exit_one_without_traceback(tmp_path, capsys, argv, config):
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
     assert dispatch(argv + ["--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err.startswith("hexsync: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("hexsync: error:") and err.count("\n") == 1
 
 
 def test_open_loop_run_reaches_two_ms(tmp_path):

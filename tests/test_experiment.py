@@ -7,8 +7,6 @@ import pytest
 from hexsync.clock import TICK_US
 from hexsync.experiment import (
     ErrorTrace,
-    SchemeId,
-    SchemeParams,
     analytic_bound_us,
     fit_drift_slope,
     run_error_trace,
@@ -17,7 +15,7 @@ from hexsync.experiment import (
     time_to_opposition,
 )
 from hexsync.gait import GaitConfig
-from hexsync.simnet import LinkModel
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams
 
 
 def test_s1_linear_drift_matches_paper_run():

@@ -3,6 +3,9 @@
 The package is layered clock -> tsch -> gait -> simnet -> experiment -> cli.
 A relative import that points sideways or upwards would make the layers
 cyclic, so every `from .x import ...` and `from . import x` is checked.
+The package root exports nothing, so importing a layer loads that layer and
+the layers below it, and no more; and every name is imported from the
+module that defines it, so no module re-exports another's names.
 The CLI's import path is checked too: it must stay free of the standard
 library's heavy introspection modules, which would add to every cold start.
 """
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "hexsync"
+TESTS_DIR = Path(__file__).resolve().parent
+PACKAGE_DIR = TESTS_DIR.parent / "src" / "hexsync"
 LAYERS = ("clock", "tsch", "gait", "simnet", "experiment", "cli")
 
 
@@ -42,11 +46,50 @@ def test_imports_only_lower_layers(module):
             f"{module} imports {imported}, which is not a lower layer")
 
 
-def test_cli_import_loads_no_introspection_modules():
-    # a fresh interpreter: this test process has loaded both modules already
-    code = ("import sys, hexsync.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def fresh_import(module: str, report: str) -> str:
+    """What a fresh interpreter prints after `import hexsync.<module>`: this
+    test process has loaded every module already."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", f"import sys, hexsync.{module}; print({report})"],
+                          env=env, check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_introspection_modules():
+    assert fresh_import("cli", "sorted({'dataclasses', 'inspect'} & set(sys.modules))") == "[]\n"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_import_loads_only_the_layer_and_those_below(module):
+    loaded = fresh_import(module, "sorted(m for m in sys.modules if m.split('.')[0] == 'hexsync')")
+    layers = LAYERS[:LAYERS.index(module) + 1]
+    assert loaded == f"{sorted(['hexsync'] + [f'hexsync.{m}' for m in layers])}\n"
+
+
+def top_level_definitions(module: str):
+    """The names a module binds at top level with def, class or assignment."""
+    for node in ast.parse((PACKAGE_DIR / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_names_are_imported_from_their_defining_module(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("hexsync."):
+            module = node.module.split(".")[1]
+        else:
+            continue
+        defined = set(top_level_definitions(module))
+        for alias in node.names:
+            assert alias.name in defined, (
+                f"{path.name}:{node.lineno} imports {alias.name} from {module}, "
+                f"which does not define it")

@@ -15,15 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsync.cli import read_trace_csv, write_trace_csv
-from hexsync.experiment import (
-    MIN_WINDOW_SAMPLES,
-    ErrorTrace,
-    SchemeId,
-    SchemeParams,
-    fit_drift_slope,
-    run_scheme,
-)
-from hexsync.simnet import LinkModel
+from hexsync.experiment import MIN_WINDOW_SAMPLES, ErrorTrace, fit_drift_slope, run_scheme
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams
 
 
 def naive_fit_drift_slope(trace: ErrorTrace) -> Optional[float]:

@@ -35,7 +35,7 @@ class ReferenceSetpoint:
     angle_deg: float
 
 
-def reference_setpoints_for_event(event, t_true, swap_left=False, swap_right=False):
+def reference_setpoints_for_event(event, t_true, swap_left, swap_right):
     """The paper's commands at the event's phase (tests/paper_gait.py), at t_true."""
     true_time_s = float(t_true)
     return [ReferenceSetpoint(true_time_s=true_time_s, controller=controller,
@@ -73,7 +73,7 @@ def reference_expander(sim):
     node that times the gait: a child, or the root in the centralized
     scheme. A servo command still in flight when the root stops carries the
     swap the root sent it with."""
-    def expand(event, t_true, swap_left=False, swap_right=False):
+    def expand(event, t_true, swap_left, swap_right):
         if sim.scheme is SchemeId.S0_CENTRALIZED:
             node = sim.root
         else:
