@@ -6,6 +6,17 @@ the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 
+After the resync a frame has one effect, its action, which the sender
+picks when it builds the frame (Message.action):
+- a keep-alive re-queues its child's keep-alive due event;
+- a Command frame applies its verb on the child in a decentralized run,
+  and does nothing more in a centralized run, whose root applied it;
+- a servo frame applies its child's whole plan in a setpoint run; in a
+  sample run the later of a period's two frames records the centralized
+  sample, and the other does nothing more.
+A Start that reaches a node whose gait is armed is a no-op: the gait keeps
+its period numbering. A Stop disarms, and a later Start arms afresh.
+
 A run records one of two outputs, as emit_setpoints picks: a sample run
 (the default) records the gait-error samples and no servo setpoints, a
 setpoint run the servo setpoints and no samples. Both record the resync
@@ -19,7 +30,7 @@ events still run as one entry per sample would order them, and
 run_until's count is of heap entries, so a window counts once.
 Centralized samples are fixed when the root sends a period's two servo
 commands, whose delivery times are then known, and recorded when the
-later of the two is applied. Either sampler's error is one formula: the
+later of the two is delivered. Either sampler's error is one formula: the
 gap between two instants over D (two period starts, or two deliveries),
 times 10**6 / D as one int / int division.
 
@@ -87,12 +98,6 @@ _PLANS = {node_id: tuple(events_for_controller(build_schedule(), controller))
           for node_id, controller in (("m1", Controller.M1), ("m2", Controller.M2))}
 
 
-class MessageKind(Enum):
-    COMMAND = "command"
-    KEEP_ALIVE = "keep-alive"
-    SERVO_COMMAND = "servo-command"
-
-
 class Verb(Enum):
     START = "start"
     STOP = "stop"
@@ -118,21 +123,21 @@ GAIT_TIME_REF = {
 class Message:
     """A frame from the root to one of its children; every frame flows that way.
 
-    sent and delivered hold the times as exact (num, den) pairs, unreduced,
-    so two messages compare equal when their pairs are equal term by term.
-    sent may be given as any time value; delivered is None until Sim.send
-    schedules the frame. Unlike a Value, a message is mutable.
+    Its delivery resyncs dst and then calls action(sim, dst, body), a Sim
+    method the sender picked, or nothing when action is None: such a frame
+    only resyncs. sent and delivered hold the times as exact (num, den)
+    pairs, unreduced; sent may be given as any time value, and delivered is
+    None until Sim.send schedules the frame. A message is mutable.
     """
 
-    __slots__ = _fields = ("kind", "dst", "sent", "body", "delivered")
-    # field-wise, as a Value compares and prints
-    _values, __eq__, __repr__ = Value._values, Value.__eq__, Value.__repr__
+    __slots__ = ("dst", "sent", "body", "action", "delivered")
 
-    def __init__(self, kind: MessageKind, dst: MoteState, sent, body: object = None) -> None:
-        self.kind = kind
+    def __init__(self, dst: MoteState, sent, body: object = None,
+                 action: Optional[Callable[..., None]] = None) -> None:
         self.dst = dst
         self.sent = sent if type(sent) is tuple else as_ratio(sent)
         self.body = body
+        self.action = action
         self.delivered: Optional[Tuple[int, int]] = None
 
     @property
@@ -207,7 +212,6 @@ class Sim:
                  emit_setpoints: bool = False):
         self.scheme = scheme
         self.params = params
-        self.seed = params.seed
         self.emit_setpoints = emit_setpoints
         # Free-running control deliberately leaves child timebases alone.
         self.resync_enabled = scheme is not SchemeId.S1_OPEN_LOOP
@@ -300,7 +304,7 @@ class Sim:
     def _uniform(self, stream: str, index: int) -> float:
         """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
         digest = hashlib.sha256(
-            f"{self.seed}:{stream}:{index}".encode()).digest()
+            f"{self.params.seed}:{stream}:{index}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
     # -- public operations -------------------------------------------------
@@ -358,9 +362,11 @@ class Sim:
     # -- event handlers ----------------------------------------------------
 
     def _handle_injection(self, verb: Verb) -> None:
+        # the centralized root applies the command itself; its frames only resync
+        action = None if self.scheme is SchemeId.S0_CENTRALIZED else Sim._apply_command
         for child in self.children:
-            self.send(Message(MessageKind.COMMAND, child, (self._t, self._D), body=verb))
-        if self.scheme is SchemeId.S0_CENTRALIZED:
+            self.send(Message(child, (self._t, self._D), verb, action))
+        if action is None:
             self._apply_command(self.root, verb)
 
     def _handle_delivery(self, msg: Message) -> None:
@@ -370,13 +376,8 @@ class Sim:
             self._last_resync[child.node_id] = self._t
             self.resync_marks.append(self._t / self._D)
             self._resynced = 1
-        if msg.kind is MessageKind.KEEP_ALIVE:
-            self._push(self._keepalive_due(child), Sim._handle_keepalive_due, (child,))
-        elif msg.kind is MessageKind.COMMAND:
-            if self.scheme is not SchemeId.S0_CENTRALIZED:
-                self._apply_command(child, msg.body)
-        elif msg.kind is MessageKind.SERVO_COMMAND:
-            self._apply_servo_command(child, msg.body)
+        if msg.action is not None:
+            msg.action(self, child, msg.body)
 
     def _handle_keepalive_due(self, child: MoteState) -> None:
         due = self._keepalive_due(child)
@@ -384,7 +385,11 @@ class Sim:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        self.send(Message(MessageKind.KEEP_ALIVE, child, (self._t, self._D)))
+        self.send(Message(child, (self._t, self._D), None, Sim._requeue_keepalive))
+
+    def _requeue_keepalive(self, child: MoteState, _body: None) -> None:
+        """A keep-alive's delivery action: the child is due one period on."""
+        self._push(self._keepalive_due(child), Sim._handle_keepalive_due, (child,))
 
     # -- gait control ------------------------------------------------------
 
@@ -394,6 +399,8 @@ class Sim:
         next gait period, or for period 0 if that has not begun."""
         now = (self._t, self._D)
         if verb is Verb.START:
+            if node.gait is not None:
+                return  # a Start while armed is a no-op
             if GAIT_TIME_REF[self.scheme] is TimeRef.ASN:
                 gaitmod.arm_asn_ref(node, self.params.gait, now)
             else:
@@ -498,36 +505,37 @@ class Sim:
         if gen != self._gen:
             return
         # nominally simultaneous per-period commands to both controllers,
-        # each carrying the period's knee swap state
+        # each carrying the period's knee swap state; in a sample run the
+        # children record no setpoints, so the frames only resync
         swaps = _swaps_at(self.root.gait, k)
         now = (self._t, self._D)
-        m1, m2 = msgs = [Message(MessageKind.SERVO_COMMAND, child, now, body=(*swaps, None))
-                         for child in self.children]
+        action = Sim._apply_plan if self.emit_setpoints else None
+        m1, m2 = msgs = [Message(child, now, swaps, action) for child in self.children]
         for msg in msgs:
             self.send(msg)
         if not self.emit_setpoints and k % self.params.sample_every == 0:
             # both deliveries are fixed now, over one D: the sample is the
-            # gap between them, recorded when the later frame is applied
+            # gap between them, recorded when the later frame is delivered
             # (m2 on a tie, as it was pushed second)
             d1, d2, D = m1.delivered[0], m2.delivered[0], self._D
-            sample = (round(max(d1, d2) / D, 6), k, round((d2 - d1) * 10**6 / D, 3))
-            (m1 if d1 > d2 else m2).body = (*swaps, sample)
+            later = m1 if d1 > d2 else m2
+            later.body = (round(max(d1, d2) / D, 6), k, round((d2 - d1) * 10**6 / D, 3))
+            later.action = Sim._record_sample
         self._push(self._period_start(self.root, k + 1),
                    Sim._handle_root_period, (gen, k + 1))
 
-    def _apply_servo_command(self, child: MoteState,
-                             body: Tuple[bool, bool, Optional[tuple]]) -> None:
-        swap_left, swap_right, sample = body
-        if self.emit_setpoints:
-            # the child's whole plan at one instant, in phase order: hip 0
-            # gets +30 and then -30, an order servo_trace's stable sort keeps
-            now_s = self._t / self._D
-            for event in _PLANS[child.node_id]:
-                self.servo_setpoints.extend(
-                    gaitmod.setpoints_for_event(event, now_s, swap_left, swap_right))
-        if sample is not None:
-            self.samples.append((*sample, self._resynced))
-            self._resynced = 0
+    def _apply_plan(self, child: MoteState, swaps: Tuple[bool, bool]) -> None:
+        """A setpoint run's servo frame action: the child's whole plan at one
+        instant, in phase order. Hip 0 gets +30 and then -30, an order
+        servo_trace's stable sort keeps."""
+        now_s = self._t / self._D
+        for event in _PLANS[child.node_id]:
+            self.servo_setpoints.extend(gaitmod.setpoints_for_event(event, now_s, *swaps))
+
+    def _record_sample(self, _child: MoteState, sample: Tuple[float, int, float]) -> None:
+        """A sample run's action on a period's later servo frame."""
+        self.samples.append((*sample, self._resynced))
+        self._resynced = 0
 
 
 # the knee swap (left, right) each turn verb sets

@@ -1,0 +1,135 @@
+"""Mutation gate: each mutant below must fail at least one of its named tests.
+
+    python tests/mutants.py
+
+Run it from anywhere; it needs only pytest and hypothesis. For each mutant
+the runner copies src/ into a fresh temporary directory, replaces the
+mutant's exact text in one file and runs the mutant's tests with pytest,
+stopping at the first failure, against that copy. A target text that is
+missing, or occurs more than once, fails the gate before any test runs, so
+a change that moves the code must re-anchor its mutants rather than skip
+them. Before the mutants, the named tests run once against an unmutated
+copy and must pass, so a kill is the mutant's doing. The gate exits 1 when
+a mutant survives or a target text is not found exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+REPO = Path(__file__).resolve().parents[1]
+# a mutant can loop or grow without bound, so each pytest run is capped: an
+# allocation beyond the address space fails its test, and a run that times
+# out kills nothing
+MEMORY_BYTES = 2 * 1024**3
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str     # relative to src/hexsync
+    find: str     # must occur exactly once in the file
+    replace: str
+    tests: Tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    # the decentralized window sampler (Sim._handle_samples)
+    Mutant("window ignores the heap head", "simnet.py",
+           "if heap and heap[0][0] <= last:", "if False:",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
+            "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
+    Mutant("window ignores run_until's bound", "simnet.py",
+           "last = self._t_end\n", "last = heap[0][0] - 1 if heap else self._t_end\n",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
+            "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
+    Mutant("window takes a sample at the heap head's time", "simnet.py",
+           "last = heap[0][0] - 1", "last = heap[0][0]",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    # the gait table and the knee swap rule
+    Mutant("a hip sign flipped in the table", "gait.py",
+           "(1, -30.0), (3, -30.0), (5, -30.0)", "(1, -30.0), (3, 30.0), (5, -30.0)",
+           ("tests/test_gait.py::test_schedule_matches_paper_gait",)),
+    Mutant("knee 9 swaps as a left knee", "gait.py",
+           "swap_left if servo_id < 9 else swap_right", "swap_left if servo_id <= 9 else swap_right",
+           ("tests/test_gait.py::test_schedule_matches_paper_gait",)),
+    # frame delivery actions
+    Mutant("a centralized Command frame is applied on the child", "simnet.py",
+           "(self._t, self._D), verb, action))", "(self._t, self._D), verb, Sim._apply_command))",
+           ("tests/test_simnet.py::test_stop_quiesces_gait[centralized]",
+            "tests/test_golden.py::test_golden[run_centralized]")),
+    Mutant("the sample is recorded on the earlier servo frame", "simnet.py",
+           "later = m1 if d1 > d2 else m2", "later = m2 if d1 > d2 else m1",
+           ("tests/test_simnet.py::test_centralized_sample_is_recorded_at_the_later_delivery",)),
+    Mutant("a keep-alive delivery re-queues nothing", "simnet.py",
+           "None, Sim._requeue_keepalive))", "None, None))",
+           ("tests/test_simnet.py::test_keepalive_sent_one_period_after_last_resync",)),
+)
+
+
+def limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def pytest_run(src: Path, tests, workdir: Path) -> int:
+    """Run the tests against the package under src; pytest's exit code, or
+    -1 when the run times out.
+
+    pytest runs in workdir, so its and hypothesis's caches stay out of the
+    repository, and the config's pythonpath is pointed at the copy."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "--no-header", "-p", "no:cacheprovider",
+           "-c", str(REPO / "pyproject.toml"), "--rootdir", str(REPO),
+           "-o", f"pythonpath={src}", *(str(REPO / t) for t in tests)]
+    try:
+        return subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+                              preexec_fn=limit_memory).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main() -> int:
+    anchored = True
+    for m in MUTANTS:
+        n = (REPO / "src" / "hexsync" / m.path).read_text().count(m.find)
+        if n != 1:
+            print(f"NOT ANCHORED  {m.name}: {m.find!r} occurs {n} times in {m.path}")
+            anchored = False
+    if not anchored:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        all_tests = sorted({t for m in MUTANTS for t in m.tests})
+        if pytest_run(copy_src(base), all_tests, base) != 0:
+            print("the named tests fail on the unmutated source; fix that first")
+            return 1
+        survivors = []
+        for i, m in enumerate(MUTANTS):
+            work = Path(tmp) / f"m{i}"
+            src = copy_src(work)
+            target = src / "hexsync" / m.path
+            target.write_text(target.read_text().replace(m.find, m.replace))
+            killed = pytest_run(src, m.tests, work) == 1
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {m.name}")
+            if not killed:
+                survivors.append(m.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

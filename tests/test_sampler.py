@@ -138,12 +138,13 @@ def replay(cls, scheme, params, commands, pauses):
                        link=LinkModel(jitter_bound_s=0.0)),
           [(Fraction(173, 10), Verb.LEFT)],
           [(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))]))
-# A Start re-arms mid-run; the next Start, in flight, lands on the sample
-# instant 6.75 s.
+# A Stop and a Start re-arm mid-run (a Start while armed is a no-op); the
+# next Stop and Start, in flight, land on the sample instant 6.75 s.
 @example((SchemeId.S2_SYNCHRONIZED,
           SchemeParams(ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_slots=100),
                        link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0)),
-          [(Fraction(423, 200), Verb.START), (Fraction(27, 4) - Fraction(13, 8), Verb.START)],
+          [(t, verb) for t in (Fraction(423, 200), Fraction(27, 4) - Fraction(13, 8))
+           for verb in (Verb.STOP, Verb.START)],
           []))
 # Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
 @example((SchemeId.S2_SYNCHRONIZED,

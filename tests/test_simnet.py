@@ -10,9 +10,9 @@ from hexsync.gait import GaitConfig, servo_trace
 from hexsync.simnet import (
     LinkModel,
     Message,
-    MessageKind,
     SchemeId,
     SchemeParams,
+    Sim,
     Verb,
     make_sim,
 )
@@ -57,25 +57,25 @@ def test_identical_config_and_seed_replay_identically():
 
 def test_degenerate_link_delivers_on_next_slot_boundary():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0))
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], Fraction(0.001))
+    msg = Message(sim.children[1], Fraction(0.001))
     sim.send(msg)
     expected = slot_boundary_true_time(sim.children[1], 1)
     assert msg.delivered_true_s == expected
 
 
-def test_messages_compare_and_print_by_value():
+def test_message_holds_an_exact_sent_pair_and_its_body():
     sim = new_sim()
     child = sim.children[0]
-    a = Message(MessageKind.COMMAND, child, Fraction(3, 2), body=Verb.LEFT)
-    b = Message(MessageKind.COMMAND, child, 1.5, body=Verb.LEFT)
-    assert a == b and a.sent == (3, 2)
-    assert a != Message(MessageKind.COMMAND, child, Fraction(3, 2), body=Verb.RIGHT)
-    assert "sent=(3, 2)" in repr(a) and "body=<Verb.LEFT" in repr(a)
+    a = Message(child, Fraction(3, 2), Verb.LEFT)
+    b = Message(child, 1.5, Verb.LEFT)
+    c = Message(child, Fraction(3, 2), Verb.RIGHT)
+    assert (a.sent, a.body) == (b.sent, b.body) and a.sent == (3, 2)
+    assert (a.sent, a.body) != (c.sent, c.body)
 
 
 def test_delivery_within_latency_window():
     sim = new_sim()
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[0], Fraction(29.99))
+    msg = Message(sim.children[0], Fraction(29.99))
     sim.send(msg)
     assert 29.99 <= msg.delivered_true_s <= 29.99 + SLOT + 0.015
 
@@ -158,7 +158,42 @@ def test_stop_quiesces_gait(scheme):
     assert all(sp.true_time_s <= first_stop for sp in setpoints)
     assert all(s[0] <= first_stop for s in sampled.samples)
     # the centralized root stops timing the gait at its own Stop
-    assert all(m.sent_true_s < 20 for m in sent if m.kind is MessageKind.SERVO_COMMAND)
+    servo = [m for m in sent if m.action is Sim._apply_plan]
+    assert bool(servo) == (scheme is SchemeId.S0_CENTRALIZED)
+    assert all(m.sent_true_s < 20 for m in servo)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_a_start_while_armed_is_a_no_op(scheme):
+    # the second Start reaches nodes that are armed, so the gait keeps the
+    # first Start's period numbering: no index repeats or restarts at 0
+    indices = []
+    for starts in ((0,), (0, 10.3)):
+        sim = new_sim(mode=scheme)
+        for t in starts:
+            sim.inject_command(Verb.START, t)
+        sim.run_until(30)
+        indices.append([s[1] for s in sim.samples])
+    once, twice = indices
+    assert len(once) >= 25
+    assert twice == once == list(range(len(once)))
+
+
+def test_centralized_sample_is_recorded_at_the_later_delivery():
+    # a period's sample is the gap between its two servo deliveries, so it
+    # is recorded by the later one: a pause just before that delivery holds
+    # only the earlier periods' samples, though the earlier one is applied
+    full = new_sim(mode=SchemeId.S0_CENTRALIZED)
+    full.inject_command(Verb.START, 0)
+    full.run_until(40)
+    paused = new_sim(mode=SchemeId.S0_CENTRALIZED)
+    paused.inject_command(Verb.START, 0)
+    # sample times are rounded to the microsecond, and a tick is ~30.5 us
+    for i, sample in enumerate(full.samples):
+        paused.run_until(sample[0] - 1e-6)
+        assert paused.samples == full.samples[:i]
+    paused.run_until(40)
+    assert paused.samples == full.samples and len(full.samples) > 30
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
@@ -331,7 +366,7 @@ def test_configs_are_immutable_values(value, name, new, bad):
     lambda sim, t: sim.inject_command(Verb.STOP, t),
     lambda sim, t: sim.run_until(t),
     lambda sim, t: ticks_at(sim.root.clock, t),
-    lambda sim, t: Message(MessageKind.COMMAND, sim.children[0], t),
+    lambda sim, t: Message(sim.children[0], t, Verb.STOP),
 ], ids=["inject_command", "run_until", "ticks_at", "Message"])
 def test_non_finite_times_rejected(call, value):
     with pytest.raises(ValueError, match="finite"):
@@ -340,10 +375,10 @@ def test_non_finite_times_rejected(call, value):
 
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
-    msg = Message(MessageKind.KEEP_ALIVE, sim.children[1], Fraction(0.001))
+    msg = Message(sim.children[1], Fraction(0.001))
     sim.send(msg)
     no_drop = new_sim(link=LinkModel(jitter_bound_s=0.0), seed=7)
-    msg2 = Message(MessageKind.KEEP_ALIVE, no_drop.children[1], Fraction(0.001))
+    msg2 = Message(no_drop.children[1], Fraction(0.001))
     no_drop.send(msg2)
     assert msg.delivered_true_s >= msg2.delivered_true_s
     lag_slots = float(msg.delivered_true_s - msg2.delivered_true_s) / SLOT
@@ -363,7 +398,7 @@ def test_keepalive_sent_one_period_after_last_resync():
     for child in sim.children:
         deliveries = [m.delivered_true_s for m in sent if m.dst is child]
         keepalives = [m for m in sent
-                      if m.dst is child and m.kind is MessageKind.KEEP_ALIVE]
+                      if m.dst is child and m.action is Sim._requeue_keepalive]
         assert len(keepalives) >= 60 / period / 2
         for m in keepalives:
             last = max(t for t in deliveries if t < m.sent_true_s)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hexsync.simnet import (
     LinkModel,
     Message,
-    MessageKind,
     SchemeId,
     SchemeParams,
     Verb,
@@ -82,7 +81,7 @@ def test_delivery_slot_matches_fraction_formula(ppm, root_ppm, seed, t_sync, sen
         target = slot_boundary_true_time(dst, asn_at(dst, sent_true + lead) + 1 + slots_ahead)
         sent_true = target - lead
     expected = ref_delivery(dst, sent_true, link, seed, 0)
-    msg = Message(MessageKind.KEEP_ALIVE, dst, sent_true)
+    msg = Message(dst, sent_true)
     sim.send(msg)
     assert msg.delivered_true_s == expected
     if on_boundary:

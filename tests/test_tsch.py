@@ -10,9 +10,9 @@ from hexsync.clock import TICK_S, TICK_US, make_clock
 from hexsync.simnet import (
     LinkModel,
     Message,
-    MessageKind,
     SchemeId,
     SchemeParams,
+    Sim,
     Verb,
     make_sim,
 )
@@ -155,8 +155,8 @@ def test_keepalive_due_from_last_resync():
     sim.inject_command(Verb.FORWARD, Fraction(12.4))
     sim.run_until(25)
     to_child = [m for m in sent if m.dst is child]
-    command = next(m for m in to_child if m.kind is MessageKind.COMMAND)
-    keepalives = [m.sent_true_s for m in to_child if m.kind is MessageKind.KEEP_ALIVE]
+    command = next(m for m in to_child if m.body is Verb.FORWARD)
+    keepalives = [m.sent_true_s for m in to_child if m.action is Sim._requeue_keepalive]
     assert 12.4 < command.delivered_true_s <= 12.4 + SLOT_LENGTH_S
     assert keepalives == [10, command.delivered_true_s + 10]
 
@@ -167,7 +167,7 @@ def test_root_has_no_keepalive():
     assert len(sent) >= 2 * 5
     assert all(m.dst in sim.children for m in sent)
     # the root keeps the time; a keep-alive cannot resync it
-    sim.send(Message(MessageKind.KEEP_ALIVE, sim.root, sim.now))
+    sim.send(Message(sim.root, sim.now))
     with pytest.raises(ValueError):
         sim.run_until(61)
 
