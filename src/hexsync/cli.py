@@ -189,31 +189,33 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
     return lines
 
 
-def servo_csv_lines(setpoints) -> List[str]:
-    """The setpoints as CSV rows, one per setpoint, in the order given.
+def servo_csv_lines(trace) -> List[str]:
+    """The trace's setpoints as CSV text: the header, then one string per
+    entry holding the entry's rows, newline-separated, so that joining the
+    result with newlines gives one row per setpoint, in the order given.
 
-    A row is its time field plus a ",controller,servo_id,angle" suffix. The
-    gait commands a few distinct (controller, servo, angle) triples over and
-    over, so each suffix is formatted once per call, and each run of equal
-    times once. Keys compare as numbers, and 0.0 == -0.0 although they
-    format apart, so a zero time or angle is never reused.
+    trace holds (true_time_s, rows) entries, as gait.servo_trace returns
+    them: rows are (controller, servo_id, angle_deg) rows that share the
+    entry's time. A row is its time field plus a ",controller,servo_id,angle"
+    suffix. An entry's time is formatted once and joined between its
+    rows' suffixes. The gait emits a few rows tuples over and over, so each
+    tuple's suffixes are formatted once per call, cached by the tuple's
+    identity; the cache keeps each tuple alive, so no identity in it can be
+    reused.
     """
     lines = [SERVO_HEADER]
     append = lines.append
-    suffixes: Dict[tuple, str] = {}
-    last_t = time_field = None
-    for t, controller, servo_id, angle in setpoints:
-        if t != last_t or not t:
-            last_t = t
-            time_field = f"{t:.6f}"
-        # _value_ is the member's plain attribute; .value is a Python-level descriptor
-        key = (controller._value_, servo_id, angle)
-        suffix = suffixes.get(key)
-        if suffix is None:
-            suffix = f",{key[0]},{servo_id},{angle:.3f}"
-            if angle:
-                suffixes[key] = suffix
-        append(time_field + suffix)
+    # id(rows) -> (rows, their suffixes)
+    suffixes: Dict[int, Tuple[tuple, Tuple[str, ...]]] = {}
+    for t, rows in trace:
+        hit = suffixes.get(id(rows))
+        if hit is None:
+            # _value_ is the member's plain attribute; .value is a Python-level descriptor
+            hit = suffixes[id(rows)] = (rows, tuple(
+                f",{controller._value_},{servo_id},{angle:.3f}"
+                for controller, servo_id, angle in rows))
+        time_field = f"{t:.6f}"
+        append(time_field + ("\n" + time_field).join(hit[1]))
     return lines
 
 
@@ -280,8 +282,8 @@ def dispatch(argv: Sequence[str]) -> int:
             sim = build_sim(scheme, params, emit_setpoints=True)
             if args.stop_s is not None:
                 sim.inject_command(Verb.STOP, args.stop_s)
-            setpoints = servo_trace(sim, params.duration_s)
-            _write_lines(servo_csv_lines(setpoints), args.out)
+            trace = servo_trace(sim, params.duration_s)
+            _write_lines(servo_csv_lines(trace), args.out)
         return 0
     except SystemExit as exc:
         # only argparse exits: 0 after --help, 2 on a usage error

@@ -16,10 +16,12 @@ start of gait period k.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import (
     NOMINAL_FREQ_HZ,
@@ -91,18 +93,10 @@ class GaitConfig(Value):
         return self.period_slots * SLOT_LENGTH_S
 
 
-class ServoSetpoint(NamedTuple):
-    """One servo angle command. The servo id fixes the controller: hips
-    0-5 belong to M1, knees 6-11 to M2."""
-    true_time_s: float
-    controller: Controller
-    servo_id: int
-    angle_deg: float
-
-
-_new_setpoint = tuple.__new__  # _new_setpoint(ServoSetpoint, fields), with no Python-level __new__
-# a setpoint without its time: (controller, servo_id, angle_deg)
-_Row = Tuple[Controller, int, float]
+# One servo angle command without its time: (controller, servo_id,
+# angle_deg). The servo id fixes the controller: hips 0-5 belong to M1,
+# knees 6-11 to M2.
+Row = Tuple[Controller, int, float]
 
 
 class GaitEvent(NamedTuple):
@@ -110,10 +104,10 @@ class GaitEvent(NamedTuple):
     PHASES[phase_index], and its six setpoint rows under each knee swap
     state. rows[swap_left][swap_right] holds (controller, servo_id,
     angle_deg) rows in GAIT_TABLE order, compiled once so that
-    setpoints_for_event only adds the time."""
+    setpoints_for_event only picks one."""
     phase_index: int
     controller: Controller
-    rows: Tuple[Tuple[Tuple[_Row, ...], ...], ...]
+    rows: Tuple[Tuple[Tuple[Row, ...], ...], ...]
 
 
 class GaitArmState:
@@ -148,7 +142,7 @@ def build_schedule() -> List[GaitEvent]:
 
 
 def _turned(controller: Controller, rows: Sequence[Tuple[int, float]],
-            swap_left: bool, swap_right: bool) -> Tuple[_Row, ...]:
+            swap_left: bool, swap_right: bool) -> Tuple[Row, ...]:
     """A phase's table rows as setpoint rows under a knee swap state. A turn
     negates the knee angles on the swapped side: knees 6-8 are the left
     side's, 9-11 the right side's. Hips never change."""
@@ -260,17 +254,15 @@ def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
     return true_time_of_tick(node.clock, event_tick(node, k, as_ratio(phase_offset)))
 
 
-def setpoints_for_event(event: GaitEvent, t_true,
-                        swap_left: bool, swap_right: bool) -> List[ServoSetpoint]:
-    """Expand one phase event into its six per-servo setpoints, commanded
-    by the event's controller, in GAIT_TABLE order: T1's legs, then T2's.
+def setpoints_for_event(event: GaitEvent, swap_left: bool, swap_right: bool) -> Tuple[Row, ...]:
+    """One phase event's six servo commands under a knee swap state, in
+    GAIT_TABLE order (T1's legs, then T2's), as (controller, servo_id,
+    angle_deg) rows with no time attached.
 
-    The rows for each knee swap state were compiled when the event was
-    built (GaitEvent.rows); here each row only gains the time.
+    The rows were compiled when the event was built (GaitEvent.rows), so
+    this returns them as they are and builds nothing.
     """
-    t = float(t_true)
-    return [_new_setpoint(ServoSetpoint, (t, controller, servo_id, angle))
-            for controller, servo_id, angle in event.rows[swap_left][swap_right]]
+    return event.rows[swap_left][swap_right]
 
 
 def classify_gait(error_us: float, period_s: float) -> GaitHealth:
@@ -286,18 +278,46 @@ def classify_gait(error_us: float, period_s: float) -> GaitHealth:
     return GaitHealth.DEGRADED
 
 
-def servo_trace(sim, t_end) -> List[ServoSetpoint]:
-    """Run the simulation to t_end and return its setpoints ordered by
-    (time, servo id); same-time setpoints of one servo keep the order they
-    were emitted in."""
+def servo_trace(sim, t_end) -> List[Tuple[float, Tuple[Row, ...]]]:
+    """Run the simulation to t_end and return its setpoints as one
+    (true_time_s, rows) entry per instant, in time order, each instant's
+    rows ordered by servo id; same-time rows of one servo keep the order
+    they were emitted in.
+
+    The run records one (true_time_s, rows) group per phase event, in
+    emission order, and emission time never decreases (a ValueError says
+    otherwise). So an instant is a run of neighbouring equal-time groups,
+    and only its own rows need a stable sort by servo id; (time, servo_id)
+    orders as (time, controller, servo_id) would, since the servo id fixes
+    the controller. Each phase has a slot of its own, but same-time groups
+    still occur: both controllers can fire at one instant, and a
+    centralized servo command applies a whole plan at once.
+
+    The gait emits a few compiled rows tuples over and over, so an
+    instant's sorted rows are cached per combination of its groups' rows.
+    The key is their identities, not their values: hashing a row hashes
+    its Controller member, a Python-level call. The cache keeps each
+    key's rows alive, so no identity in it can be reused.
+    """
     sim.run_until(t_end)
-    # (time, servo_id) orders as (time, controller, servo_id) would: the servo
-    # id fixes the controller (hips 0-5 are M1, knees 6-11 are M2). Each
-    # phase has a slot of its own, but same-time setpoints still occur: T1
-    # and T2 share each phase, both controllers can fire at one instant, and
-    # a centralized servo command applies a whole plan at once. Two stable
-    # single-key sorts, the minor key first, give the (time, servo_id) order
-    # without building a key tuple per setpoint.
-    out = sorted(sim.servo_setpoints, key=itemgetter(2))
-    out.sort(key=itemgetter(0))
+    out: List[Tuple[float, Tuple[Row, ...]]] = []
+    append = out.append
+    # id(rows) of a one-group instant, or the tuple of its groups' ids ->
+    # (the groups' rows, the instant's sorted rows)
+    merged: Dict[object, Tuple[tuple, Tuple[Row, ...]]] = {}
+    last, parts = -math.inf, ()
+    for t, rows in sim.servo_setpoints.groups:
+        if t == last:  # another group of the instant just appended
+            parts += (rows,)
+            key = tuple(map(id, parts))
+            out.pop()
+        elif t < last:
+            raise ValueError(f"setpoint record goes back in time: {t} after {last}")
+        else:
+            last, parts, key = t, (rows,), id(rows)
+        hit = merged.get(key)
+        if hit is None:
+            hit = merged[key] = (parts, tuple(sorted(chain.from_iterable(parts),
+                                                     key=itemgetter(1))))
+        append((t, hit[1]))
     return out

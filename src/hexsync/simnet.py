@@ -20,7 +20,10 @@ its period numbering. A Stop disarms, and a later Start arms afresh.
 A run records one of two outputs, as emit_setpoints picks: a sample run
 (the default) records the gait-error samples and no servo setpoints, a
 setpoint run the servo setpoints and no samples. Both record the resync
-marks.
+marks. A setpoint run records its setpoints in groups (SetpointRecord):
+each phase event a child fires, or a centralized servo frame applies,
+adds one (true_time_s, rows) group, its rows the event's compiled rows as
+gait.setpoints_for_event returns them, so no setpoint object is built.
 
 The decentralized schemes sample the gait error once per period, and the
 samples share one heap entry per window: when it pops it emits every
@@ -78,12 +81,11 @@ from . import gait as gaitmod
 from .clock import Value, as_ratio, check_finite, make_clock
 from .gait import (
     PHASE_ZERO,
-    PHASES,
     Controller,
     GaitArmState,
     GaitConfig,
     GaitEvent,
-    ServoSetpoint,
+    Row,
     TimeRef,
     build_schedule,
     events_for_controller,
@@ -200,12 +202,27 @@ class SchemeParams(Value):
                              seed=seed, gait=gait, link=link, sample_every=sample_every)
 
 
+class SetpointRecord:
+    """A setpoint run's servo commands, as the run emits them: in groups,
+    one (true_time_s, rows) pair per phase event fired or applied, where
+    rows are the event's compiled (controller, servo_id, angle_deg) rows
+    (gait.setpoints_for_event). Its len() counts setpoints, not groups."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self) -> None:
+        self.groups: List[Tuple[float, Tuple[Row, ...]]] = []
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self.groups)
+
+
 class Sim:
     """A single deterministic simulation; mutate only through its event loop.
 
-    With emit_setpoints it records servo_setpoints and leaves samples
-    empty; without, it records samples and leaves servo_setpoints empty.
-    Either way it records resync_marks.
+    With emit_setpoints it records servo_setpoints (a SetpointRecord) and
+    leaves samples empty; without, it records samples and leaves
+    servo_setpoints empty. Either way it records resync_marks.
     """
 
     def __init__(self, scheme: SchemeId, params: SchemeParams,
@@ -227,7 +244,7 @@ class Sim:
         # 1 from a resync mark until the next sample is recorded, which
         # takes it as its resync flag
         self._resynced = 0
-        self.servo_setpoints: List[ServoSetpoint] = []
+        self.servo_setpoints = SetpointRecord()
 
         # (num, den) seconds of one gait period on the scheme's time reference
         self._period_ratio = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
@@ -484,18 +501,29 @@ class Sim:
         self._push(t, Sim._handle_samples, (gen, k + every))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
+        """Queue the child's period-k phase events, from one event_tick_form.
+
+        Phase q (PHASES[q], q quarters of a period) of period k fires at
+        tick c + (a + b * (k + q/4)) // d, the period-start form at k + q/4,
+        and b * q/4 is an int: b is a multiple of 4 on either time reference
+        (ticks per local second * period_s's numerator, or period_slots *
+        slot ticks). So the form serves every phase with b // 4 per
+        quarter, and the ticks equal event_tick's own per-phase forms.
+        """
         unit = self._tick_unit[child.node_id]
         gen = self._gen
+        c, a, b, d = gaitmod.event_tick_form(child, PHASE_ZERO)
+        quarter = b // 4
         for event in _PLANS[child.node_id]:
-            self._push(gaitmod.event_tick(child, k, PHASES[event.phase_index]) * unit,
+            self._push((c + (a + quarter * (4 * k + event.phase_index)) // d) * unit,
                        Sim._handle_controller_phase, (child, gen, k, event))
 
     def _handle_controller_phase(self, child: MoteState, gen: int, k: int,
                                  event: GaitEvent) -> None:
         if gen != self._gen:
             return
-        self.servo_setpoints.extend(gaitmod.setpoints_for_event(
-            event, self._t / self._D, *_swaps_at(child.gait, k)))
+        self.servo_setpoints.groups.append(
+            (self._t / self._D, gaitmod.setpoints_for_event(event, *_swaps_at(child.gait, k))))
         if event is _PLANS[child.node_id][-1]:
             self._schedule_controller_period(child, k + 1)
 
@@ -526,11 +554,12 @@ class Sim:
 
     def _apply_plan(self, child: MoteState, swaps: Tuple[bool, bool]) -> None:
         """A setpoint run's servo frame action: the child's whole plan at one
-        instant, in phase order. Hip 0 gets +30 and then -30, an order
-        servo_trace's stable sort keeps."""
+        instant, one group per event in phase order. Hip 0 gets +30 and then
+        -30, an order servo_trace's stable sort keeps."""
         now_s = self._t / self._D
+        append = self.servo_setpoints.groups.append
         for event in _PLANS[child.node_id]:
-            self.servo_setpoints.extend(gaitmod.setpoints_for_event(event, now_s, *swaps))
+            append((now_s, gaitmod.setpoints_for_event(event, *swaps)))
 
     def _record_sample(self, _child: MoteState, sample: Tuple[float, int, float]) -> None:
         """A sample run's action on a period's later servo frame."""

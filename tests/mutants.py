@@ -60,6 +60,18 @@ MUTANTS = (
     Mutant("knee 9 swaps as a left knee", "gait.py",
            "swap_left if servo_id < 9 else swap_right", "swap_left if servo_id <= 9 else swap_right",
            ("tests/test_gait.py::test_schedule_matches_paper_gait",)),
+    # the setpoint path: servo_trace's instants and the CSV's suffix cache
+    Mutant("an instant's rows left unsorted by servo id", "gait.py",
+           "key=itemgetter(1))))", "key=lambda row: 0)))",
+           ("tests/test_golden.py::test_golden[trace_synchronized]",
+            "tests/test_setpoint_path.py::test_trace_and_csv_match_reference[synchronized]")),
+    Mutant("equal-time groups left unmerged", "gait.py",
+           "if t == last:", "if False:",
+           ("tests/test_golden.py::test_golden[trace_centralized]",
+            "tests/test_setpoint_path.py::test_trace_and_csv_match_reference[centralized]")),
+    Mutant("the CSV's suffix cache lets its rows tuples go", "cli.py",
+           "hit = suffixes[id(rows)] = (rows, tuple(", "hit = suffixes[id(rows)] = (None, tuple(",
+           ("tests/test_setpoint_path.py::test_csv_formats_each_row_as_reference",)),
     # frame delivery actions
     Mutant("a centralized Command frame is applied on the child", "simnet.py",
            "(self._t, self._D), verb, action))", "(self._t, self._D), verb, Sim._apply_command))",

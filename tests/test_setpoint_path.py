@@ -4,16 +4,16 @@ The reference setpoint expansion is the paper's gait as tests/paper_gait.py
 spells it, with a per-leg test of the knee swap. The references for the
 chronological sort and the CSV row formatter are those two as they were
 before setpoints became named tuples: a frozen dataclass per setpoint, a
-(time, controller name, servo id) sort key and one f-string per row. The
-simulation must emit, order and format exactly what they do, for every
-scheme, with turns, drops, jitter and gait periods down to one slot per
-phase.
+(time, controller name, servo id) sort key and one f-string per row. A run
+records its setpoints as (time, rows) groups, which the references read
+expanded into one dataclass per row. The simulation must emit, order and
+format exactly what they do, for every scheme, with turns, drops, jitter
+and gait periods down to one slot per phase.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from unittest import mock
 
 import pytest
@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsync import gait
-from hexsync.cli import SERVO_HEADER, servo_csv_lines
+from hexsync.cli import SERVO_HEADER, dispatch, servo_csv_lines
 from hexsync.gait import Controller, GaitConfig, build_schedule, servo_trace
 from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Verb, make_sim
 from paper_gait import paper_rows
@@ -35,12 +35,17 @@ class ReferenceSetpoint:
     angle_deg: float
 
 
-def reference_setpoints_for_event(event, t_true, swap_left, swap_right):
-    """The paper's commands at the event's phase (tests/paper_gait.py), at t_true."""
-    true_time_s = float(t_true)
-    return [ReferenceSetpoint(true_time_s=true_time_s, controller=controller,
-                              servo_id=servo_id, angle_deg=angle)
-            for controller, servo_id, angle in paper_rows(event.phase_index, swap_left, swap_right)]
+def reference_setpoints_for_event(event, swap_left, swap_right):
+    """The paper's (controller, servo_id, angle_deg) rows at the event's
+    phase (tests/paper_gait.py)."""
+    return paper_rows(event.phase_index, swap_left, swap_right)
+
+
+def reference_setpoints(groups):
+    """(true_time_s, rows) groups expanded into one ReferenceSetpoint per row."""
+    return [ReferenceSetpoint(true_time_s=t, controller=controller, servo_id=servo_id,
+                              angle_deg=angle)
+            for t, rows in groups for controller, servo_id, angle in rows]
 
 
 def reference_sort(setpoints):
@@ -62,10 +67,10 @@ def as_row(sp):
 def test_expansion_matches_reference_for_every_event():
     for event, swap_left, swap_right in product(
             build_schedule(), (False, True), (False, True)):
-        got = gait.setpoints_for_event(event, Fraction(7, 3), swap_left, swap_right)
-        want = reference_setpoints_for_event(event, Fraction(7, 3), swap_left, swap_right)
-        assert [as_row(s) for s in got] == [as_row(s) for s in want]
-        assert [str(s.angle_deg) for s in got] == [str(s.angle_deg) for s in want]
+        got = gait.setpoints_for_event(event, swap_left, swap_right)
+        want = reference_setpoints_for_event(event, swap_left, swap_right)
+        assert list(got) == want
+        assert [str(angle) for _, _, angle in got] == [str(angle) for _, _, angle in want]
 
 
 def reference_expander(sim):
@@ -73,14 +78,14 @@ def reference_expander(sim):
     node that times the gait: a child, or the root in the centralized
     scheme. A servo command still in flight when the root stops carries the
     swap the root sent it with."""
-    def expand(event, t_true, swap_left, swap_right):
+    def expand(event, swap_left, swap_right):
         if sim.scheme is SchemeId.S0_CENTRALIZED:
             node = sim.root
         else:
             node = sim.children[0 if event.controller is Controller.M1 else 1]
         if node.gait is not None:
             swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
-        return reference_setpoints_for_event(event, t_true, swap_left, swap_right)
+        return reference_setpoints_for_event(event, swap_left, swap_right)
     return expand
 
 
@@ -106,6 +111,12 @@ def runs(draw):
     return params, commands
 
 
+# a turn each way and a Stop, over a lossy link with 30 ms of jitter
+LOSSY_TURNS = (SchemeParams(duration_s=10, resync_period_s=2.5,
+                            link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3)),
+               [(Verb.START, 0), (Verb.LEFT, 2.3), (Verb.RIGHT, 4.1), (Verb.STOP, 7.7)])
+
+
 def primed(scheme, params, commands):
     sim = make_sim(scheme, params, emit_setpoints=True)
     for verb, t in sorted(commands, key=lambda c: c[1]):
@@ -123,10 +134,13 @@ def test_trace_and_csv_match_reference(scheme, run):
     ref = primed(scheme, params, commands)
     with mock.patch.object(gait, "setpoints_for_event", reference_expander(ref)):
         ref.run_until(params.duration_s)
-    want = reference_sort(ref.servo_setpoints)
+    want = reference_sort(reference_setpoints(ref.servo_setpoints.groups))
 
-    assert [as_row(s) for s in got] == [as_row(s) for s in want]
-    assert servo_csv_lines(got) == reference_csv_lines(want)
+    assert [as_row(s) for s in reference_setpoints(got)] == [as_row(s) for s in want]
+    # one entry per instant, in increasing time
+    times = [t for t, _ in got]
+    assert times == sorted(set(times)) == sorted({s.true_time_s for s in want})
+    assert "\n".join(servo_csv_lines(got)) == "\n".join(reference_csv_lines(want))
 
 
 # small pools, so that drawn rows repeat times and (controller, servo,
@@ -154,16 +168,21 @@ CSV_ROWS = st.lists(st.tuples(CSV_TIMES, st.sampled_from(list(Controller)),
                (2.0, Controller.M1, 0, math.nan), (1.0, Controller.M2, 7, math.inf),
                (math.nan, Controller.M2, 7, math.inf), (math.nan, Controller.M2, 7, -0.0)])
 def test_csv_formats_each_row_as_reference(rows):
-    got = servo_csv_lines([gait.ServoSetpoint(*r) for r in rows])
-    assert got == reference_csv_lines([ReferenceSetpoint(*r) for r in rows])
+    want = "\n".join(reference_csv_lines([ReferenceSetpoint(*r) for r in rows]))
+    # groups built from fresh tuples as they are read, so that a rows tuple
+    # the formatter let go of would free its identity for the next one:
+    # first each row its own group, then each run of rows whose times have
+    # one repr (0.0 and -0.0 format apart) one group
+    one_each = ((t, ((controller, servo_id, angle),)) for t, controller, servo_id, angle in rows)
+    assert "\n".join(servo_csv_lines(one_each)) == want
+    runs = (list(run) for _, run in groupby(rows, key=lambda r: repr(r[0])))
+    by_time = ((run[0][0], tuple(row[1:] for row in run)) for run in runs)
+    assert "\n".join(servo_csv_lines(by_time)) == want
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 @given(run=runs())
-# a turn each way and a Stop, over a lossy link with 30 ms of jitter
-@example(run=(SchemeParams(duration_s=10, resync_period_s=2.5,
-                           link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3)),
-              [(Verb.START, 0), (Verb.LEFT, 2.3), (Verb.RIGHT, 4.1), (Verb.STOP, 7.7)]))
+@example(run=LOSSY_TURNS)
 @settings(max_examples=40, deadline=None)
 def test_setpoints_are_emitted_in_nondecreasing_time(scheme, run):
     # servo_trace's sort then only orders each instant's setpoints by servo
@@ -171,5 +190,47 @@ def test_setpoints_are_emitted_in_nondecreasing_time(scheme, run):
     params, commands = run
     sim = primed(scheme, params, commands)
     sim.run_until(params.duration_s)
-    times = [s.true_time_s for s in sim.servo_setpoints]
+    times = [t for t, _ in sim.servo_setpoints.groups]
     assert times == sorted(times)
+
+
+def counting_expander(returned):
+    """gait.setpoints_for_event, appending each return value to returned."""
+    expand = gait.setpoints_for_event
+
+    def counted(*args):
+        rows = expand(*args)
+        returned.append(rows)
+        return rows
+    return counted
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_expanded_rows_add_up_to_the_record_and_the_csv(scheme, tmp_path):
+    # the rows gait.setpoints_for_event returns, as a tracer counts them,
+    # number the record's len() and the CSV's rows
+    params, commands = LOSSY_TURNS
+    sim = primed(scheme, params, commands)
+    returned = []
+    with mock.patch.object(gait, "setpoints_for_event", counting_expander(returned)):
+        text = "\n".join(servo_csv_lines(servo_trace(sim, params.duration_s))) + "\n"
+    counted = sum(map(len, returned))
+    assert len(returned) == len(sim.servo_setpoints.groups)
+    assert counted > 24 and counted == len(sim.servo_setpoints) == text.count("\n") - 1
+    # the same through the command line
+    out = tmp_path / "trace.csv"
+    returned.clear()
+    with mock.patch.object(gait, "setpoints_for_event", counting_expander(returned)):
+        assert dispatch(["trace", "--scheme", scheme.value, "--duration-s", "10",
+                         "--stop-s", "7.7", "--drop-prob", "0.3", "--out", str(out)]) == 0
+    assert sum(map(len, returned)) == out.read_text().count("\n") - 1 > 24
+
+
+def test_servo_trace_rejects_a_record_that_goes_back_in_time():
+    params, commands = LOSSY_TURNS
+    sim = primed(SchemeId.S2_SYNCHRONIZED, params, commands)
+    sim.run_until(5)
+    t, rows = sim.servo_setpoints.groups[-1]
+    sim.servo_setpoints.groups.append((t - 0.001, rows))
+    with pytest.raises(ValueError, match="back in time"):
+        servo_trace(sim, 5)

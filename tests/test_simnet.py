@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from hexsync.clock import TICK_US, DriftingClock, ticks_at
-from hexsync.gait import GaitConfig, servo_trace
+from hexsync.gait import PHASES, Controller, GaitConfig, event_tick, servo_trace
 from hexsync.simnet import (
     LinkModel,
     Message,
@@ -23,6 +24,24 @@ SLOT = 0.015
 
 def new_sim(mode=SchemeId.S2_SYNCHRONIZED, emit_setpoints=False, **params):
     return make_sim(mode, SchemeParams(**params), emit_setpoints)
+
+
+class Setpoint(NamedTuple):
+    true_time_s: float
+    controller: Controller
+    servo_id: int
+    angle_deg: float
+
+
+def expand(groups):
+    """(true_time_s, rows) groups, as servo_trace returns them or a run
+    records them, expanded into one Setpoint per row, in order."""
+    return [Setpoint(t, *row) for t, rows in groups for row in rows]
+
+
+def trace(sim, t_end):
+    """servo_trace's setpoints, one Setpoint per CSV row."""
+    return expand(servo_trace(sim, t_end))
 
 
 def record_sends(sim):
@@ -149,7 +168,7 @@ def test_stop_quiesces_gait(scheme):
         sent = record_sends(sim)
         sim.inject_command(Verb.START, 0)
         sim.inject_command(Verb.STOP, 20)
-        runs.append((sim, sent, servo_trace(sim, 60)))
+        runs.append((sim, sent, trace(sim, 60)))
     (_, sent, setpoints), (sampled, sampled_sent, _) = runs
     assert [(m.sent, m.delivered) for m in sent] == [(m.sent, m.delivered) for m in sampled_sent]
     first_stop = float(min(m.delivered_true_s for m in sent if m.body is Verb.STOP))
@@ -202,17 +221,42 @@ def test_a_run_records_setpoints_or_samples(scheme):
         sim = new_sim(mode=scheme, emit_setpoints=emit_setpoints)
         sim.inject_command(Verb.START, 0)
         sim.run_until(10)
-        recorded, empty = ((sim.servo_setpoints, sim.samples) if emit_setpoints
-                           else (sim.samples, sim.servo_setpoints))
+        recorded, empty = ((sim.servo_setpoints.groups, sim.samples) if emit_setpoints
+                           else (sim.samples, sim.servo_setpoints.groups))
         assert recorded and empty == []
         assert sim.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("gait", [GaitConfig(), GaitConfig(period_slots=4, period_s=0.7),
+                                  GaitConfig(period_slots=12, period_s=0.1234567)],
+                         ids=["default", "4-slots-0.7s", "12-slots-non-round-s"])
+def test_phase_events_are_queued_at_each_phases_event_tick(scheme, gait):
+    # a child queues a period's phases from its period-start form, each at
+    # the tick gait.event_tick gives that phase, late periods included
+    sim = new_sim(mode=scheme, emit_setpoints=True, gait=gait, ppm_m1=-3.7, ppm_m2=1.1,
+                  ppm_root=2.3, link=LinkModel(drop_probability=0.2))
+    sim.inject_command(Verb.START, 0)
+    sim.run_until(7.3)
+    queued = []
+    sim._push = lambda t, handler, args: queued.append((t, args))
+    for child in sim.children:
+        for k in (0, 7, 10**9 + 3):
+            queued.clear()
+            sim._schedule_controller_period(child, k)
+            unit = sim._tick_unit[child.node_id]
+            assert len(queued) == 2
+            for t, (_, _, k_queued, event) in queued:
+                assert k_queued == k
+                assert t == event_tick(child, k, PHASES[event.phase_index]) * unit
 
 
 def test_one_period_emits_24_setpoints():
     sim = new_sim(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
     sim.inject_command(Verb.START, 0)
     arm_t = 68 * SLOT
-    setpoints = servo_trace(sim, arm_t + 1.02)
+    setpoints = trace(sim, arm_t + 1.02)
     # keep clear of the next period start, which quantizes up to a tick early
     first_period = [s for s in setpoints if s.true_time_s < arm_t + 1.02 - 0.005]
     assert len(first_period) == 24
@@ -225,7 +269,7 @@ def test_left_turn_flips_left_knee_sweep():
     sim = new_sim(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.LEFT, 3.0)
-    setpoints = servo_trace(sim, 8)
+    setpoints = trace(sim, 8)
     arm_t, period = 68 * SLOT, 68 * SLOT
 
     def phase_of(t):
@@ -252,7 +296,7 @@ def test_centralized_turn_reverses_knee_sweep(verb, left_swapped, right_swapped)
                   link=LinkModel(jitter_bound_s=0.0))
     sim.inject_command(Verb.START, 0)
     sim.inject_command(verb, 3.0)
-    setpoints = servo_trace(sim, 10)
+    setpoints = trace(sim, 10)
 
     def sweeps(servo_id, keep):
         """Each apply's angles for the servo, in order: T1/T2 Back and Forward."""
@@ -278,7 +322,7 @@ def test_centralized_forward_ends_a_turn():
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.LEFT, 3.0)
     sim.inject_command(Verb.FORWARD, 6.0)
-    setpoints = servo_trace(sim, 10)
+    setpoints = trace(sim, 10)
     servo6 = [(s.true_time_s, s.angle_deg) for s in setpoints if s.servo_id == 6]
     assert [a for t, a in servo6 if 4.5 < t < 6.0] == [-25.0, 25.0]
     assert [a for t, a in servo6 if t > 7.5] == [25.0, -25.0] * 2
@@ -295,7 +339,7 @@ def test_same_instant_verbs_apply_in_injection_order(scheme, first, second, back
     sim.inject_command(Verb.START, 0)
     sim.inject_command(first, 3.0)
     sim.inject_command(second, 3.0)
-    setpoints = servo_trace(sim, 10)
+    setpoints = trace(sim, 10)
     # knee servo 6 (leg 0, left) sweeps +25 then -25 each period unless swapped
     assert [s.angle_deg for s in setpoints
             if s.servo_id == 6 and s.true_time_s > 6.0] == [back, -back] * 4
@@ -311,7 +355,7 @@ def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
             sim.inject_command(Verb.LEFT, 0.2)
         sim.run_until(3.5)
         by_servo = {}
-        for s in sim.servo_setpoints:
+        for s in expand(sim.servo_setpoints.groups):
             if s.servo_id >= 6:
                 by_servo.setdefault(s.servo_id, []).append(s.angle_deg)
         # each knee sweeps twice a period: periods 0 and 1. Angles, not

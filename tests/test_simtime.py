@@ -108,11 +108,11 @@ def test_pausing_off_the_grid_changes_nothing(scheme):
             paused.run_until(Fraction(i, 20) + Fraction(1, 40 * p))
         paused.run_until(30)
         assert paused.now == straight.now == 30
-        assert straight.servo_setpoints if emit_setpoints else straight.samples
+        assert straight.servo_setpoints.groups if emit_setpoints else straight.samples
         assert straight.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
         assert paused.samples == straight.samples
         assert paused.resync_marks == straight.resync_marks
-        assert paused.servo_setpoints == straight.servo_setpoints
+        assert paused.servo_setpoints.groups == straight.servo_setpoints.groups
 
 
 def test_off_grid_command_time_is_kept_exactly():
@@ -178,7 +178,7 @@ def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
 
     (setpoint_sim, sent), (sample_sim, sample_sent) = runs
     assert all(processed) and sent and sample_sent
-    assert setpoint_sim.servo_setpoints and sample_sim.samples
+    assert setpoint_sim.servo_setpoints.groups and sample_sim.samples
     # messages carry int pairs; no Fraction exists until a caller reads one
     assert built == []
 
