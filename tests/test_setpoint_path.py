@@ -35,12 +35,6 @@ class ReferenceSetpoint:
     angle_deg: float
 
 
-def reference_setpoints_for_event(event, swap_left, swap_right):
-    """The paper's (controller, servo_id, angle_deg) rows at the event's
-    phase (tests/paper_gait.py)."""
-    return paper_rows(event.phase_index, swap_left, swap_right)
-
-
 def reference_setpoints(groups):
     """(true_time_s, rows) groups expanded into one ReferenceSetpoint per row."""
     return [ReferenceSetpoint(true_time_s=t, controller=controller, servo_id=servo_id,
@@ -68,16 +62,16 @@ def test_expansion_matches_reference_for_every_event():
     for event, swap_left, swap_right in product(
             build_schedule(), (False, True), (False, True)):
         got = gait.setpoints_for_event(event, swap_left, swap_right)
-        want = reference_setpoints_for_event(event, swap_left, swap_right)
+        want = paper_rows(event.phase_index, swap_left, swap_right)
         assert list(got) == want
         assert [str(angle) for _, _, angle in got] == [str(angle) for _, _, angle in want]
 
 
 def reference_expander(sim):
-    """The reference expansion, with the knee swap read from the arm of the
-    node that times the gait: a child, or the root in the centralized
-    scheme. A servo command still in flight when the root stops carries the
-    swap the root sent it with."""
+    """The paper's rows at the event's phase (tests/paper_gait.py), with the
+    knee swap read from the arm of the node that times the gait: a child,
+    or the root in the centralized scheme. A servo command still in flight
+    when the root stops carries the swap the root sent it with."""
     def expand(event, swap_left, swap_right):
         if sim.scheme is SchemeId.S0_CENTRALIZED:
             node = sim.root
@@ -85,7 +79,7 @@ def reference_expander(sim):
             node = sim.children[0 if event.controller is Controller.M1 else 1]
         if node.gait is not None:
             swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
-        return reference_setpoints_for_event(event, swap_left, swap_right)
+        return paper_rows(event.phase_index, swap_left, swap_right)
     return expand
 
 
