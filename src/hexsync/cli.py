@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .experiment import ErrorTrace, SweepRow, build_sim, run_error_trace, sweep_resync_period
@@ -30,6 +31,7 @@ _DEFAULT_PPM_M1 = {SchemeId.S1_OPEN_LOOP: -5.0}
 TRACE_HEADER = "true_time_s,period_index,error_us,resync"
 SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
 SERVO_HEADER = "true_time_s,controller,servo_id,angle_deg"
+WRITE_CHUNK_LINES = 8192  # lines joined into one string per write
 # a --config file's spellings of a flag's two values
 _FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -220,12 +222,11 @@ def servo_csv_lines(trace) -> List[str]:
 
 
 def _write_lines(lines: List[str], path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    """Write each line and a newline to path, or to stdout if it is None,
+    WRITE_CHUNK_LINES lines to a write, so no one string holds the CSV."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        for i in range(0, len(lines), WRITE_CHUNK_LINES):
+            fh.write("\n".join(lines[i:i + WRITE_CHUNK_LINES]) + "\n")
 
 
 # -- plotting --------------------------------------------------------------

@@ -141,15 +141,6 @@ def true_time_of_tick(clock: DriftingClock, k: int) -> Fraction:
     return Fraction(k * clock.rate_den, clock.rate_num)
 
 
-def local_periods_at(clock: DriftingClock, t_true, period_s) -> int:
-    """Whole periods of period_s local seconds the clock has counted at t_true.
-
-    floor(local_seconds_at(clock, t_true) / period_s), evaluated exactly.
-    """
-    p_num, p_den = as_ratio(period_s)
-    return ticks_at(clock, t_true) * p_den // (NOMINAL_FREQ_HZ * p_num)
-
-
 def tick_gap_us(a: DriftingClock, ka: int, b: DriftingClock, kb: int) -> float:
     """True time of tick kb on clock b minus that of tick ka on clock a, in us.
 

@@ -1,17 +1,20 @@
 """Dual tripod gait: schedule compilation, per-controller timing, sync error.
 
-The gait's shape is fixed: four phases a quarter period apart (PHASES),
-each firing six servos of one controller (GAIT_TABLE), plus the knee swap
-that a turn applies; a GaitConfig sets only the period on each time
-reference. M1 drives all six hip servos, at phases 0 and 2; M2 all six
-knee servos, at phases 1 and 3. Each controller fires its events from its
-own time reference: either its free-running local clock, or the network's
-absolute slot number. On either reference the tick of a period-k event is
-one affine floor in k (event_tick_form), which event_tick evaluates for
-one k; a caller stepping k over one unchanged arm state takes the form
-once. The central metric is the gait synchronization error
-(gait_sync_error), the difference between the two controllers' believed
-start of gait period k.
+The gait's shape is fixed: four phases a quarter period apart, each
+firing six servos of one controller (GAIT_TABLE), plus the knee swap that
+a turn applies; a GaitConfig sets only the period on each time reference.
+M1 drives all six hip servos, at phases 0 and 2; M2 all six knee servos,
+at phases 1 and 3. Each controller fires its events from its own time
+reference: either its free-running local clock, or the network's absolute
+slot number. On either reference a node's gait runs on one quarter grid:
+quarter j, phase j % 4 of period j // 4, fires at local tick
+c + (a + b * j) // d (_quarter_grid; event_tick_form gives the armed
+grid, which event_tick evaluates for one period and phase, and a caller
+stepping periods over one unchanged arm state takes it once). Every count
+of periods is that grid's exact inverse (_last_point_at), so arming,
+period_index_at and the event ticks cannot disagree. The central metric
+is the gait synchronization error (gait_sync_error), the difference
+between the two controllers' believed start of gait period k.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from .clock import (
     Value,
     as_ratio,
     check_finite,
-    local_periods_at,
     tick_gap_us,
+    ticks_at,
     true_time_of_tick,
 )
-from .tsch import SLOT_LENGTH_S, SLOT_TICKS_DEN, SLOT_TICKS_NUM, MoteState, asn_at
+from .tsch import SLOT_LENGTH_S, SLOT_TICKS_DEN, SLOT_TICKS_NUM, MoteState
 
 
 class Controller(Enum):
@@ -53,14 +56,12 @@ class GaitHealth(Enum):
     OPPOSED = "opposed"
 
 
-PHASE_ZERO = (0, 1)  # the period start, as event_tick's (num, den) phase pair
-# the four gait phases, a quarter period apart, indexed by phase_index
-PHASES = (PHASE_ZERO, (1, 4), (1, 2), (3, 4))
-# The dual tripod gait, per phase: the controller that fires it and its six
-# (servo_id, angle_deg) rows, tripod T1's legs (0, 2, 4) first and then T2's
-# (1, 3, 5). Hip servo = leg, on M1; knee servo = leg + 6, on M2. T1 steps
-# down, back, up, forward (hips 30, knees 25, hips -30, knees -25 degrees);
-# T2 runs that cycle half a period later, so it commands T1's angle negated.
+# The dual tripod gait, per phase (phase q fires q quarters into a period):
+# the controller that fires it and its six (servo_id, angle_deg) rows, tripod
+# T1's legs (0, 2, 4) first and then T2's (1, 3, 5). Hip servo = leg, on M1;
+# knee servo = leg + 6, on M2. T1 steps down, back, up, forward (hips 30,
+# knees 25, hips -30, knees -25 degrees); T2 runs that cycle half a period
+# later, so it commands T1's angle negated.
 GAIT_TABLE = (
     (Controller.M1, ((0, 30.0), (2, 30.0), (4, 30.0), (1, -30.0), (3, -30.0), (5, -30.0))),
     (Controller.M2, ((6, 25.0), (8, 25.0), (10, 25.0), (7, -25.0), (9, -25.0), (11, -25.0))),
@@ -100,9 +101,9 @@ Row = Tuple[Controller, int, float]
 
 
 class GaitEvent(NamedTuple):
-    """One phase of the gait: the controller that fires it at
-    PHASES[phase_index], and its six setpoint rows under each knee swap
-    state. rows[swap_left][swap_right] holds (controller, servo_id,
+    """One phase of the gait: the controller that fires it phase_index
+    quarters into each period, and its six setpoint rows under each knee
+    swap state. rows[swap_left][swap_right] holds (controller, servo_id,
     angle_deg) rows in GAIT_TABLE order, compiled once so that
     setpoints_for_event only picks one."""
     phase_index: int
@@ -127,9 +128,6 @@ class GaitArmState:
         self.swap_left = False
         self.swap_right = False
         self.pending_turn: Optional[Tuple[bool, bool, int]] = None
-        # config.period_s as an exact (num, den) pair, decomposed once here
-        # rather than on every free-running event
-        self.period = as_ratio(config.period_s)
 
 
 def build_schedule() -> List[GaitEvent]:
@@ -158,22 +156,40 @@ def events_for_controller(schedule: Sequence[GaitEvent],
     return [e for e in schedule if e.controller is controller]
 
 
-def whole_periods_at(node: MoteState, ref: TimeRef, config: GaitConfig, t_true) -> int:
-    """Whole gait periods the node's time reference has counted at t_true.
+def _quarter_grid(node: MoteState, ref: TimeRef, config: GaitConfig,
+                  first_period: int) -> Tuple[int, int, int, int]:
+    """(c, a, b, d): quarter j of the gait whose period 0 is whole period
+    first_period counted on ref fires at local tick c + (a + b * j) // d.
 
-    The two references differ only in what they count: periods of
-    period_s on the free-running local clock, or periods of period_slots
-    on the network's ASN.
+    Free-running: the first tick at local time (first_period + j/4) *
+    period_s, a ceiling written as a floor, NOMINAL_FREQ_HZ // 4 ticks to
+    a quarter of a local second. ASN: the boundary tick of slot
+    first_period * period_slots + j * period_slots/4 (tsch.slot_boundary_tick's
+    floor), a whole slot, as period_slots is a multiple of 4. This is the
+    one place the two time references differ in tick arithmetic.
     """
     if ref is TimeRef.FREE_RUNNING:
-        return local_periods_at(node.clock, t_true, config.period_s)
-    return asn_at(node, t_true) // config.period_slots
+        p_num, p_den = as_ratio(config.period_s)
+        quarter = p_num * (NOMINAL_FREQ_HZ // 4)
+        # the local target is x / p_den ticks, and ceil(x / d) == (x + d - 1) // d
+        return 0, 4 * first_period * quarter + p_den - 1, quarter, p_den
+    slots = config.period_slots
+    return (node.origin_local_ticks, (first_period * slots - node.asn_origin) * SLOT_TICKS_NUM,
+            slots // 4 * SLOT_TICKS_NUM, SLOT_TICKS_DEN)
+
+
+def _last_point_at(grid: Tuple[int, int, int, int], tick: int) -> int:
+    """The last quarter of the grid that fires at or before local tick
+    tick: the largest j with c + (a + b * j) // d <= tick, which is
+    a + b * j < (tick - c + 1) * d."""
+    c, a, b, d = grid
+    return ((tick - c + 1) * d - a - 1) // b
 
 
 def _arm(node: MoteState, config: GaitConfig, ref: TimeRef, t_deliver) -> None:
     """Arm the gait so that period 0 is the next whole period counted on ref."""
-    count = whole_periods_at(node, ref, config, t_deliver)
-    node.gait = GaitArmState(config=config, ref=ref, arm_period_index=count + 1)
+    quarters = _last_point_at(_quarter_grid(node, ref, config, 0), ticks_at(node.clock, t_deliver))
+    node.gait = GaitArmState(config=config, ref=ref, arm_period_index=quarters // 4 + 1)
 
 
 def arm_free_running(node: MoteState, config: GaitConfig, t_deliver) -> None:
@@ -193,10 +209,7 @@ def period_start_true_time(node: MoteState, k: int) -> Fraction:
 
 def period_index_at(node: MoteState, t_true) -> int:
     """Index of the gait period in progress at t_true; negative before period 0."""
-    arm = node.gait
-    if arm is None:
-        raise ValueError(f"gait not armed on {node.node_id}")
-    return whole_periods_at(node, arm.ref, arm.config, t_true) - arm.arm_period_index
+    return _last_point_at(event_tick_form(node), ticks_at(node.clock, t_true)) // 4
 
 
 def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
@@ -206,52 +219,32 @@ def gait_sync_error(m1: MoteState, m2: MoteState, k: int) -> float:
     earlier in true time than M2's), so the error slope in us per true
     second equals ppm(M1) - ppm(M2).
     """
-    return tick_gap_us(m1.clock, event_tick(m1, k, PHASE_ZERO),
-                       m2.clock, event_tick(m2, k, PHASE_ZERO))
+    return tick_gap_us(m1.clock, event_tick(m1, k, 0), m2.clock, event_tick(m2, k, 0))
 
 
-def event_tick(node: MoteState, k: int, phase_offset: Tuple[int, int]) -> int:
-    """Local tick at which the node fires a period-k event at the given phase.
-
-    phase_offset is an exact (num, den) pair. Free-running: the first tick
-    at local time (arm_period_index + k + phase_offset) * period_s. ASN:
-    the boundary tick of slot (arm_period_index + k) * period_slots
-    + floor(phase_offset * period_slots). Either is event_tick_form's
-    affine floor in k.
-    """
-    c, a, b, d = event_tick_form(node, phase_offset)
-    return c + (a + b * k) // d
+def event_tick(node: MoteState, k: int, phase_index: int) -> int:
+    """Local tick at which the node fires phase phase_index (0-3) of
+    period k: quarter 4 * k + phase_index of its armed grid."""
+    c, a, b, d = event_tick_form(node)
+    return c + (a + b * (4 * k + phase_index)) // d
 
 
-def event_tick_form(node: MoteState,
-                    phase_offset: Tuple[int, int]) -> Tuple[int, int, int, int]:
-    """(c, a, b, d) with event_tick(node, k, phase_offset) == c + (a + b * k) // d.
+def event_tick_form(node: MoteState) -> Tuple[int, int, int, int]:
+    """(c, a, b, d) with event_tick(node, k, q) == c + (a + b * (4 * k + q)) // d:
+    the quarter grid of the node's arm state, period 0 at arm_period_index.
 
     The constants depend only on the node's arm state and slot grid, so a
     caller stepping k over one unchanged state computes them once.
-    Free-running: the ceiling of the local target in ticks, written as a
-    floor. ASN: tsch.slot_boundary_tick's floor, with the slot number
-    written as an affine function of k.
     """
     arm = node.gait
     if arm is None:
         raise ValueError(f"gait not armed on {node.node_id}")
-    o_num, o_den = phase_offset
-    if arm.ref is TimeRef.FREE_RUNNING:
-        p_num, p_den = arm.period
-        d = o_den * p_den
-        # the local target is x / d ticks, and ceil(x / d) == (x + d - 1) // d
-        return (0, (arm.arm_period_index * o_den + o_num) * p_num * NOMINAL_FREQ_HZ + d - 1,
-                o_den * p_num * NOMINAL_FREQ_HZ, d)
-    slots = arm.config.period_slots
-    first = arm.arm_period_index * slots + o_num * slots // o_den
-    return (node.origin_local_ticks, (first - node.asn_origin) * SLOT_TICKS_NUM,
-            slots * SLOT_TICKS_NUM, SLOT_TICKS_DEN)
+    return _quarter_grid(node, arm.ref, arm.config, arm.arm_period_index)
 
 
-def gait_event_true_time(node: MoteState, k: int, phase_offset) -> Fraction:
-    """True time at which the node fires a period-k event at the given phase."""
-    return true_time_of_tick(node.clock, event_tick(node, k, as_ratio(phase_offset)))
+def gait_event_true_time(node: MoteState, k: int, phase_index: int) -> Fraction:
+    """True time at which the node fires phase phase_index (0-3) of period k."""
+    return true_time_of_tick(node.clock, event_tick(node, k, phase_index))
 
 
 def setpoints_for_event(event: GaitEvent, swap_left: bool, swap_right: bool) -> Tuple[Row, ...]:

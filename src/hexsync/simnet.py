@@ -80,7 +80,6 @@ from typing import Callable, List, Optional, Tuple
 from . import gait as gaitmod
 from .clock import Value, as_ratio, check_finite, make_clock
 from .gait import (
-    PHASE_ZERO,
     Controller,
     GaitArmState,
     GaitConfig,
@@ -308,7 +307,7 @@ class Sim:
 
     def _period_start(self, node: MoteState, k: int) -> int:
         """The start of the node's gait period k, as an int over D."""
-        return gaitmod.event_tick(node, k, PHASE_ZERO) * self._tick_unit[node.node_id]
+        return gaitmod.event_tick(node, k, 0) * self._tick_unit[node.node_id]
 
     def _keepalive_due(self, child: MoteState) -> int:
         """Latest instant by which the child must next hear from the root."""
@@ -464,10 +463,11 @@ class Sim:
         bound; then re-queue at the next sample.
 
         Sample k's error is the gap between the children's period-k starts,
-        each the instant _period_start gives, subtracted over D as the
-        centralized sampler subtracts its two deliveries. Each child's
-        event_tick_form is taken once per window, whatever its size, and
-        the gap rounds the same rational as gait.gait_sync_error.
+        quarter 4 * k of each child's grid, the instant _period_start
+        gives, subtracted over D as the centralized sampler subtracts its
+        two deliveries. Each child's event_tick_form is taken once per
+        window, whatever its size, and the gap rounds the same rational as
+        gait.gait_sync_error.
 
         A sample only reads state and nothing else runs inside a window, so
         each sample reads what its own heap entry would have read. The strict
@@ -486,36 +486,29 @@ class Sim:
             last = heap[0][0] - 1
         n = 1 + max(0, (last - t) // step)
         m1, m2 = self.children
-        c1, a1, b1, d1 = gaitmod.event_tick_form(m1, PHASE_ZERO)
-        c2, a2, b2, d2 = gaitmod.event_tick_form(m2, PHASE_ZERO)
+        c1, a1, b1, d1 = gaitmod.event_tick_form(m1)
+        c2, a2, b2, d2 = gaitmod.event_tick_form(m2)
         # a tick's instant over D, scaled to us: the error is one int / int
         u1, u2 = (self._tick_unit[c.node_id] * 10**6 for c in self.children)
         # nothing runs inside a window, so only its first sample can follow a mark
         resync, self._resynced = self._resynced, 0
         append = self.samples.append
         for k in range(k, k + n * every, every):
-            err = ((c2 + (a2 + b2 * k) // d2) * u2 - (c1 + (a1 + b1 * k) // d1) * u1) / D
+            q = 4 * k
+            err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D
             append((round(t / D, 6), k, round(err, 3), resync))
             resync = 0
             t += step
         self._push(t, Sim._handle_samples, (gen, k + every))
 
     def _schedule_controller_period(self, child: MoteState, k: int) -> None:
-        """Queue the child's period-k phase events, from one event_tick_form.
-
-        Phase q (PHASES[q], q quarters of a period) of period k fires at
-        tick c + (a + b * (k + q/4)) // d, the period-start form at k + q/4,
-        and b * q/4 is an int: b is a multiple of 4 on either time reference
-        (ticks per local second * period_s's numerator, or period_slots *
-        slot ticks). So the form serves every phase with b // 4 per
-        quarter, and the ticks equal event_tick's own per-phase forms.
-        """
+        """Queue the child's period-k phase events, from one event_tick_form:
+        phase q of period k is quarter 4 * k + q of the child's grid."""
         unit = self._tick_unit[child.node_id]
         gen = self._gen
-        c, a, b, d = gaitmod.event_tick_form(child, PHASE_ZERO)
-        quarter = b // 4
+        c, a, b, d = gaitmod.event_tick_form(child)
         for event in _PLANS[child.node_id]:
-            self._push((c + (a + quarter * (4 * k + event.phase_index)) // d) * unit,
+            self._push((c + (a + b * (4 * k + event.phase_index)) // d) * unit,
                        Sim._handle_controller_phase, (child, gen, k, event))
 
     def _handle_controller_phase(self, child: MoteState, gen: int, k: int,

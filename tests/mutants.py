@@ -53,6 +53,25 @@ MUTANTS = (
     Mutant("window takes a sample at the heap head's time", "simnet.py",
            "last = heap[0][0] - 1", "last = heap[0][0]",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("a one-sample window's error is off by 1 us", "simnet.py",
+           "k, round(err, 3), resync))", "k, round(err + (n == 1), 3), resync))",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("a window subtracts its two period starts as floats", "simnet.py",
+           "err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D",
+           "err = (c2 + (a2 + b2 * q) // d2) * u2 / D - (c1 + (a1 + b1 * q) // d1) * u1 / D",
+           ("tests/test_timebase.py::test_sim_samples_match_reference_up_to_large_k",)),
+    # the quarter grid (gait._quarter_grid) and its inverse
+    Mutant("the grid's inverse counts a point due on the next tick", "gait.py",
+           "* d - a - 1) // b", "* d - a) // b",
+           ("tests/test_timebase.py::test_period_index_at_inverts_each_period_start",)),
+    Mutant("arming makes the period in progress period 0", "gait.py",
+           "arm_period_index=quarters // 4 + 1)", "arm_period_index=quarters // 4)",
+           ("tests/test_timebase.py::test_local_periods_match_fraction_reference",
+            "tests/test_timebase.py::test_gait_times_match_reference")),
+    Mutant("a phase event is queued at its period's start", "simnet.py",
+           "(a + b * (4 * k + event.phase_index)) // d", "(a + b * (4 * k)) // d",
+           ("tests/test_simnet.py::test_phase_events_are_queued_at_each_phases_event_tick",
+            "tests/test_golden.py::test_golden[trace_synchronized]")),
     # the gait table and the knee swap rule
     Mutant("a hip sign flipped in the table", "gait.py",
            "(1, -30.0), (3, -30.0), (5, -30.0)", "(1, -30.0), (3, 30.0), (5, -30.0)",

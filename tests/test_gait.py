@@ -12,13 +12,13 @@ from hexsync.gait import (
     Controller,
     GaitConfig,
     GaitHealth,
-    PHASES,
     TimeRef,
     arm_asn_ref,
     arm_free_running,
     build_schedule,
     classify_gait,
     events_for_controller,
+    gait_event_true_time,
     gait_sync_error,
     period_index_at,
     period_start_true_time,
@@ -83,11 +83,15 @@ def test_schedule_matches_paper_gait():
 
 
 def test_hip_and_knee_phase_placement():
+    # a ppm-0 clock counts a 1 s period in whole ticks, so an event's time
+    # past its period's start is its phase, in periods, exactly
     sched = build_schedule()
-    for e in sched:
-        assert Fraction(*PHASES[e.phase_index]) == QUARTER_PHASES[e.phase_index]
-    hips = {Fraction(*PHASES[e.phase_index]) for e in sched if joint_of(e) == HIP}
-    knees = {Fraction(*PHASES[e.phase_index]) for e in sched if joint_of(e) == KNEE}
+    node = armed_mote(0, TimeRef.FREE_RUNNING)
+    start = period_start_true_time(node, 0)
+    phase = [gait_event_true_time(node, 0, e.phase_index) - start for e in sched]
+    assert phase == [QUARTER_PHASES[e.phase_index] for e in sched]
+    hips = {p for p, e in zip(phase, sched) if joint_of(e) == HIP}
+    knees = {p for p, e in zip(phase, sched) if joint_of(e) == KNEE}
     assert hips == {Fraction(0), Fraction(1, 2)}
     assert knees == {Fraction(1, 4), Fraction(3, 4)}
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsync.clock import tick_gap_us
-from hexsync.gait import PHASE_ZERO, GaitConfig, event_tick
+from hexsync.gait import GaitConfig, event_tick
 from hexsync.simnet import (
     GAIT_TIME_REF,
     LinkModel,
@@ -53,8 +53,7 @@ class PerSampleSim(Sim):
         if gen != self._gen:
             return
         m1, m2 = self.children
-        err = tick_gap_us(m1.clock, event_tick(m1, k, PHASE_ZERO),
-                          m2.clock, event_tick(m2, k, PHASE_ZERO))
+        err = tick_gap_us(m1.clock, event_tick(m1, k, 0), m2.clock, event_tick(m2, k, 0))
         marks = len(self.resync_marks)
         resync = 1 if marks > self._marks_sampled else 0
         self._marks_sampled = marks

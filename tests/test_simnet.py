@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from hexsync.clock import TICK_US, DriftingClock, ticks_at
-from hexsync.gait import PHASES, Controller, GaitConfig, event_tick, servo_trace
+from hexsync.gait import Controller, GaitConfig, event_tick, servo_trace
 from hexsync.simnet import (
     LinkModel,
     Message,
@@ -249,7 +249,7 @@ def test_phase_events_are_queued_at_each_phases_event_tick(scheme, gait):
             assert len(queued) == 2
             for t, (_, _, k_queued, event) in queued:
                 assert k_queued == k
-                assert t == event_tick(child, k, PHASES[event.phase_index]) * unit
+                assert t == event_tick(child, k, event.phase_index) * unit
 
 
 def test_one_period_emits_24_setpoints():

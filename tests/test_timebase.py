@@ -16,15 +16,12 @@ from hypothesis import strategies as st
 from hexsync.clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
-    as_ratio,
-    local_periods_at,
     local_seconds_at,
     make_clock,
     tick_gap_us,
     ticks_at,
     true_time_of_tick,
 )
-from hexsync import gait
 from hexsync.gait import (
     GaitConfig,
     TimeRef,
@@ -34,7 +31,7 @@ from hexsync.gait import (
     event_tick_form,
     gait_event_true_time,
     gait_sync_error,
-    whole_periods_at,
+    period_index_at,
 )
 from hexsync.simnet import GAIT_TIME_REF, LinkModel, SchemeId, SchemeParams, Sim, Verb
 from hexsync.tsch import (
@@ -54,7 +51,6 @@ ppms = st.one_of(
 times = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
 # late enough that 40 slots before the resync origin still lie after t = 0
 resync_times = st.floats(min_value=1, max_value=1e6, allow_nan=False, allow_infinity=False)
-PHASES = [Fraction(*phase) for phase in gait.PHASES]
 
 
 # -- Fraction references -----------------------------------------------------
@@ -92,26 +88,31 @@ def ref_whole_periods_at(node, ref, config, t):
     return ref_asn_at(node, t) // config.period_slots
 
 
-def ref_gait_event_true_time(node, k, phase_offset):
+def ref_event_periods(node, k, phase_index):
+    """Periods counted on the node's reference when phase phase_index (a
+    quarter period each) of period k fires."""
+    return node.gait.arm_period_index + k + Fraction(phase_index, 4)
+
+
+def ref_gait_event_true_time(node, k, phase_index):
     arm = node.gait
     cfg = arm.config
+    periods = ref_event_periods(node, k, phase_index)
     if arm.ref is TimeRef.FREE_RUNNING:
-        return ref_true_time_of_local(
-            node.clock, (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s))
-    offset_slots = math.floor(phase_offset * cfg.period_slots)
-    return ref_slot_boundary_true_time(
-        node, (arm.arm_period_index + k) * cfg.period_slots + offset_slots)
+        return ref_true_time_of_local(node.clock, periods * Fraction(cfg.period_s))
+    slot = periods * cfg.period_slots
+    assert slot.denominator == 1  # a multiple of 4 slots puts every phase on a slot
+    return ref_slot_boundary_true_time(node, int(slot))
 
 
-def ref_event_tick(node, k, phase_offset):
+def ref_event_tick(node, k, phase_index):
     """The local tick of a period-k event, straight from its definition."""
     arm = node.gait
     cfg = arm.config
+    periods = ref_event_periods(node, k, phase_index)
     if arm.ref is TimeRef.FREE_RUNNING:
-        local_s = (arm.arm_period_index + k + phase_offset) * Fraction(cfg.period_s)
-        return math.ceil(local_s * NOMINAL_FREQ_HZ)
-    slot = ((arm.arm_period_index + k) * cfg.period_slots
-            + math.floor(phase_offset * cfg.period_slots))
+        return math.ceil(periods * Fraction(cfg.period_s) * NOMINAL_FREQ_HZ)
+    slot = periods * cfg.period_slots
     return math.floor(node.origin_local_ticks + (slot - node.asn_origin) * TICKS_PER_SLOT)
 
 
@@ -150,10 +151,15 @@ def test_rate_pair_is_derived_from_ppm_alone(ppm):
        period=st.sampled_from([Fraction(3, 2), Fraction(1, 3), 0.7, 1, 2.5]))
 @settings(max_examples=200, deadline=None)
 def test_local_periods_match_fraction_reference(ppm, t, period):
+    # the whole local periods counted at t, as arming and period_index_at
+    # read them off the free-running quarter grid
     c = make_clock(ppm)
     expected = math.floor(Fraction(ref_ticks_at(c, t), NOMINAL_FREQ_HZ) / Fraction(period))
-    assert local_periods_at(c, t, period) == expected
     assert expected == math.floor(local_seconds_at(c, t) / Fraction(period))
+    node = make_mote("m", c)
+    arm_free_running(node, GaitConfig(period_s=period), t)
+    assert node.gait.arm_period_index - 1 == expected
+    assert period_index_at(node, t) == -1
 
 
 @given(ppm=ppms, t=times)
@@ -251,29 +257,27 @@ def test_gait_times_match_reference(ref, ppm1, ppm2, t_arm, resync, ks):
     cfg = GaitConfig()
     arm = arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref
     for node in (m1, m2):
-        assert whole_periods_at(node, ref, cfg, t_arm) == ref_whole_periods_at(
-            node, ref, cfg, t_arm)
         arm(node, cfg, t_arm)
+        assert node.gait.arm_period_index - 1 == ref_whole_periods_at(node, ref, cfg, t_arm)
     for k in ks:
-        for phase in PHASES:  # all four phase offsets
+        for phase in range(4):
             event = gait_event_true_time(m1, k, phase)
             assert type(event) is Fraction
             assert event == ref_gait_event_true_time(m1, k, phase)
-            assert whole_periods_at(m1, ref, cfg, event) == ref_whole_periods_at(
+            assert period_index_at(m1, event) + m1.gait.arm_period_index == ref_whole_periods_at(
                 m1, ref, cfg, event)
         assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
 
 
 @pytest.mark.parametrize("ref", list(TimeRef))
 def test_gait_times_match_reference_at_non_default_period_and_offsets(ref):
-    # offsets whose slot position is not a whole slot: floor, not round
-    offsets = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7))
+    # 25 slots to a quarter, whose boundaries fall off the tick grid
     cfg = GaitConfig(period_slots=100, period_s=0.7)
     root = make_mote("root", make_clock(1.1))
     node = resynced_mote("m", -3.7, 12.34, root)
     (arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref)(node, cfg, 56.78)
     for k in (0, 1, 999, 123_456):
-        for phase in offsets:
+        for phase in range(4):
             assert gait_event_true_time(node, k, phase) == ref_gait_event_true_time(
                 node, k, phase)
 
@@ -282,11 +286,6 @@ def test_gait_times_match_reference_at_non_default_period_and_offsets(ref):
 gait_periods = st.one_of(
     st.sampled_from([0.7, 1.0, 1.02, 0.1, Fraction(1, 3), Fraction(4, NOMINAL_FREQ_HZ)]),
     st.floats(min_value=4 / NOMINAL_FREQ_HZ, max_value=10))
-# four distinct phase offsets in [0, 1): event_tick takes any phase, not
-# only the gait's four
-phase_offsets = st.lists(
-    st.fractions(min_value=0, max_value=Fraction(999_999, 10**6), max_denominator=10**6),
-    min_size=4, max_size=4, unique=True).map(sorted)
 
 
 @given(ref=st.sampled_from(list(TimeRef)), ppm1=ppms, ppm2=ppms,
@@ -294,11 +293,10 @@ phase_offsets = st.lists(
        t_arm=st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
        resync=st.booleans(), period_s=gait_periods,
        period_slots=st.integers(1, 50).map(lambda n: 4 * n),
-       offsets=phase_offsets, ks=st.lists(st.integers(0, 10**7), min_size=1, max_size=4))
+       ks=st.lists(st.integers(0, 10**7), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_ppm, t_arm,
-                                                          resync, period_s, period_slots,
-                                                          offsets, ks):
+                                                          resync, period_s, period_slots, ks):
     cfg = GaitConfig(period_slots=period_slots, period_s=period_s)
     root = make_mote("root", make_clock(root_ppm))
     t_sync = t_arm if resync else None
@@ -307,15 +305,40 @@ def test_event_tick_with_hoisted_period_matches_reference(ref, ppm1, ppm2, root_
     arm = arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref
     for node in (m1, m2):
         arm(node, cfg, t_arm)
-        # the period pair event_tick reads is period_s exactly, taken at arming
-        assert Fraction(*node.gait.period) == Fraction(period_s)
     for k in ks:
         for node in (m1, m2):
-            for offset in offsets:
-                assert event_tick(node, k, as_ratio(offset)) == ref_event_tick(node, k, offset)
-                c, a, b, d = event_tick_form(node, as_ratio(offset))
-                assert c + (a + b * k) // d == ref_event_tick(node, k, offset)
+            c, a, b, d = event_tick_form(node)
+            for phase in range(4):
+                assert event_tick(node, k, phase) == ref_event_tick(node, k, phase)
+                assert c + (a + b * (4 * k + phase)) // d == ref_event_tick(node, k, phase)
         assert gait_sync_error(m1, m2, k) == ref_gait_sync_error(m1, m2, k)
+
+
+@given(ref=st.sampled_from(list(TimeRef)), ppm=ppms, root_ppm=st.sampled_from(LISTED_PPM),
+       t_sync=resync_times, t_after=st.floats(min_value=0, max_value=1e3),
+       period_s=gait_periods, period_slots=st.integers(1, 50).map(lambda n: 4 * n),
+       ks=st.lists(st.integers(-10**7, 10**7), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_period_index_at_inverts_each_period_start(ref, ppm, root_ppm, t_sync, t_after,
+                                                   period_s, period_slots, ks):
+    # period_index_at reads k from period k's first tick on and k - 1 one
+    # tick before it, before period 0 (negative k) as well as long after
+    cfg = GaitConfig(period_slots=period_slots, period_s=period_s)
+    root = make_mote("root", make_clock(root_ppm))
+    node = resynced_mote("m", ppm, t_sync, root)
+    (arm_free_running if ref is TimeRef.FREE_RUNNING else arm_asn_ref)(
+        node, cfg, t_sync + t_after)
+    origin = node.gait.arm_period_index
+    # the first period that starts after tick 1, so the tick before its start exists
+    lowest = ref_whole_periods_at(node, ref, cfg, ref_true_time_of_tick(node.clock, 1)) - origin + 1
+    for k in (lowest, -1, 0, *ks):
+        k = max(k, lowest)
+        tick = event_tick(node, k, 0)
+        assert tick == ref_event_tick(node, k, 0) >= 2
+        start = ref_true_time_of_tick(node.clock, tick)
+        assert period_index_at(node, start) == k
+        assert period_index_at(node, start) + origin == ref_whole_periods_at(node, ref, cfg, start)
+        assert period_index_at(node, ref_true_time_of_tick(node.clock, tick - 1)) == k - 1
 
 
 @given(scheme=st.sampled_from([SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED]),
@@ -385,8 +408,8 @@ def test_hot_conversions_do_no_fraction_arithmetic(monkeypatch, ppm):
         "asn_at": lambda: asn_at(node, t),
         "slot_boundary_true_time": lambda: slot_boundary_true_time(node, asn),
         "first_boundary_tick": lambda: first_boundary_tick(node, (t.numerator, t.denominator)),
-        "gait_event_true_time (ASN)": lambda: gait_event_true_time(node, 3, PHASES[3]),
-        "gait_event_true_time (free-running)": lambda: gait_event_true_time(free, 3, PHASES[1]),
+        "gait_event_true_time (ASN)": lambda: gait_event_true_time(node, 3, 3),
+        "gait_event_true_time (free-running)": lambda: gait_event_true_time(free, 3, 1),
     }
     for name, call in calls.items():
         built.clear()
