@@ -158,20 +158,20 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
 # -- CSV emission ----------------------------------------------------------
 
 def trace_csv_lines(trace: ErrorTrace) -> List[str]:
-    """The trace's samples as CSV rows; each sample carries its own resync flag."""
+    """The trace's samples as CSV rows; each sample carries its own resync
+    flag. The run's samples are unrounded: the rows round a sample's time
+    to 6 decimals and its error to 3."""
     lines = [TRACE_HEADER]
     for t, k, err, resync in trace.samples:
         lines.append(f"{t:.6f},{k},{err:.3f},{resync}")
     return lines
 
 
-def write_trace_csv(trace: ErrorTrace, path: Optional[str]) -> None:
-    _write_lines(trace_csv_lines(trace), path)
-
-
 def read_trace_csv(path: str) -> List[Tuple[float, int, float, int]]:
     """Parse a trace CSV back into rows of ErrorTrace.samples' type:
-    (true_time_s, period_index, error_us, resync)."""
+    (true_time_s, period_index, error_us, resync), at the CSV's precision
+    (times to the microsecond, errors to the nanosecond), so a run's
+    samples read back rounded to those decimals."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -272,7 +272,7 @@ def dispatch(argv: Sequence[str]) -> int:
         scheme, params = _params_from_args(args)
         if args.subcommand == "run":
             trace = run_error_trace(scheme, params)
-            write_trace_csv(trace, args.out)
+            _write_lines(trace_csv_lines(trace), args.out)
             if args.plot:
                 print(render_ascii_plot(trace), file=sys.stderr)
         elif args.subcommand == "sweep":

@@ -22,9 +22,10 @@ MIN_WINDOW_SAMPLES = 3  # samples an inter-resync window needs to enter the slop
 class ErrorTrace(NamedTuple):
     """A run's samples and resync marks.
 
-    Each sample is (true_time_s, period_index, error_us, resync); resync is
-    1 when the run resynced a child after the previous sample (see
-    hexsync.simnet). The marks are the resync times in seconds, kept as
+    Each sample is (true_time_s, period_index, error_us, resync); its time
+    and error are the run's exact values as the nearest floats, unrounded,
+    and resync is 1 when the run resynced a child after the previous sample
+    (see hexsync.simnet). The marks are the resync times in seconds, kept as
     the run appended them.
     """
     samples: List[Tuple[float, int, float, int]]

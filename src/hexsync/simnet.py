@@ -37,11 +37,13 @@ later of the two is delivered. Either sampler's error is one formula: the
 gap between two instants over D (two period starts, or two deliveries),
 times 10**6 / D as one int / int division.
 
-A sample is a row (true_time_s, period_index, error_us, resync). Its
-resync flag is 1 exactly when the loop appended a resync mark after the
-previous sample (for the first sample: since the run began). The loop
-knows this as it records the sample, so no consumer has to place marks
-against sample times.
+A sample is a row (true_time_s, period_index, error_us, resync). Its time
+and error are the floats nearest their exact rationals, as int / int
+division gives them, unrounded: only the CSV writer and the --plot text
+round them, for display. Its resync flag is 1 exactly when the loop
+appended a resync mark after the previous sample (for the first sample:
+since the run began). The loop knows this as it records the sample, so no
+consumer has to place marks against sample times.
 
 The gait's phases and angles are fixed, so each child's plan (the gait
 events it fires, one per phase, in phase order) depends on no run setting:
@@ -496,7 +498,7 @@ class Sim:
         for k in range(k, k + n * every, every):
             q = 4 * k
             err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D
-            append((round(t / D, 6), k, round(err, 3), resync))
+            append((t / D, k, err, resync))
             resync = 0
             t += step
         self._push(t, Sim._handle_samples, (gen, k + every))
@@ -540,7 +542,7 @@ class Sim:
             # (m2 on a tie, as it was pushed second)
             d1, d2, D = m1.delivered[0], m2.delivered[0], self._D
             later = m1 if d1 > d2 else m2
-            later.body = (round(max(d1, d2) / D, 6), k, round((d2 - d1) * 10**6 / D, 3))
+            later.body = (max(d1, d2) / D, k, (d2 - d1) * 10**6 / D)
             later.action = Sim._record_sample
         self._push(self._period_start(self.root, k + 1),
                    Sim._handle_root_period, (gen, k + 1))

@@ -97,13 +97,14 @@ def first_boundary_tick(node: MoteState, t_true) -> int:
     return slot_boundary_tick(node, asn)
 
 
-def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:
+def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> None:
     """Align the child's ASN and slot grid to its parent at a message instant.
 
     The child adopts the parent's current ASN and re-pins its slot grid so
     its next boundary coincides with the parent's next boundary, quantized
-    to the child's own tick grid. Returns the residual misalignment in us,
-    always less than one tick.
+    down to the child's own tick grid. The residual misalignment in us, when
+    wanted, is -pairwise_sync_error(child, parent, child.asn_origin), which
+    lies in [0, one child tick).
     """
     if child.is_root:
         raise ValueError("root has no time-source parent to resync to")
@@ -113,8 +114,6 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> float:
     # the parent tick's true time as an exact (n, d) pair
     child.origin_local_ticks = ticks_at(
         child.clock, (parent_tick * parent.clock.rate_den, parent.clock.rate_num))
-    # the child's own next boundary is its origin tick
-    return tick_gap_us(child.clock, child.origin_local_ticks, parent.clock, parent_tick)
 
 
 def pairwise_sync_error(a: MoteState, b: MoteState, asn: int) -> float:

@@ -54,8 +54,11 @@ MUTANTS = (
            "last = heap[0][0] - 1", "last = heap[0][0]",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     Mutant("a one-sample window's error is off by 1 us", "simnet.py",
-           "k, round(err, 3), resync))", "k, round(err + (n == 1), 3), resync))",
+           "append((t / D, k, err, resync))", "append((t / D, k, err + (n == 1), resync))",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("a decentralized sample is rounded to the CSV's decimals", "simnet.py",
+           "append((t / D, k, err, resync))", "append((round(t / D, 6), k, round(err, 3), resync))",
+           ("tests/test_timebase.py::test_sim_samples_match_reference_up_to_large_k",)),
     Mutant("a window subtracts its two period starts as floats", "simnet.py",
            "err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D",
            "err = (c2 + (a2 + b2 * q) // d2) * u2 / D - (c1 + (a1 + b1 * q) // d1) * u1 / D",
@@ -99,6 +102,9 @@ MUTANTS = (
     Mutant("the sample is recorded on the earlier servo frame", "simnet.py",
            "later = m1 if d1 > d2 else m2", "later = m2 if d1 > d2 else m1",
            ("tests/test_simnet.py::test_centralized_sample_is_recorded_at_the_later_delivery",)),
+    Mutant("a centralized sample's error is rounded to the CSV's decimals", "simnet.py",
+           "k, (d2 - d1) * 10**6 / D)", "k, round((d2 - d1) * 10**6 / D, 3))",
+           ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),
     Mutant("a keep-alive delivery re-queues nothing", "simnet.py",
            "None, Sim._requeue_keepalive))", "None, None))",
            ("tests/test_simnet.py::test_keepalive_sent_one_period_after_last_resync",)),

@@ -12,9 +12,8 @@ from hexsync.cli import (
     read_trace_csv,
     render_ascii_plot,
     trace_csv_lines,
-    write_trace_csv,
 )
-from hexsync.cli import _build_parser, _params_from_args
+from hexsync.cli import _build_parser, _params_from_args, _write_lines
 from hexsync.experiment import ErrorTrace
 from hexsync.simnet import SchemeId, SchemeParams
 
@@ -163,7 +162,7 @@ def test_trace_header_and_formatting(tmp_path):
 def test_empty_trace_writes_header_only(tmp_path):
     trace = ErrorTrace(samples=[], resync_marks=[])
     path = tmp_path / "empty.csv"
-    write_trace_csv(trace, str(path))
+    _write_lines(trace_csv_lines(trace), str(path))
     assert path.read_text() == TRACE_HEADER + "\n"
 
 

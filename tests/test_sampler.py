@@ -57,7 +57,7 @@ class PerSampleSim(Sim):
         marks = len(self.resync_marks)
         resync = 1 if marks > self._marks_sampled else 0
         self._marks_sampled = marks
-        self.samples.append((round(self._t / self._D, 6), k, round(err, 3), resync))
+        self.samples.append((self._t / self._D, k, err, resync))
         k_next = k + self.params.sample_every
         self._push(self._sample_time(k_next), PerSampleSim._handle_sample, (gen, k_next))
 

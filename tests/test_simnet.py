@@ -207,12 +207,31 @@ def test_centralized_sample_is_recorded_at_the_later_delivery():
     full.run_until(40)
     paused = new_sim(mode=SchemeId.S0_CENTRALIZED)
     paused.inject_command(Verb.START, 0)
-    # sample times are rounded to the microsecond, and a tick is ~30.5 us
     for i, sample in enumerate(full.samples):
         paused.run_until(sample[0] - 1e-6)
         assert paused.samples == full.samples[:i]
     paused.run_until(40)
     assert paused.samples == full.samples and len(full.samples) > 30
+
+
+def test_centralized_samples_are_the_exact_delivery_gaps():
+    # each sample is built from its period's two servo frames (the only
+    # frames whose body is a tuple: the knee swap pair, or the sample the
+    # later one records): the later delivery's time, and the gap from M1's
+    # delivery to M2's in us, each the float nearest the exact value
+    sim = new_sim(mode=SchemeId.S0_CENTRALIZED, ppm_m1=-3.7, ppm_m2=1.1,
+                  link=LinkModel(jitter_bound_s=0.015, drop_probability=0.2))
+    sent = record_sends(sim)
+    sim.inject_command(Verb.START, 0)
+    sim.run_until(60)
+    servo = [m for m in sent if type(m.body) is tuple]
+    expected = []
+    for k, (m1, m2) in enumerate(zip(servo[::2], servo[1::2])):
+        assert [m1.dst, m2.dst] == sim.children
+        d1, d2 = m1.delivered_true_s, m2.delivered_true_s
+        if max(d1, d2) <= 60:
+            expected.append((float(max(d1, d2)), k, float((d2 - d1) * 10**6), 1))
+    assert sim.samples == expected and len(expected) > 50
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)

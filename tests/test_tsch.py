@@ -87,8 +87,7 @@ def test_resync_on_root_rejected():
 def test_resync_aligned_child_residual_zero():
     root = mote("root", ppm=0)
     child = mote("c", ppm=0, parent="root")
-    residual = resync_to_parent(child, root, 10.0)
-    assert residual == 0
+    resync_to_parent(child, root, 10.0)
     assert pairwise_sync_error(child, root, child.asn_origin) == 0
 
 
@@ -106,8 +105,10 @@ def test_resync_idempotent_at_same_instant():
     root = mote("root", ppm=0)
     child = mote("c", ppm=4, parent="root")
     resync_to_parent(child, root, 50.0)
-    second = resync_to_parent(child, root, 50.0)
-    assert 0 <= second < TICK_US
+    first = (child.asn_origin, child.origin_local_ticks)
+    resync_to_parent(child, root, 50.0)
+    assert (child.asn_origin, child.origin_local_ticks) == first
+    assert 0 <= -pairwise_sync_error(child, root, child.asn_origin) < TICK_US
 
 
 def test_pairwise_error_identical_nodes():
