@@ -1,8 +1,8 @@
 """Dual tripod gait: schedule compilation, per-controller timing, sync error.
 
 The gait's shape is fixed: four phases a quarter period apart, each
-firing six servos of one controller (GAIT_TABLE), plus the knee swap that
-a turn applies; a GaitConfig sets only the period on each time reference.
+firing six servos of one controller (GAIT_TABLE); a GaitConfig sets only
+the period on each time reference.
 M1 drives all six hip servos, at phases 0 and 2; M2 all six knee servos,
 at phases 1 and 3. Each controller fires its events from its own time
 reference: either its free-running local clock, or the network's absolute
@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .clock import (
     NOMINAL_FREQ_HZ,
@@ -102,13 +102,12 @@ Row = Tuple[Controller, int, float]
 
 class GaitEvent(NamedTuple):
     """One phase of the gait: the controller that fires it phase_index
-    quarters into each period, and its six setpoint rows under each knee
-    swap state. rows[swap_left][swap_right] holds (controller, servo_id,
-    angle_deg) rows in GAIT_TABLE order, compiled once so that
-    setpoints_for_event only picks one."""
+    quarters into each period, and its six (controller, servo_id,
+    angle_deg) setpoint rows in GAIT_TABLE order, compiled once so that
+    setpoints_for_event builds nothing."""
     phase_index: int
     controller: Controller
-    rows: Tuple[Tuple[Tuple[Row, ...], ...], ...]
+    rows: Tuple[Row, ...]
 
 
 class GaitArmState:
@@ -122,31 +121,14 @@ class GaitArmState:
         # local time arm_period_index * period_s, or at slot
         # arm_period_index * period_slots.
         self.arm_period_index = arm_period_index
-        # Turn state: whether knee sweep is reversed per body side, plus a
-        # pending change (swap_left, swap_right, from_period) that takes
-        # effect at a later period index.
-        self.swap_left = False
-        self.swap_right = False
-        self.pending_turn: Optional[Tuple[bool, bool, int]] = None
 
 
 def build_schedule() -> List[GaitEvent]:
     """Compile GAIT_TABLE: one event per phase, in phase order, each with
-    its rows under every knee swap state."""
-    return [GaitEvent(phase, controller, tuple(
-                tuple(_turned(controller, rows, swap_left, swap_right) for swap_right in (False, True))
-                for swap_left in (False, True)))
+    its six setpoint rows."""
+    return [GaitEvent(phase, controller,
+                      tuple((controller, servo_id, angle) for servo_id, angle in rows))
             for phase, (controller, rows) in enumerate(GAIT_TABLE)]
-
-
-def _turned(controller: Controller, rows: Sequence[Tuple[int, float]],
-            swap_left: bool, swap_right: bool) -> Tuple[Row, ...]:
-    """A phase's table rows as setpoint rows under a knee swap state. A turn
-    negates the knee angles on the swapped side: knees 6-8 are the left
-    side's, 9-11 the right side's. Hips never change."""
-    return tuple((controller, servo_id,
-                  -angle if servo_id >= 6 and (swap_left if servo_id < 9 else swap_right) else angle)
-                 for servo_id, angle in rows)
 
 
 def events_for_controller(schedule: Sequence[GaitEvent],
@@ -247,15 +229,15 @@ def gait_event_true_time(node: MoteState, k: int, phase_index: int) -> Fraction:
     return true_time_of_tick(node.clock, event_tick(node, k, phase_index))
 
 
-def setpoints_for_event(event: GaitEvent, swap_left: bool, swap_right: bool) -> Tuple[Row, ...]:
-    """One phase event's six servo commands under a knee swap state, in
-    GAIT_TABLE order (T1's legs, then T2's), as (controller, servo_id,
-    angle_deg) rows with no time attached.
+def setpoints_for_event(event: GaitEvent) -> Tuple[Row, ...]:
+    """One phase event's six servo commands, in GAIT_TABLE order (T1's
+    legs, then T2's), as (controller, servo_id, angle_deg) rows with no
+    time attached.
 
     The rows were compiled when the event was built (GaitEvent.rows), so
     this returns them as they are and builds nothing.
     """
-    return event.rows[swap_left][swap_right]
+    return event.rows
 
 
 def classify_gait(error_us: float, period_s: float) -> GaitHealth:

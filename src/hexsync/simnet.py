@@ -83,7 +83,6 @@ from . import gait as gaitmod
 from .clock import Value, as_ratio, check_finite, make_clock
 from .gait import (
     Controller,
-    GaitArmState,
     GaitConfig,
     GaitEvent,
     Row,
@@ -104,9 +103,6 @@ _PLANS = {node_id: tuple(events_for_controller(build_schedule(), controller))
 class Verb(Enum):
     START = "start"
     STOP = "stop"
-    FORWARD = "forward"
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class SchemeId(Enum):
@@ -413,12 +409,11 @@ class Sim:
 
     def _apply_command(self, node: MoteState, verb: Verb) -> None:
         """Apply a command on a node that times the gait: the root in
-        centralized runs, each child otherwise. A turn waits for the node's
-        next gait period, or for period 0 if that has not begun."""
-        now = (self._t, self._D)
+        centralized runs, each child otherwise."""
         if verb is Verb.START:
             if node.gait is not None:
                 return  # a Start while armed is a no-op
+            now = (self._t, self._D)
             if GAIT_TIME_REF[self.scheme] is TimeRef.ASN:
                 gaitmod.arm_asn_ref(node, self.params.gait, now)
             else:
@@ -434,14 +429,9 @@ class Sim:
                         self._schedule_controller_period(c, 0)
                 else:
                     self._start_sampler()
-        elif verb is Verb.STOP:
+        else:  # Stop
             node.gait = None
             self._gen += 1
-        elif node.gait is not None:
-            # before period 0 the index reads -1 or less: the turn takes
-            # effect from period 0
-            k_next = max(0, gaitmod.period_index_at(node, now) + 1)
-            node.gait.pending_turn = (*_SWAPS[verb], k_next)
 
     def _harmonize_origins(self) -> None:
         """Give both children a common period-0 origin.
@@ -518,7 +508,7 @@ class Sim:
         if gen != self._gen:
             return
         self.servo_setpoints.groups.append(
-            (self._t / self._D, gaitmod.setpoints_for_event(event, *_swaps_at(child.gait, k))))
+            (self._t / self._D, gaitmod.setpoints_for_event(event)))
         if event is _PLANS[child.node_id][-1]:
             self._schedule_controller_period(child, k + 1)
 
@@ -528,12 +518,11 @@ class Sim:
         if gen != self._gen:
             return
         # nominally simultaneous per-period commands to both controllers,
-        # each carrying the period's knee swap state; in a sample run the
-        # children record no setpoints, so the frames only resync
-        swaps = _swaps_at(self.root.gait, k)
+        # each with no body, as its child applies its whole plan; in a sample
+        # run the children record no setpoints, so the frames only resync
         now = (self._t, self._D)
         action = Sim._apply_plan if self.emit_setpoints else None
-        m1, m2 = msgs = [Message(child, now, swaps, action) for child in self.children]
+        m1, m2 = msgs = [Message(child, now, None, action) for child in self.children]
         for msg in msgs:
             self.send(msg)
         if not self.emit_setpoints and k % self.params.sample_every == 0:
@@ -547,33 +536,19 @@ class Sim:
         self._push(self._period_start(self.root, k + 1),
                    Sim._handle_root_period, (gen, k + 1))
 
-    def _apply_plan(self, child: MoteState, swaps: Tuple[bool, bool]) -> None:
+    def _apply_plan(self, child: MoteState, _body: None) -> None:
         """A setpoint run's servo frame action: the child's whole plan at one
         instant, one group per event in phase order. Hip 0 gets +30 and then
         -30, an order servo_trace's stable sort keeps."""
         now_s = self._t / self._D
         append = self.servo_setpoints.groups.append
         for event in _PLANS[child.node_id]:
-            append((now_s, gaitmod.setpoints_for_event(event, *swaps)))
+            append((now_s, gaitmod.setpoints_for_event(event)))
 
     def _record_sample(self, _child: MoteState, sample: Tuple[float, int, float]) -> None:
         """A sample run's action on a period's later servo frame."""
         self.samples.append((*sample, self._resynced))
         self._resynced = 0
-
-
-# the knee swap (left, right) each turn verb sets
-_SWAPS = {Verb.LEFT: (True, False), Verb.RIGHT: (False, True), Verb.FORWARD: (False, False)}
-
-
-def _swaps_at(arm: GaitArmState, k: int) -> Tuple[bool, bool]:
-    """The arm's knee swap state for period k: a pending turn takes effect
-    from its period on."""
-    turn = arm.pending_turn
-    if turn is not None and k >= turn[2]:
-        arm.swap_left, arm.swap_right, _ = turn
-        arm.pending_turn = None
-    return arm.swap_left, arm.swap_right
 
 
 def make_sim(scheme: SchemeId, params: SchemeParams,

@@ -75,12 +75,9 @@ MUTANTS = (
            "(a + b * (4 * k + event.phase_index)) // d", "(a + b * (4 * k)) // d",
            ("tests/test_simnet.py::test_phase_events_are_queued_at_each_phases_event_tick",
             "tests/test_golden.py::test_golden[trace_synchronized]")),
-    # the gait table and the knee swap rule
+    # the gait table
     Mutant("a hip sign flipped in the table", "gait.py",
            "(1, -30.0), (3, -30.0), (5, -30.0)", "(1, -30.0), (3, 30.0), (5, -30.0)",
-           ("tests/test_gait.py::test_schedule_matches_paper_gait",)),
-    Mutant("knee 9 swaps as a left knee", "gait.py",
-           "swap_left if servo_id < 9 else swap_right", "swap_left if servo_id <= 9 else swap_right",
            ("tests/test_gait.py::test_schedule_matches_paper_gait",)),
     # the setpoint path: servo_trace's instants and the CSV's suffix cache
     Mutant("an instant's rows left unsorted by servo id", "gait.py",
@@ -94,6 +91,10 @@ MUTANTS = (
     Mutant("the CSV's suffix cache lets its rows tuples go", "cli.py",
            "hit = suffixes[id(rows)] = (rows, tuple(", "hit = suffixes[id(rows)] = (None, tuple(",
            ("tests/test_setpoint_path.py::test_csv_formats_each_row_as_reference",)),
+    # commands
+    Mutant("a Start while armed re-arms the gait", "simnet.py",
+           "return  # a Start while armed is a no-op", "pass",
+           ("tests/test_simnet.py::test_a_start_while_armed_is_a_no_op",)),
     # frame delivery actions
     Mutant("a centralized Command frame is applied on the child", "simnet.py",
            "(self._t, self._D), verb, action))", "(self._t, self._D), verb, Sim._apply_command))",

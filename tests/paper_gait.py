@@ -5,8 +5,7 @@ Six legs, 0-2 on the left and 3-5 on the right, form two tripods: T1
 number) and a knee servo (leg + 6). M1 drives the hips, at phases 0 and 2;
 M2 drives the knees, at phases 1 and 3. At the quarter phases T1 steps
 down, back, up and forward (30, 25, -30 and -25 degrees), and T2 runs the
-same cycle half a period later. A turn negates the knee angles of one side.
-Tests compare hexsync's gait table with this spelling.
+same cycle half a period later. Tests compare hexsync's gait table with this spelling.
 """
 
 from fractions import Fraction
@@ -14,7 +13,6 @@ from fractions import Fraction
 from hexsync.gait import Controller
 
 TRIPODS = ((0, 2, 4), (1, 3, 5))  # T1, T2
-LEFT_LEGS = (0, 1, 2)
 HIP, KNEE = "hip", "knee"
 QUARTER_PHASES = tuple(Fraction(phase, 4) for phase in range(4))
 JOINT_AT_PHASE = (HIP, KNEE, HIP, KNEE)
@@ -32,15 +30,9 @@ def tripod_angle(tripod, phase):
     return T1_CYCLE_DEG[(phase - 2 * tripod) % 4]
 
 
-def paper_rows(phase, swap_left=False, swap_right=False):
+def paper_rows(phase):
     """The (controller, servo_id, angle_deg) commands at a phase, T1's legs
     first and then T2's, each tripod in leg order."""
     joint = JOINT_AT_PHASE[phase]
-    rows = []
-    for tripod, legs in enumerate(TRIPODS):
-        for leg in legs:
-            angle = tripod_angle(tripod, phase)
-            if joint == KNEE and (swap_left if leg in LEFT_LEGS else swap_right):
-                angle = -angle
-            rows.append((CONTROLLER_OF[joint], servo_of(joint, leg), angle))
-    return rows
+    return [(CONTROLLER_OF[joint], servo_of(joint, leg), tripod_angle(tripod, phase))
+            for tripod, legs in enumerate(TRIPODS) for leg in legs]

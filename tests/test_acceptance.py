@@ -108,7 +108,7 @@ def test_criterion_7_gait_structure():
         # runs T1's cycle half a period later
         angles = {}
         for e in sched:
-            by_servo = {servo: angle for _, servo, angle in e.rows[False][False]}
+            by_servo = {servo: angle for _, servo, angle in e.rows}
             for tripod, legs in enumerate(TRIPODS):
                 angles[tripod, e.phase_index] = {
                     by_servo.get(servo_of(JOINT_AT_PHASE[e.phase_index], leg)) for leg in legs}

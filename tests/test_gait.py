@@ -1,7 +1,6 @@
 """Dual tripod schedule structure, per-controller timing, health classes."""
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +50,7 @@ def armed_mote(ppm, ref, config=None, node_id="m", t=0.0):
 
 def joint_of(event):
     """The joint whose six servos the event's rows command, or None."""
-    servos = {servo for _, servo, _ in event.rows[False][False]}
+    servos = {servo for _, servo, _ in event.rows}
     for joint in (HIP, KNEE):
         if servos == {servo_of(joint, leg) for leg in range(6)}:
             return joint
@@ -59,8 +58,8 @@ def joint_of(event):
 
 
 def commanded_angle(event, tripod):
-    """The one angle the event's rows give the tripod's servos, unturned."""
-    angle = {servo: a for _, servo, a in event.rows[False][False]}
+    """The one angle the event's rows give the tripod's servos."""
+    angle = {servo: a for _, servo, a in event.rows}
     (only,) = {angle[servo_of(joint_of(event), leg)] for leg in TRIPODS[tripod]}
     return only
 
@@ -72,14 +71,15 @@ def test_schedule_has_four_events():
 
 
 def test_schedule_matches_paper_gait():
-    # every phase's rows, under every knee swap state, are the paper's
-    for event, swap_left, swap_right in product(build_schedule(), (False, True), (False, True)):
-        want = paper_rows(event.phase_index, swap_left, swap_right)
-        assert list(event.rows[swap_left][swap_right]) == want
+    # every phase's rows are the paper's
+    for event in build_schedule():
+        want = paper_rows(event.phase_index)
+        assert list(event.rows) == want
         # the compiled rows themselves: no time attached, no object built
-        got = setpoints_for_event(event, swap_left, swap_right)
-        assert got is event.rows[swap_left][swap_right]
+        got = setpoints_for_event(event)
+        assert got is event.rows
         assert list(got) == want
+        assert [str(angle) for _, _, angle in got] == [str(angle) for _, _, angle in want]
 
 
 def test_hip_and_knee_phase_placement():

@@ -135,7 +135,7 @@ def replay(cls, scheme, params, commands, pauses):
           SchemeParams(ppm_m1=0.0, ppm_m2=0.0, resync_period_s=2.25,
                        gait=GaitConfig(period_slots=100),
                        link=LinkModel(jitter_bound_s=0.0)),
-          [(Fraction(173, 10), Verb.LEFT)],
+          [(Fraction(173, 10), Verb.START)],
           [(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))]))
 # A Stop and a Start re-arm mid-run (a Start while armed is a no-op); the
 # next Stop and Start, in flight, land on the sample instant 6.75 s.
@@ -164,7 +164,7 @@ def test_pause_holds_exactly_the_samples_up_to_its_bound():
         for sim in (full, paused):
             sim.inject_command(Verb.START, 0)
             # keeps a later event queued in the open-loop heap as well
-            sim.inject_command(Verb.LEFT, 95.3)
+            sim.inject_command(Verb.START, 95.3)
         full.run_until(100)
         assert len(full.samples) > 90
         for t in (0.9, 2.0, 17.3, 17.3, 41.77, 63.001, 99.99):

@@ -1,19 +1,19 @@
 """The servo setpoint path against a reference copy of its earlier form.
 
 The reference setpoint expansion is the paper's gait as tests/paper_gait.py
-spells it, with a per-leg test of the knee swap. The references for the
+spells it. The references for the
 chronological sort and the CSV row formatter are those two as they were
 before setpoints became named tuples: a frozen dataclass per setpoint, a
 (time, controller name, servo id) sort key and one f-string per row. A run
 records its setpoints as (time, rows) groups, which the references read
 expanded into one dataclass per row. The simulation must emit, order and
-format exactly what they do, for every scheme, with turns, drops, jitter
-and gait periods down to one slot per phase.
+format exactly what they do, for every scheme, with Start and Stop
+sequences, drops, jitter and gait periods down to one slot per phase.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -59,36 +59,23 @@ def as_row(sp):
 
 
 def test_expansion_matches_reference_for_every_event():
-    for event, swap_left, swap_right in product(
-            build_schedule(), (False, True), (False, True)):
-        got = gait.setpoints_for_event(event, swap_left, swap_right)
-        want = paper_rows(event.phase_index, swap_left, swap_right)
+    for event in build_schedule():
+        got = gait.setpoints_for_event(event)
+        want = paper_rows(event.phase_index)
         assert list(got) == want
         assert [str(angle) for _, _, angle in got] == [str(angle) for _, _, angle in want]
 
 
-def reference_expander(sim):
-    """The paper's rows at the event's phase (tests/paper_gait.py), with the
-    knee swap read from the arm of the node that times the gait: a child,
-    or the root in the centralized scheme. A servo command still in flight
-    when the root stops carries the swap the root sent it with."""
-    def expand(event, swap_left, swap_right):
-        if sim.scheme is SchemeId.S0_CENTRALIZED:
-            node = sim.root
-        else:
-            node = sim.children[0 if event.controller is Controller.M1 else 1]
-        if node.gait is not None:
-            swap_left, swap_right = node.gait.swap_left, node.gait.swap_right
-        return paper_rows(event.phase_index, swap_left, swap_right)
-    return expand
+def reference_expander(event):
+    """The paper's rows at the event's phase (tests/paper_gait.py)."""
+    return paper_rows(event.phase_index)
 
 
 @st.composite
 def runs(draw):
     duration = draw(st.integers(3000, 12000)) / 1000
     at = st.integers(0, int(duration * 1000)).map(lambda ms: ms / 1000)
-    turns = draw(st.lists(st.tuples(st.sampled_from([Verb.LEFT, Verb.RIGHT, Verb.FORWARD]), at),
-                          max_size=4))
+    extra = draw(st.lists(st.tuples(st.sampled_from([Verb.START, Verb.STOP]), at), max_size=4))
     stop = draw(st.none() | at)
     ppms = st.sampled_from([-3.7, 0.0, 1.1, 5.0])
     params = SchemeParams(
@@ -101,14 +88,15 @@ def runs(draw):
         link=LinkModel(base_latency_s=draw(st.sampled_from([0.0, 0.0031])),
                        jitter_bound_s=draw(st.sampled_from([0.0, 0.011, 0.015])),
                        drop_probability=draw(st.sampled_from([0.0, 0.1, 0.3]))))
-    commands = [(Verb.START, 0)] + turns + ([] if stop is None else [(Verb.STOP, stop)])
+    commands = [(Verb.START, 0)] + extra + ([] if stop is None else [(Verb.STOP, stop)])
     return params, commands
 
 
-# a turn each way and a Stop, over a lossy link with 30 ms of jitter
-LOSSY_TURNS = (SchemeParams(duration_s=10, resync_period_s=2.5,
-                            link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3)),
-               [(Verb.START, 0), (Verb.LEFT, 2.3), (Verb.RIGHT, 4.1), (Verb.STOP, 7.7)])
+# a Start, a Start while armed (a no-op), a Stop and a re-Start, over a
+# lossy link with 30 ms of jitter
+LOSSY_COMMANDS = (SchemeParams(duration_s=10, resync_period_s=2.5,
+                               link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3)),
+                  [(Verb.START, 0), (Verb.START, 2.3), (Verb.STOP, 4.1), (Verb.START, 7.7)])
 
 
 def primed(scheme, params, commands):
@@ -120,13 +108,14 @@ def primed(scheme, params, commands):
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 @given(run=runs())
+@example(run=LOSSY_COMMANDS)
 @settings(max_examples=40, deadline=None)
 def test_trace_and_csv_match_reference(scheme, run):
     params, commands = run
     got = servo_trace(primed(scheme, params, commands), params.duration_s)
 
     ref = primed(scheme, params, commands)
-    with mock.patch.object(gait, "setpoints_for_event", reference_expander(ref)):
+    with mock.patch.object(gait, "setpoints_for_event", reference_expander):
         ref.run_until(params.duration_s)
     want = reference_sort(reference_setpoints(ref.servo_setpoints.groups))
 
@@ -176,7 +165,7 @@ def test_csv_formats_each_row_as_reference(rows):
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 @given(run=runs())
-@example(run=LOSSY_TURNS)
+@example(run=LOSSY_COMMANDS)
 @settings(max_examples=40, deadline=None)
 def test_setpoints_are_emitted_in_nondecreasing_time(scheme, run):
     # servo_trace's sort then only orders each instant's setpoints by servo
@@ -203,7 +192,7 @@ def counting_expander(returned):
 def test_expanded_rows_add_up_to_the_record_and_the_csv(scheme, tmp_path):
     # the rows gait.setpoints_for_event returns, as a tracer counts them,
     # number the record's len() and the CSV's rows
-    params, commands = LOSSY_TURNS
+    params, commands = LOSSY_COMMANDS
     sim = primed(scheme, params, commands)
     returned = []
     with mock.patch.object(gait, "setpoints_for_event", counting_expander(returned)):
@@ -221,7 +210,7 @@ def test_expanded_rows_add_up_to_the_record_and_the_csv(scheme, tmp_path):
 
 
 def test_servo_trace_rejects_a_record_that_goes_back_in_time():
-    params, commands = LOSSY_TURNS
+    params, commands = LOSSY_COMMANDS
     sim = primed(SchemeId.S2_SYNCHRONIZED, params, commands)
     sim.run_until(5)
     t, rows = sim.servo_setpoints.groups[-1]

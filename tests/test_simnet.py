@@ -85,9 +85,9 @@ def test_degenerate_link_delivers_on_next_slot_boundary():
 def test_message_holds_an_exact_sent_pair_and_its_body():
     sim = new_sim()
     child = sim.children[0]
-    a = Message(child, Fraction(3, 2), Verb.LEFT)
-    b = Message(child, 1.5, Verb.LEFT)
-    c = Message(child, Fraction(3, 2), Verb.RIGHT)
+    a = Message(child, Fraction(3, 2), Verb.START)
+    b = Message(child, 1.5, Verb.START)
+    c = Message(child, Fraction(3, 2), Verb.STOP)
     assert (a.sent, a.body) == (b.sent, b.body) and a.sent == (3, 2)
     assert (a.sent, a.body) != (c.sent, c.body)
 
@@ -215,16 +215,17 @@ def test_centralized_sample_is_recorded_at_the_later_delivery():
 
 
 def test_centralized_samples_are_the_exact_delivery_gaps():
-    # each sample is built from its period's two servo frames (the only
-    # frames whose body is a tuple: the knee swap pair, or the sample the
-    # later one records): the later delivery's time, and the gap from M1's
-    # delivery to M2's in us, each the float nearest the exact value
+    # each sample is built from its period's two servo frames (the frames
+    # that carry no verb and are no keep-alive): the later delivery's time,
+    # and the gap from M1's delivery to M2's in us, each the float nearest
+    # the exact value
     sim = new_sim(mode=SchemeId.S0_CENTRALIZED, ppm_m1=-3.7, ppm_m2=1.1,
                   link=LinkModel(jitter_bound_s=0.015, drop_probability=0.2))
     sent = record_sends(sim)
     sim.inject_command(Verb.START, 0)
     sim.run_until(60)
-    servo = [m for m in sent if type(m.body) is tuple]
+    servo = [m for m in sent
+             if not isinstance(m.body, Verb) and m.action is not Sim._requeue_keepalive]
     expected = []
     for k, (m1, m2) in enumerate(zip(servo[::2], servo[1::2])):
         assert [m1.dst, m2.dst] == sim.children
@@ -284,109 +285,27 @@ def test_one_period_emits_24_setpoints():
     assert all(len(v) == 12 for v in per_controller.values())
 
 
-def test_left_turn_flips_left_knee_sweep():
-    sim = new_sim(emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
-    sim.inject_command(Verb.START, 0)
-    sim.inject_command(Verb.LEFT, 3.0)
-    setpoints = trace(sim, 8)
-    arm_t, period = 68 * SLOT, 68 * SLOT
-
-    def phase_of(t):
-        return round((t - arm_t) % period / period * 4) % 4
-
-    # T1 leg 0: knee servo 6, nominally Back (+25) at quarter phase
-    servo6 = [s for s in setpoints if s.servo_id == 6]
-    before = [s for s in servo6 if s.true_time_s < 3.0 and phase_of(s.true_time_s) == 1]
-    after = [s for s in servo6 if s.true_time_s > 4.5 and phase_of(s.true_time_s) == 1]
-    assert before and after
-    assert all(s.angle_deg == 25.0 for s in before)
-    assert all(s.angle_deg == -25.0 for s in after)  # sweep reversed
-    # right-side knees keep the symmetric sweep (T2 resets Forward at this phase)
-    servo9 = [s for s in setpoints if s.servo_id == 9 and phase_of(s.true_time_s) == 1]
-    assert servo9 and all(s.angle_deg == -25.0 for s in servo9)
-
-
-@pytest.mark.parametrize("verb, left_swapped, right_swapped",
-                         [(Verb.LEFT, True, False), (Verb.RIGHT, False, True)])
-def test_centralized_turn_reverses_knee_sweep(verb, left_swapped, right_swapped):
-    # the root holds the turn until its next period (t = 4 s here) and sends
-    # the swap state with each period's servo command
-    sim = new_sim(mode=SchemeId.S0_CENTRALIZED, emit_setpoints=True,
-                  link=LinkModel(jitter_bound_s=0.0))
-    sim.inject_command(Verb.START, 0)
-    sim.inject_command(verb, 3.0)
-    setpoints = trace(sim, 10)
-
-    def sweeps(servo_id, keep):
-        """Each apply's angles for the servo, in order: T1/T2 Back and Forward."""
-        by_time = {}
-        for s in setpoints:
-            if s.servo_id == servo_id and keep(s.true_time_s):
-                by_time.setdefault(s.true_time_s, []).append(s.angle_deg)
-        return set(map(tuple, by_time.values()))
-
-    # knee servo 6 (leg 0, left) sweeps Back then Forward; servo 9 (leg 3,
-    # right) Forward then Back
-    assert sweeps(6, lambda t: t < 3.0) == {(25.0, -25.0)}
-    assert sweeps(9, lambda t: t < 3.0) == {(-25.0, 25.0)}
-    assert sweeps(6, lambda t: t > 4.5) == {(-25.0, 25.0) if left_swapped else (25.0, -25.0)}
-    assert sweeps(9, lambda t: t > 4.5) == {(25.0, -25.0) if right_swapped else (-25.0, 25.0)}
-    # hips never swap
-    assert sweeps(0, lambda t: True) == {(30.0, -30.0)}
-
-
-def test_centralized_forward_ends_a_turn():
-    sim = new_sim(mode=SchemeId.S0_CENTRALIZED, emit_setpoints=True,
-                  link=LinkModel(jitter_bound_s=0.0))
-    sim.inject_command(Verb.START, 0)
-    sim.inject_command(Verb.LEFT, 3.0)
-    sim.inject_command(Verb.FORWARD, 6.0)
-    setpoints = trace(sim, 10)
-    servo6 = [(s.true_time_s, s.angle_deg) for s in setpoints if s.servo_id == 6]
-    assert [a for t, a in servo6 if 4.5 < t < 6.0] == [-25.0, 25.0]
-    assert [a for t, a in servo6 if t > 7.5] == [25.0, -25.0] * 2
-
-
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
-@pytest.mark.parametrize("first, second, back", [(Verb.LEFT, Verb.FORWARD, 25.0),
-                                                 (Verb.FORWARD, Verb.LEFT, -25.0)],
-                         ids=["left-then-forward", "forward-then-left"])
-def test_same_instant_verbs_apply_in_injection_order(scheme, first, second, back):
-    # both turns land in the same instant on every node; the one queued
-    # second must win
+@pytest.mark.parametrize("first, second", [(Verb.STOP, Verb.START), (Verb.START, Verb.STOP)],
+                         ids=["stop-then-start", "start-then-stop"])
+def test_same_instant_verbs_apply_in_injection_order(scheme, first, second):
+    # both commands land in the same instant on every node and apply in the
+    # order queued: Stop then Start re-arms the gait, while Start then Stop
+    # is a no-op followed by a Stop
     sim = new_sim(mode=scheme, emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
+    sent = record_sends(sim)
     sim.inject_command(Verb.START, 0)
     sim.inject_command(first, 3.0)
     sim.inject_command(second, 3.0)
     setpoints = trace(sim, 10)
-    # knee servo 6 (leg 0, left) sweeps +25 then -25 each period unless swapped
-    assert [s.angle_deg for s in setpoints
-            if s.servo_id == 6 and s.true_time_s > 6.0] == [back, -back] * 4
-
-
-@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
-def test_turn_before_period_zero_takes_effect_from_period_zero(scheme):
-    # Left lands after Start is applied but before period 0 begins (~1 s)
-    def knee_angles(turn):
-        sim = new_sim(mode=scheme, emit_setpoints=True)
-        sim.inject_command(Verb.START, 0)
-        if turn:
-            sim.inject_command(Verb.LEFT, 0.2)
-        sim.run_until(3.5)
-        by_servo = {}
-        for s in expand(sim.servo_setpoints.groups):
-            if s.servo_id >= 6:
-                by_servo.setdefault(s.servo_id, []).append(s.angle_deg)
-        # each knee sweeps twice a period: periods 0 and 1. Angles, not
-        # times: the turn's frames shift the later latency draws
-        return {servo: angles[:4] for servo, angles in by_servo.items()}
-
-    straight, turned = knee_angles(False), knee_angles(True)
-    assert sorted(straight) == list(range(6, 12))
-    for servo, angles in straight.items():
-        assert len(angles) == 4
-        # the left knees (legs 0-2) reverse from period 0 on; the right keep theirs
-        assert turned[servo] == ([-a for a in angles] if servo < 9 else angles)
+    assert any(s.true_time_s < 3.0 for s in setpoints)
+    if second is Verb.START:
+        # knee servo 6 (leg 0) sweeps +25 then -25 each period once re-armed
+        assert [s.angle_deg for s in setpoints
+                if s.servo_id == 6 and s.true_time_s > 6.0] == [25.0, -25.0] * 4
+    else:
+        stopped = max(m.delivered_true_s for m in sent if m.body is Verb.STOP)
+        assert all(s.true_time_s <= stopped for s in setpoints)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -143,14 +143,14 @@ _LOSSY = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5
 
 
 def _lossy_sim_with_commands(scheme, emit_setpoints):
-    """A lossy-link sim with a Start, a turn and an off-grid Stop queued, and
-    the list every sent message is appended to."""
+    """A lossy-link sim with a Start, a Start while armed and an off-grid
+    Stop queued, and the list every sent message is appended to."""
     sim = make_sim(scheme, _LOSSY, emit_setpoints)
     sent = []
     send = sim.send
     sim.send = lambda msg: (send(msg), sent.append(msg))
     sim.inject_command(Verb.START, 0)
-    sim.inject_command(Verb.LEFT, 5.5)
+    sim.inject_command(Verb.START, 5.5)
     sim.inject_command(Verb.STOP, 12.3)  # a --stop-s value off every grid
     return sim, sent
 

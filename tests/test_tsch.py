@@ -153,10 +153,10 @@ def test_keepalive_due_from_last_resync():
     # keep-alive to one period after that delivery
     sim, sent = keepalive_sim(10.0)
     child = sim.children[0]
-    sim.inject_command(Verb.FORWARD, Fraction(12.4))
+    sim.inject_command(Verb.START, Fraction(12.4))
     sim.run_until(25)
     to_child = [m for m in sent if m.dst is child]
-    command = next(m for m in to_child if m.body is Verb.FORWARD)
+    command = next(m for m in to_child if m.body is Verb.START)
     keepalives = [m.sent_true_s for m in to_child if m.action is Sim._requeue_keepalive]
     assert 12.4 < command.delivered_true_s <= 12.4 + SLOT_LENGTH_S
     assert keepalives == [10, command.delivered_true_s + 10]
