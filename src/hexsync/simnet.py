@@ -12,8 +12,8 @@ picks when it builds the frame (Message.action):
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
 - a servo frame applies its child's whole plan in a setpoint run; in a
-  sample run the later of a period's two frames records the centralized
-  sample, and the other does nothing more.
+  sample run it only resyncs, except that when the relay queues a period's
+  two frames (below), the later one records the centralized sample.
 A Start that reaches a node whose gait is armed is a no-op: the gait keeps
 its period numbering. A Stop disarms, and a later Start arms afresh.
 
@@ -31,11 +31,19 @@ sample before the heap's next event and within run_until's bound, then
 re-queues itself at the next sample (Sim._handle_samples). Equal-time
 events still run as one entry per sample would order them, and
 run_until's count is of heap entries, so a window counts once.
-Centralized samples are fixed when the root sends a period's two servo
-commands, whose delivery times are then known, and recorded when the
-later of the two is delivered. Either sampler's error is one formula: the
-gap between two instants over D (two period starts, or two deliveries),
-times 10**6 / D as one int / int division.
+The centralized relay takes the same shape in a sample run: a root
+period's entry sends the period's two servo frames, whose delivery times
+Sim.send fixes, makes both deliveries itself (each resyncs its child, in
+delivery order), records the sample, and goes on to the next root period
+while that one starts strictly before the heap's next event and within
+run_until's bound (Sim._handle_root_period). A period whose later frame
+lands at or after the heap's next event, past the bound or after the next
+root period's start falls back to the heap: both deliveries are queued,
+then the next period, as one entry per period would queue them, and the
+later delivery records the sample. A setpoint run queues every period
+that way. Either sampler's error is one formula: the gap between two
+instants over D (two period starts, or two deliveries), times 10**6 / D
+as one int / int division.
 
 A sample is a row (true_time_s, period_index, error_us, resync). Its time
 and error are the floats nearest their exact rationals, as int / int
@@ -61,7 +69,8 @@ lcm(D, d) and every stored int is multiplied by the same positive factor,
 which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until tsch.first_boundary_tick finds the receiver's first slot boundary at
-or after it; only that boundary's time is queued.
+or after it; only that boundary's time is kept. Sim.send fixes it and
+queues nothing: each sender queues the delivery, or makes it in a window.
 
 A Message carries its sent and delivered times as exact (num, den) int
 pairs, and the three senders pass the pair (t, D). Floats come from
@@ -126,7 +135,7 @@ class Message:
     method the sender picked, or nothing when action is None: such a frame
     only resyncs. sent and delivered hold the times as exact (num, den)
     pairs, unreduced; sent may be given as any time value, and delivered is
-    None until Sim.send schedules the frame. A message is mutable.
+    None until Sim.send fixes it. A message is mutable.
     """
 
     __slots__ = ("dst", "sent", "body", "action", "delivered")
@@ -255,6 +264,10 @@ class Sim:
         self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._msg_index = 0
+        # each draw stream's hash state after its f"{seed}:{stream}:" prefix;
+        # a draw hashes its index on from a copy (see _uniform)
+        self._draw_prefix = {stream: hashlib.sha256(f"{params.seed}:{stream}:".encode())
+                             for stream in ("drop", "lat")}
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
         self._t_end = 0  # run_until's bound over D; no sample window passes it
         # each child's last resync: its keep-alive falls due one period later
@@ -316,16 +329,22 @@ class Sim:
         heapq.heappush(self._heap, (t, self._seq, handler, args))
 
     def _uniform(self, stream: str, index: int) -> float:
-        """Counter-based uniform draw in [0, 1); pure in (seed, stream, index)."""
-        digest = hashlib.sha256(
-            f"{self.params.seed}:{stream}:{index}".encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        """Counter-based uniform draw in [0, 1); pure in (seed, stream, index).
+
+        SHA-256 of f"{seed}:{stream}:{index}": SHA-256 hashes a stream of
+        bytes, so the prefix's state copied and updated with the index gives
+        that string's digest."""
+        h = self._draw_prefix[stream].copy()
+        h.update(str(index).encode())
+        return int.from_bytes(h.digest()[:8], "big") / 2**64
 
     # -- public operations -------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Schedule delivery at the receiver's first slot boundary at or
-        after the sampled link latency; drops retransmit one slot later."""
+        """Fix msg.delivered: the receiver's first slot boundary at or after
+        the sampled link latency; drops retransmit one slot later. It queues
+        nothing: the sender queues the delivery, or, in a relay window,
+        makes it itself."""
         link = self.params.link
         index = self._msg_index
         self._msg_index += 1
@@ -344,7 +363,6 @@ class Sim:
         dst = msg.dst
         t_del = first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst.node_id]
         msg.delivered = (t_del, self._D)
-        self._push(t_del, Sim._handle_delivery, (msg,))
 
     def inject_command(self, verb: Verb, t_true) -> None:
         t = self._time_int(t_true)
@@ -379,7 +397,9 @@ class Sim:
         # the centralized root applies the command itself; its frames only resync
         action = None if self.scheme is SchemeId.S0_CENTRALIZED else Sim._apply_command
         for child in self.children:
-            self.send(Message(child, (self._t, self._D), verb, action))
+            msg = Message(child, (self._t, self._D), verb, action)
+            self.send(msg)
+            self._push(msg.delivered[0], Sim._handle_delivery, (msg,))
         if action is None:
             self._apply_command(self.root, verb)
 
@@ -399,7 +419,9 @@ class Sim:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        self.send(Message(child, (self._t, self._D), None, Sim._requeue_keepalive))
+        msg = Message(child, (self._t, self._D), None, Sim._requeue_keepalive)
+        self.send(msg)
+        self._push(msg.delivered[0], Sim._handle_delivery, (msg,))
 
     def _requeue_keepalive(self, child: MoteState, _body: None) -> None:
         """A keep-alive's delivery action: the child is due one period on."""
@@ -515,26 +537,66 @@ class Sim:
     # -- centralized (root-timed) control ----------------------------------
 
     def _handle_root_period(self, gen: int, k: int) -> None:
+        """Send period k's two servo frames, each with no body, as its child
+        applies its whole plan; in a sample run, a window of periods (see
+        the module docstring).
+
+        A window period delivers both frames inline: each resyncs its child
+        in delivery order, m1 first on a tie, as its entry would be pushed
+        first. A delivery exactly at the next period's start is inline too,
+        as its entry would outrank that period's. The root's grid never
+        moves, so its event_tick_form is taken once per window. Nothing
+        else runs inside a window, so every resync, mark and sample is the
+        one the heap would have made, in its order.
+        """
         if gen != self._gen:
             return
-        # nominally simultaneous per-period commands to both controllers,
-        # each with no body, as its child applies its whole plan; in a sample
-        # run the children record no setpoints, so the frames only resync
-        now = (self._t, self._D)
-        action = Sim._apply_plan if self.emit_setpoints else None
-        m1, m2 = msgs = [Message(child, now, None, action) for child in self.children]
-        for msg in msgs:
-            self.send(msg)
-        if not self.emit_setpoints and k % self.params.sample_every == 0:
-            # both deliveries are fixed now, over one D: the sample is the
-            # gap between them, recorded when the later frame is delivered
-            # (m2 on a tie, as it was pushed second)
-            d1, d2, D = m1.delivered[0], m2.delivered[0], self._D
-            later = m1 if d1 > d2 else m2
-            later.body = (max(d1, d2) / D, k, (d2 - d1) * 10**6 / D)
-            later.action = Sim._record_sample
-        self._push(self._period_start(self.root, k + 1),
-                   Sim._handle_root_period, (gen, k + 1))
+        t, D, heap = self._t, self._D, self._heap
+        root, (child1, child2) = self.root, self.children
+        every = self.params.sample_every
+        sampling = not self.emit_setpoints
+        action = None if sampling else Sim._apply_plan
+        last = min(self._t_end, heap[0][0] - 1) if heap else self._t_end
+        c, a, b, den = gaitmod.event_tick_form(root)
+        unit = self._tick_unit[root.node_id]
+        marks, samples = self.resync_marks, self.samples
+        last_resync = self._last_resync
+        while True:
+            t_next = (c + (a + b * 4 * (k + 1)) // den) * unit
+            now = (t, D)
+            m1 = Message(child1, now, None, action)
+            m2 = Message(child2, now, None, action)
+            self.send(m1)
+            self.send(m2)
+            d1, d2 = m1.delivered[0], m2.delivered[0]
+            late = d1 if d1 > d2 else d2
+            # the sample is the gap between the two deliveries, over one D
+            sample = ((late / D, k, (d2 - d1) * 10**6 / D)
+                      if sampling and k % every == 0 else None)
+            if not sampling or late > last or late > t_next:
+                if sample is not None:
+                    # recorded by the later frame (m2 on a tie, as it is pushed second)
+                    later = m1 if d1 > d2 else m2
+                    later.body = sample
+                    later.action = Sim._record_sample
+                self._push(d1, Sim._handle_delivery, (m1,))
+                self._push(d2, Sim._handle_delivery, (m2,))
+                break
+            pair = ((child1, d1), (child2, d2))
+            for child, d in (pair if d1 <= d2 else pair[::-1]):
+                resync_to_parent(child, root, (d, D))
+                last_resync[child.node_id] = d
+                marks.append(d / D)
+            if sample is None:
+                self._resynced = 1
+            else:  # flagged: both deliveries just resynced
+                samples.append((*sample, 1))
+                self._resynced = 0
+            if t_next > last:
+                break
+            k += 1
+            t = t_next
+        self._push(t_next, Sim._handle_root_period, (gen, k + 1))
 
     def _apply_plan(self, child: MoteState, _body: None) -> None:
         """A setpoint run's servo frame action: the child's whole plan at one

@@ -97,7 +97,7 @@ MUTANTS = (
            ("tests/test_simnet.py::test_a_start_while_armed_is_a_no_op",)),
     # frame delivery actions
     Mutant("a centralized Command frame is applied on the child", "simnet.py",
-           "(self._t, self._D), verb, action))", "(self._t, self._D), verb, Sim._apply_command))",
+           "(self._t, self._D), verb, action)", "(self._t, self._D), verb, Sim._apply_command)",
            ("tests/test_simnet.py::test_stop_quiesces_gait[centralized]",
             "tests/test_golden.py::test_golden[run_centralized]")),
     Mutant("the sample is recorded on the earlier servo frame", "simnet.py",
@@ -107,8 +107,18 @@ MUTANTS = (
            "k, (d2 - d1) * 10**6 / D)", "k, round((d2 - d1) * 10**6 / D, 3))",
            ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),
     Mutant("a keep-alive delivery re-queues nothing", "simnet.py",
-           "None, Sim._requeue_keepalive))", "None, None))",
+           "None, Sim._requeue_keepalive)", "None, None)",
            ("tests/test_simnet.py::test_keepalive_sent_one_period_after_last_resync",)),
+    # the windowed centralized relay (Sim._handle_root_period)
+    Mutant("relay window ignores the heap head", "simnet.py",
+           "min(self._t_end, heap[0][0] - 1) if heap else self._t_end", "self._t_end",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    Mutant("relay window resyncs in send order, not delivery order", "simnet.py",
+           "(pair if d1 <= d2 else pair[::-1])", "pair",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    Mutant("relay window delivers inline a frame that lands after the next root period",
+           "simnet.py", "late > last or late > t_next:", "late > last:",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
 )
 
 

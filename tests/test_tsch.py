@@ -167,8 +167,11 @@ def test_root_has_no_keepalive():
     sim.run_until(60)
     assert len(sent) >= 2 * 5
     assert all(m.dst in sim.children for m in sent)
-    # the root keeps the time; a keep-alive cannot resync it
-    sim.send(Message(sim.root, sim.now))
+    # the root keeps the time; a keep-alive cannot resync it. send only
+    # fixes the delivery, so the frame's delivery is queued as a sender does
+    msg = Message(sim.root, sim.now)
+    sim.send(msg)
+    sim._push(msg.delivered[0], Sim._handle_delivery, (msg,))
     with pytest.raises(ValueError):
         sim.run_until(61)
 
