@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .experiment import ErrorTrace, SweepRow, build_sim, run_error_trace, sweep_resync_period
 from .gait import GaitConfig, servo_trace
@@ -31,7 +32,7 @@ _DEFAULT_PPM_M1 = {SchemeId.S1_OPEN_LOOP: -5.0}
 TRACE_HEADER = "true_time_s,period_index,error_us,resync"
 SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
 SERVO_HEADER = "true_time_s,controller,servo_id,angle_deg"
-WRITE_CHUNK_LINES = 8192  # lines joined into one string per write
+WRITE_CHUNK_LINES = 8192  # rows in one CSV block, written in one write
 # a --config file's spellings of a flag's two values
 _FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -157,14 +158,19 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
 
 # -- CSV emission ----------------------------------------------------------
 
-def trace_csv_lines(trace: ErrorTrace) -> List[str]:
-    """The trace's samples as CSV rows; each sample carries its own resync
-    flag. The run's samples are unrounded: the rows round a sample's time
-    to 6 decimals and its error to 3."""
-    lines = [TRACE_HEADER]
-    for t, k, err, resync in trace.samples:
-        lines.append(f"{t:.6f},{k},{err:.3f},{resync}")
-    return lines
+def trace_csv_lines(trace: ErrorTrace) -> Iterator[str]:
+    """The trace as CSV blocks: the header, then its samples' rows,
+    WRITE_CHUNK_LINES to a block (fewer in the last), newline-separated, so
+    that joining the blocks with newlines gives one row per sample. Each
+    sample carries its own resync flag. The run's samples are unrounded: a
+    row rounds its time to 6 decimals and its error to 3.
+
+    A block is one % over the flat tuple of its samples' fields; %-format
+    and format() render a float through the same routine, so a row reads
+    as f"{t:.6f},{k},{err:.3f},{resync}" would, for int k and resync.
+    """
+    yield TRACE_HEADER
+    yield from _blocks("%.6f,%d,%.3f,%d", trace.samples)
 
 
 def read_trace_csv(path: str) -> List[Tuple[float, int, float, int]]:
@@ -183,18 +189,31 @@ def read_trace_csv(path: str) -> List[Tuple[float, int, float, int]]:
     return rows
 
 
-def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(f"{row.resync_period_s:.6f},{row.max_abs_error_us:.3f},"
-                     f"{row.analytic_bound_us:.3f}")
-    return lines
+def sweep_csv_lines(rows: Sequence[SweepRow]) -> Iterator[str]:
+    """The sweep as CSV blocks, as trace_csv_lines gives them: the header,
+    then one row per SweepRow, its period to 6 decimals and its two errors
+    to 3."""
+    yield SWEEP_HEADER
+    yield from _blocks("%.6f,%.3f,%.3f", rows)
 
 
-def servo_csv_lines(trace) -> List[str]:
-    """The trace's setpoints as CSV text: the header, then one string per
-    entry holding the entry's rows, newline-separated, so that joining the
-    result with newlines gives one row per setpoint, in the order given.
+def _blocks(row_format: str, rows: Sequence[tuple]) -> Iterator[str]:
+    """rows formatted with row_format, WRITE_CHUNK_LINES rows to a
+    newline-separated block (fewer in the last), one % per block."""
+    size = 0  # the rows block_format takes; built once per block size
+    for i in range(0, len(rows), WRITE_CHUNK_LINES):
+        chunk = rows[i:i + WRITE_CHUNK_LINES]
+        if len(chunk) != size:
+            size = len(chunk)
+            block_format = "\n".join([row_format] * size)
+        yield block_format % tuple(chain.from_iterable(chunk))
+
+
+def servo_csv_lines(trace) -> Iterator[str]:
+    """The trace's setpoints as CSV blocks: the header, then blocks of
+    whole instants' rows, newline-separated, so that joining the blocks
+    with newlines gives one row per setpoint, in the order given. A block
+    holds at most WRITE_CHUNK_LINES rows, unless one instant holds more.
 
     trace holds (true_time_s, rows) entries, as gait.servo_trace returns
     them: rows are (controller, servo_id, angle_deg) rows that share the
@@ -205,8 +224,10 @@ def servo_csv_lines(trace) -> List[str]:
     identity; the cache keeps each tuple alive, so no identity in it can be
     reused.
     """
-    lines = [SERVO_HEADER]
-    append = lines.append
+    yield SERVO_HEADER
+    block: List[str] = []
+    append = block.append
+    count = 0  # the rows in block
     # id(rows) -> (rows, their suffixes)
     suffixes: Dict[int, Tuple[tuple, Tuple[str, ...]]] = {}
     for t, rows in trace:
@@ -216,17 +237,24 @@ def servo_csv_lines(trace) -> List[str]:
             hit = suffixes[id(rows)] = (rows, tuple(
                 f",{controller._value_},{servo_id},{angle:.3f}"
                 for controller, servo_id, angle in rows))
+        n = len(hit[1])
+        if count + n > WRITE_CHUNK_LINES and block:
+            yield "\n".join(block)
+            block.clear()
+            count = 0
         time_field = f"{t:.6f}"
         append(time_field + ("\n" + time_field).join(hit[1]))
-    return lines
+        count += n
+    if block:
+        yield "\n".join(block)
 
 
-def _write_lines(lines: List[str], path: Optional[str]) -> None:
-    """Write each line and a newline to path, or to stdout if it is None,
-    WRITE_CHUNK_LINES lines to a write, so no one string holds the CSV."""
+def _write_lines(blocks: Iterable[str], path: Optional[str]) -> None:
+    """Write each block and a newline to path, or to stdout if it is None,
+    one write per block as it arrives, so no one string holds the CSV."""
     with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
-        for i in range(0, len(lines), WRITE_CHUNK_LINES):
-            fh.write("\n".join(lines[i:i + WRITE_CHUNK_LINES]) + "\n")
+        for block in blocks:
+            fh.write(block + "\n")
 
 
 # -- plotting --------------------------------------------------------------

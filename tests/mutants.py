@@ -91,6 +91,21 @@ MUTANTS = (
     Mutant("the CSV's suffix cache lets its rows tuples go", "cli.py",
            "hit = suffixes[id(rows)] = (rows, tuple(", "hit = suffixes[id(rows)] = (None, tuple(",
            ("tests/test_setpoint_path.py::test_csv_formats_each_row_as_reference",)),
+    # the CSV blocks (cli._blocks, cli.servo_csv_lines)
+    Mutant("the final partial block is dropped", "cli.py",
+           "for i in range(0, len(rows), WRITE_CHUNK_LINES):",
+           "for i in range(0, len(rows) - len(rows) % WRITE_CHUNK_LINES, WRITE_CHUNK_LINES):",
+           ("tests/test_csv_blocks.py::test_trace_blocks_match_reference",)),
+    Mutant("a block's rows are joined without newlines", "cli.py",
+           'block_format = "\\n".join([row_format] * size)',
+           'block_format = "".join([row_format] * size)',
+           ("tests/test_csv_blocks.py::test_trace_blocks_match_reference",)),
+    Mutant("a trace row's error is formatted to 2 decimals", "cli.py",
+           '"%.6f,%d,%.3f,%d"', '"%.6f,%d,%.2f,%d"',
+           ("tests/test_csv_blocks.py::test_trace_blocks_match_reference",)),
+    Mutant("a servo block is cut only after it passes the block size", "cli.py",
+           "if count + n > WRITE_CHUNK_LINES and block:", "if count > WRITE_CHUNK_LINES and block:",
+           ("tests/test_csv_blocks.py::test_servo_blocks_end_on_an_instant",)),
     # commands
     Mutant("a Start while armed re-arms the gait", "simnet.py",
            "return  # a Start while armed is a no-op", "pass",
