@@ -41,6 +41,12 @@ COMMANDS = {
                                        "--duration-s 12 --stop-s 9.4",
     "trace_open_loop_period_0p7": "trace --scheme open-loop --gait-period-s 0.7 "
                                   "--ppm-m1 -3.7 --ppm-m2 1.1 --duration-s 20",
+    # a keep-alive every 10 ms under 30 ms jitter and 30% drops, on a
+    # drifting root: 1,524 frames, some delivered before the heap's next
+    # event and some after it
+    "run_synchronized_keepalive": "run --scheme synchronized --ppm-m1 -3.7 --ppm-m2 1.1 "
+                                  "--ppm-root 2.3 --resync-period-s 0.01 --jitter-s 0.03 "
+                                  "--drop-prob 0.3 --duration-s 30 --seed 5",
 }
 
 
