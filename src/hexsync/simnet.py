@@ -8,7 +8,8 @@ a per-message counter, and equal-time events pop in insertion order.
 
 After the resync a frame has one effect, its action, which the sender
 picks when it builds the frame (Message.action):
-- a keep-alive re-queues its child's keep-alive due event;
+- a keep-alive re-queues its child's keep-alive due event (a keep-alive
+  window that makes the delivery itself queues the due itself);
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
 - a servo frame applies its child's whole plan in a setpoint run; in a
@@ -44,6 +45,15 @@ later delivery records the sample. A setpoint run queues every period
 that way. Either sampler's error is one formula: the gap between two
 instants over D (two period starts, or two deliveries), times 10**6 / D
 as one int / int division.
+The keep-alive exchange is a window as well: a child's due entry sends
+the keep-alive and, when its delivery lands strictly before the heap's
+next event and within run_until's bound, makes that delivery itself
+(resync, last-resync time, mark and resync flag), then sends the child's
+next keep-alive, due one period after that delivery, while it too falls
+strictly before the heap's next event and within the bound
+(Sim._handle_keepalive_due). A delivery at or after the heap's next event
+or past the bound is queued, and its action re-queues the due, as one
+entry per frame would. So an exchange usually costs one heap entry.
 
 A sample is a row (true_time_s, period_index, error_us, resync). Its time
 and error are the floats nearest their exact rationals, as int / int
@@ -107,6 +117,17 @@ _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
 # hips (M1), m2 the knees (M2)
 _PLANS = {node_id: tuple(events_for_controller(build_schedule(), controller))
           for node_id, controller in (("m1", Controller.M1), ("m2", Controller.M2))}
+
+
+def _draw(prefix, index: int) -> float:
+    """Counter-based uniform draw in [0, 1); pure in (seed, stream, index).
+
+    SHA-256 of f"{seed}:{stream}:{index}", prefix being the hash state after
+    f"{seed}:{stream}:": SHA-256 hashes a stream of bytes, so that state
+    copied and updated with the index gives the whole string's digest."""
+    h = prefix.copy()
+    h.update(str(index).encode())
+    return int.from_bytes(h.digest()[:8], "big") / 2**64
 
 
 class Verb(Enum):
@@ -265,9 +286,13 @@ class Sim:
         self._seq = 0
         self._msg_index = 0
         # each draw stream's hash state after its f"{seed}:{stream}:" prefix;
-        # a draw hashes its index on from a copy (see _uniform)
-        self._draw_prefix = {stream: hashlib.sha256(f"{params.seed}:{stream}:".encode())
-                             for stream in ("drop", "lat")}
+        # a draw hashes its index on from a copy (see _draw)
+        self._drop_prefix, self._lat_prefix = (
+            hashlib.sha256(f"{params.seed}:{stream}:".encode()) for stream in ("drop", "lat"))
+        link = params.link
+        self._drop_probability = link.drop_probability
+        self._base_latency_s = link.base_latency_s
+        self._jitter_bound_s = link.jitter_bound_s
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
         self._t_end = 0  # run_until's bound over D; no sample window passes it
         # each child's last resync: its keep-alive falls due one period later
@@ -302,6 +327,8 @@ class Sim:
         # D / (seconds per tick), per node: tick k falls at k * unit over D
         self._tick_unit = {node.node_id: node.clock.rate_den * (D // node.clock.rate_num)
                            for node in (self.root, *self.children)}
+        # the children's tick units scaled to us: a sample's error is one int / int
+        self._us_units = tuple(self._tick_unit[c.node_id] * 10**6 for c in self.children)
         ka_num, ka_den = self._keepalive_ratio
         self._keepalive = ka_num * (D // ka_den)
         # one gait period over D; even, as 2 * p_den divides D, so the
@@ -328,16 +355,6 @@ class Sim:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, handler, args))
 
-    def _uniform(self, stream: str, index: int) -> float:
-        """Counter-based uniform draw in [0, 1); pure in (seed, stream, index).
-
-        SHA-256 of f"{seed}:{stream}:{index}": SHA-256 hashes a stream of
-        bytes, so the prefix's state copied and updated with the index gives
-        that string's digest."""
-        h = self._draw_prefix[stream].copy()
-        h.update(str(index).encode())
-        return int.from_bytes(h.digest()[:8], "big") / 2**64
-
     # -- public operations -------------------------------------------------
 
     def send(self, msg: Message) -> None:
@@ -345,16 +362,16 @@ class Sim:
         the sampled link latency; drops retransmit one slot later. It queues
         nothing: the sender queues the delivery, or, in a relay window,
         makes it itself."""
-        link = self.params.link
         index = self._msg_index
-        self._msg_index += 1
+        self._msg_index = index + 1
         attempt = 0
-        while (link.drop_probability > 0
-               and self._uniform("drop", index * 97 + attempt) < link.drop_probability):
-            attempt += 1
+        drop_probability = self._drop_probability
+        if drop_probability > 0:
+            while _draw(self._drop_prefix, index * 97 + attempt) < drop_probability:
+                attempt += 1
         # the latency is a float (the draw is one), so as_integer_ratio is exact
-        lat_num, lat_den = (link.base_latency_s + link.jitter_bound_s
-                            * self._uniform("lat", index)).as_integer_ratio()
+        lat_num, lat_den = (self._base_latency_s + self._jitter_bound_s
+                            * _draw(self._lat_prefix, index)).as_integer_ratio()
         s_num, s_den = msg.sent
         # arrival = sent + attempt slots + latency, as one exact pair
         arr_num = ((s_num * _SLOT_DEN + attempt * _SLOT_NUM * s_den) * lat_den
@@ -414,14 +431,42 @@ class Sim:
             msg.action(self, child, msg.body)
 
     def _handle_keepalive_due(self, child: MoteState) -> None:
-        due = self._keepalive_due(child)
-        if due > self._t:
+        """Send the child's keep-alive; a window of exchanges (see the module
+        docstring).
+
+        A delivery strictly before the heap head and at or before run_until's
+        bound is made inline, as its own entry would pop next: it resyncs
+        and marks the child as _handle_delivery does. The child's next due,
+        one period after that delivery, is sent in the same window while it
+        too falls strictly before the head and within the bound, as the
+        re-queued due would pop next. Nothing else runs inside a window, so
+        the head stays fixed. A delivery at or past the head, or past the
+        bound, is queued, and its action re-queues the due.
+        """
+        t, node_id, period = self._t, child.node_id, self._keepalive
+        last_resync = self._last_resync
+        due = last_resync[node_id] + period
+        if due > t:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        msg = Message(child, (self._t, self._D), None, Sim._requeue_keepalive)
-        self.send(msg)
-        self._push(msg.delivered[0], Sim._handle_delivery, (msg,))
+        D, heap, end, root = self._D, self._heap, self._t_end, self.root
+        head = heap[0][0] if heap else end + 1
+        while True:
+            msg = Message(child, (t, D), None, Sim._requeue_keepalive)
+            self.send(msg)
+            d = msg.delivered[0]
+            if d >= head or d > end:
+                self._push(d, Sim._handle_delivery, (msg,))
+                return
+            resync_to_parent(child, root, (d, D))
+            last_resync[node_id] = d
+            self.resync_marks.append(d / D)
+            self._resynced = 1
+            t = d + period
+            if t >= head or t > end:
+                break
+        self._push(t, Sim._handle_keepalive_due, (child,))
 
     def _requeue_keepalive(self, child: MoteState, _body: None) -> None:
         """A keep-alive's delivery action: the child is due one period on."""
@@ -502,8 +547,7 @@ class Sim:
         m1, m2 = self.children
         c1, a1, b1, d1 = gaitmod.event_tick_form(m1)
         c2, a2, b2, d2 = gaitmod.event_tick_form(m2)
-        # a tick's instant over D, scaled to us: the error is one int / int
-        u1, u2 = (self._tick_unit[c.node_id] * 10**6 for c in self.children)
+        u1, u2 = self._us_units
         # nothing runs inside a window, so only its first sample can follow a mark
         resync, self._resynced = self._resynced, 0
         append = self.samples.append

@@ -7,17 +7,20 @@ to true time. 15 ms is 491.52 = 12288/25 ticks, so consecutive boundaries
 land 15 ms apart in local time only to within one tick. Slot and tick
 conversions are single integer floor or ceil divisions by that ratio. A
 frame is delivered at the receiver's first slot boundary at or after its
-arrival (first_boundary_tick).
+arrival (first_boundary_tick), and a resync pins the child to the parent's
+next boundary (resync_to_parent); both read _first_boundary, the first
+slot boundary at or after a local tick.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
+    as_ratio,
     tick_gap_us,
     ticks_at,
     true_time_of_tick,
@@ -81,20 +84,26 @@ def asn_at(node: MoteState, t_true) -> int:
     return node.asn_origin - (-elapsed_ticks * SLOT_TICKS_DEN // SLOT_TICKS_NUM) - 1
 
 
+def _first_boundary(node: MoteState, tick: int) -> Tuple[int, int]:
+    """(asn, boundary tick) of the node's first slot whose boundary tick is
+    at or after the local tick: one ceiling division gives the slot, and
+    its boundary tick is slot_boundary_tick's floor."""
+    origin = node.origin_local_ticks
+    # asn_origin + ceil((tick - origin_local_ticks) / TICKS_PER_SLOT)
+    steps = -((origin - tick) * SLOT_TICKS_DEN // SLOT_TICKS_NUM)
+    return node.asn_origin + steps, origin + steps * SLOT_TICKS_NUM // SLOT_TICKS_DEN
+
+
 def first_boundary_tick(node: MoteState, t_true) -> int:
     """Boundary tick of the node's first slot that starts at or after t_true.
 
     t_true is an exact (num, den) pair. One ceiling division gives the first
-    tick at or after t_true, a second the first slot whose boundary tick
-    reaches that tick.
+    tick at or after t_true, _first_boundary the first slot whose boundary
+    tick reaches that tick.
     """
     num, den = t_true
     clock = node.clock
-    tick = -(-num * clock.rate_num // (den * clock.rate_den))
-    # asn_origin + ceil((tick - origin_local_ticks) / TICKS_PER_SLOT)
-    asn = node.asn_origin - ((node.origin_local_ticks - tick) * SLOT_TICKS_DEN
-                             // SLOT_TICKS_NUM)
-    return slot_boundary_tick(node, asn)
+    return _first_boundary(node, -(-num * clock.rate_num // (den * clock.rate_den)))[1]
 
 
 def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> None:
@@ -102,18 +111,24 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> None:
 
     The child adopts the parent's current ASN and re-pins its slot grid so
     its next boundary coincides with the parent's next boundary, quantized
-    down to the child's own tick grid. The residual misalignment in us, when
-    wanted, is -pairwise_sync_error(child, parent, child.asn_origin), which
-    lies in [0, one child tick).
+    down to the child's own tick grid. The parent's next boundary is its
+    first at or after the tick after its tick count at t_true (asn_at's
+    slot + 1). The residual misalignment in us, when wanted, is
+    -pairwise_sync_error(child, parent, child.asn_origin), which lies in
+    [0, one child tick). The root has no parent, and a time before the
+    epoch has no tick: both raise ValueError.
     """
-    if child.is_root:
+    if child.parent_id is None:
         raise ValueError("root has no time-source parent to resync to")
-    parent_asn = asn_at(parent, t_true)
-    parent_tick = slot_boundary_tick(parent, parent_asn + 1)
-    child.asn_origin = parent_asn + 1
-    # the parent tick's true time as an exact (n, d) pair
-    child.origin_local_ticks = ticks_at(
-        child.clock, (parent_tick * parent.clock.rate_den, parent.clock.rate_num))
+    num, den = t_true if type(t_true) is tuple else as_ratio(t_true)
+    if num < 0:
+        raise ValueError(f"t_true {num / den} precedes clock epoch")
+    p_clock, c_clock = parent.clock, child.clock
+    asn, tick = _first_boundary(parent, p_clock.rate_num * num // (p_clock.rate_den * den) + 1)
+    child.asn_origin = asn
+    # the child's tick count at the parent tick's true time, tick * rate_den / rate_num
+    child.origin_local_ticks = (c_clock.rate_num * tick * p_clock.rate_den
+                                // (c_clock.rate_den * p_clock.rate_num))
 
 
 def pairwise_sync_error(a: MoteState, b: MoteState, asn: int) -> float:

@@ -134,6 +134,16 @@ MUTANTS = (
     Mutant("relay window delivers inline a frame that lands after the next root period",
            "simnet.py", "late > last or late > t_next:", "late > last:",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    # the keep-alive window (Sim._handle_keepalive_due) and the resync it makes
+    Mutant("keep-alive window delivers inline at the heap head's own time", "simnet.py",
+           "if d >= head or d > end:", "if d > head or d > end:",
+           ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
+    Mutant("keep-alive window counts the next due from the send, not the delivery",
+           "simnet.py", "t = d + period", "t = t + period",
+           ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
+    Mutant("a resync reads the parent's first boundary at its current tick, not the next",
+           "tsch.py", "(p_clock.rate_den * den) + 1)", "(p_clock.rate_den * den))",
+           ("tests/test_tsch.py::test_resync_matches_reference_chain",)),
 )
 
 
