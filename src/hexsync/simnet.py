@@ -9,7 +9,7 @@ a per-message counter, and equal-time events pop in insertion order.
 After the resync a frame has one effect, its action, which the sender
 picks when it builds the frame (Message.action):
 - a keep-alive re-queues its child's keep-alive due event (a keep-alive
-  window that makes the delivery itself queues the due itself);
+  window that makes the delivery itself also queues the due itself);
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
 - a servo frame applies its child's whole plan in a setpoint run; in a
@@ -360,8 +360,8 @@ class Sim:
     def send(self, msg: Message) -> None:
         """Fix msg.delivered: the receiver's first slot boundary at or after
         the sampled link latency; drops retransmit one slot later. It queues
-        nothing: the sender queues the delivery, or, in a relay window,
-        makes it itself."""
+        nothing: the sender queues the delivery, or, in a relay or keep-alive
+        window, makes it itself."""
         index = self._msg_index
         self._msg_index = index + 1
         attempt = 0
