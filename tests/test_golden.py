@@ -47,6 +47,13 @@ COMMANDS = {
     "run_synchronized_keepalive": "run --scheme synchronized --ppm-m1 -3.7 --ppm-m2 1.1 "
                                   "--ppm-root 2.3 --resync-period-s 0.01 --jitter-s 0.03 "
                                   "--drop-prob 0.3 --duration-s 30 --seed 5",
+    # a centralized servo trace on drifting clocks whose 50 ms gait period
+    # is under 30 ms jitter and 30% drops: some periods' frames land after
+    # the next period's start and some before it, and a Stop off the grid
+    "trace_centralized_lossy": "trace --scheme centralized --ppm-m1 -3.7 --ppm-m2 1.1 "
+                               "--ppm-root 2.3 --gait-period-s 0.05 --resync-period-s 0.5 "
+                               "--jitter-s 0.03 --drop-prob 0.3 --duration-s 30 "
+                               "--stop-s 17.3 --seed 3",
 }
 
 
