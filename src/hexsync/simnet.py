@@ -8,13 +8,12 @@ a per-message counter, and equal-time events pop in insertion order.
 
 After the resync a frame has one effect, its action, which the sender
 picks when it builds the frame (Message.action):
-- a keep-alive re-queues its child's keep-alive due event (a keep-alive
-  window that makes the delivery itself also queues the due itself);
+- a keep-alive queues its child's next keep-alive due, one period on;
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
 - a servo frame applies its child's whole plan in a setpoint run; in a
-  sample run it only resyncs, except that when the relay queues a period's
-  two frames (below), the later one records the centralized sample.
+  sample run it only resyncs, except that a sampled period's later frame
+  records the centralized sample.
 A Start that reaches a node whose gait is armed is a no-op: the gait keeps
 its period numbering. A Stop disarms, and a later Start arms afresh.
 
@@ -26,34 +25,36 @@ each phase event a child fires, or a centralized servo frame applies,
 adds one (true_time_s, rows) group, its rows the event's compiled rows as
 gait.setpoints_for_event returns them, so no setpoint object is built.
 
-The decentralized schemes sample the gait error once per period, and the
-samples share one heap entry per window: when it pops it emits every
-sample before the heap's next event and within run_until's bound, then
-re-queues itself at the next sample (Sim._handle_samples). Equal-time
-events still run as one entry per sample would order them, and
-run_until's count is of heap entries, so a window counts once.
-The centralized relay takes the same shape in a sample run: a root
-period's entry sends the period's two servo frames, whose delivery times
-Sim.send fixes, makes both deliveries itself (each resyncs its child, in
-delivery order), records the sample, and goes on to the next root period
-while that one starts strictly before the heap's next event and within
-run_until's bound (Sim._handle_root_period). A period whose later frame
-lands at or after the heap's next event, past the bound or after the next
-root period's start falls back to the heap: both deliveries are queued,
-then the next period, as one entry per period would queue them, and the
-later delivery records the sample. A setpoint run queues every period
-that way. Either sampler's error is one formula: the gap between two
-instants over D (two period starts, or two deliveries), times 10**6 / D
-as one int / int division.
-The keep-alive exchange is a window as well: a child's due entry sends
-the keep-alive and, when its delivery lands strictly before the heap's
-next event and within run_until's bound, makes that delivery itself
-(resync, last-resync time, mark and resync flag), then sends the child's
-next keep-alive, due one period after that delivery, while it too falls
-strictly before the heap's next event and within the bound
-(Sim._handle_keepalive_due). A delivery at or after the heap's next event
-or past the bound is queued, and its action re-queues the due, as one
-entry per frame would. So an exchange usually costs one heap entry.
+Three handlers run windows: one heap entry that does the work of several,
+under one rule. A window may run an entry that would pop next, and runs it
+as the heap would: at an instant strictly before the heap head's time (an
+entry already queued outranks one queued later at an equal time) and at
+or before run_until's bound, the one bound Sim._window_last gives. A
+window runs a delivery by setting the time to it and calling
+Sim._handle_delivery, the one place a delivery resyncs its child and
+records its last-resync time, mark and resync flag. The rule holds only
+while nothing has been pushed since the window's entry popped:
+- the decentralized schemes sample the gait error once per period, and a
+  sampler entry emits every sample within the bound, then re-queues
+  itself at the next sample (Sim._handle_samples); a sample only reads;
+- a centralized root period's entry sends the period's two servo frames,
+  whose delivery times Sim.send fixes, and when both land within the bound
+  and no later than the next root period's start, runs both deliveries
+  in delivery order (m1 first on a tie); a servo frame's action
+  (_apply_plan, _record_sample) pushes nothing, so the entry
+  goes on to the next root period while that one starts within the bound
+  (Sim._handle_root_period). A period whose later frame lands past either
+  falls back to the heap: both deliveries are queued, then the next
+  period, as one entry per period would queue them;
+- a keep-alive due entry sends its frame and runs the delivery when it
+  lands within the bound, else queues it (Sim._handle_keepalive_due); the
+  delivery's action pushes the child's next due, so that window is one
+  exchange.
+Equal-time events still run as one entry each would order them, and
+run_until's count is of heap entries, so a window counts once. Either
+sampler's error is one formula: the gap between two instants over D (two
+period starts, or two deliveries), times 10**6 / D as one int / int
+division.
 
 A sample is a row (true_time_s, period_index, error_us, resync). Its time
 and error are the floats nearest their exact rationals, as int / int
@@ -80,7 +81,7 @@ which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until tsch.first_boundary_tick finds the receiver's first slot boundary at
 or after it; only that boundary's time is kept. Sim.send fixes it and
-queues nothing: each sender queues the delivery, or makes it in a window.
+queues nothing: each sender queues the delivery, or runs it in a window.
 
 A Message carries its sent and delivered times as exact (num, den) int
 pairs, and the three senders pass the pair (t, D). Floats come from
@@ -304,8 +305,7 @@ class Sim:
 
         if self.resync_enabled:
             for child in self.children:
-                self._push(self._keepalive_due(child), Sim._handle_keepalive_due,
-                           (child,))
+                self._push(self._keepalive, Sim._handle_keepalive_due, (child,))
 
     @property
     def now(self) -> Fraction:
@@ -347,9 +347,13 @@ class Sim:
         """The start of the node's gait period k, as an int over D."""
         return gaitmod.event_tick(node, k, 0) * self._tick_unit[node.node_id]
 
-    def _keepalive_due(self, child: MoteState) -> int:
-        """Latest instant by which the child must next hear from the root."""
-        return self._last_resync[child.node_id] + self._keepalive
+    def _window_last(self) -> int:
+        """The last instant a window may run an entry at, as an int over D:
+        strictly before the heap head's time, as an entry already queued
+        outranks one queued later at an equal time, and at or before
+        run_until's bound."""
+        heap, end = self._heap, self._t_end
+        return min(end, heap[0][0] - 1) if heap else end
 
     def _push(self, t: int, handler: Callable[..., None], args: tuple) -> None:
         self._seq += 1
@@ -360,8 +364,7 @@ class Sim:
     def send(self, msg: Message) -> None:
         """Fix msg.delivered: the receiver's first slot boundary at or after
         the sampled link latency; drops retransmit one slot later. It queues
-        nothing: the sender queues the delivery, or, in a relay or keep-alive
-        window, makes it itself."""
+        nothing: the sender queues the delivery, or runs it in a window."""
         index = self._msg_index
         self._msg_index = index + 1
         attempt = 0
@@ -391,8 +394,8 @@ class Sim:
     def run_until(self, t_end) -> int:
         """Process every queued event with time <= t_end; returns the count.
 
-        The count is of heap entries: one sampler entry emits a window of
-        samples (see _handle_samples) and counts once.
+        The count is of heap entries: a window (see the module docstring)
+        counts once, whatever it runs.
         """
         te = self._time_int(t_end)
         if te < self._t:
@@ -431,46 +434,30 @@ class Sim:
             msg.action(self, child, msg.body)
 
     def _handle_keepalive_due(self, child: MoteState) -> None:
-        """Send the child's keep-alive; a window of exchanges (see the module
-        docstring).
+        """Send the child's keep-alive, unless an exchange since resynced it;
+        a window of one exchange (see the module docstring).
 
-        A delivery strictly before the heap head and at or before run_until's
-        bound is made inline, as its own entry would pop next: it resyncs
-        and marks the child as _handle_delivery does. The child's next due,
-        one period after that delivery, is sent in the same window while it
-        too falls strictly before the head and within the bound, as the
-        re-queued due would pop next. Nothing else runs inside a window, so
-        the head stays fixed. A delivery at or past the head, or past the
-        bound, is queued, and its action re-queues the due.
+        A delivery within _window_last is run here, as its entry would pop
+        next; otherwise it is queued. Either way its action queues the
+        child's next due, so the window ends with the delivery.
         """
-        t, node_id, period = self._t, child.node_id, self._keepalive
-        last_resync = self._last_resync
-        due = last_resync[node_id] + period
-        if due > t:
+        due = self._last_resync[child.node_id] + self._keepalive
+        if due > self._t:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        D, heap, end, root = self._D, self._heap, self._t_end, self.root
-        head = heap[0][0] if heap else end + 1
-        while True:
-            msg = Message(child, (t, D), None, Sim._requeue_keepalive)
-            self.send(msg)
-            d = msg.delivered[0]
-            if d >= head or d > end:
-                self._push(d, Sim._handle_delivery, (msg,))
-                return
-            resync_to_parent(child, root, (d, D))
-            last_resync[node_id] = d
-            self.resync_marks.append(d / D)
-            self._resynced = 1
-            t = d + period
-            if t >= head or t > end:
-                break
-        self._push(t, Sim._handle_keepalive_due, (child,))
+        msg = Message(child, (self._t, self._D), None, Sim._requeue_keepalive)
+        self.send(msg)
+        d = msg.delivered[0]
+        if d <= self._window_last():
+            self._t = d
+            self._handle_delivery(msg)
+        else:
+            self._push(d, Sim._handle_delivery, (msg,))
 
     def _requeue_keepalive(self, child: MoteState, _body: None) -> None:
         """A keep-alive's delivery action: the child is due one period on."""
-        self._push(self._keepalive_due(child), Sim._handle_keepalive_due, (child,))
+        self._push(self._t + self._keepalive, Sim._handle_keepalive_due, (child,))
 
     # -- gait control ------------------------------------------------------
 
@@ -518,8 +505,7 @@ class Sim:
 
     def _handle_samples(self, gen: int, k: int) -> None:
         """Emit sample k, then k + sample_every, ... while each sample's time
-        is strictly before the heap head's and at or before run_until's
-        bound; then re-queue at the next sample.
+        is within _window_last; then re-queue at the next sample.
 
         Sample k's error is the gap between the children's period-k starts,
         quarter 4 * k of each child's grid, the instant _period_start
@@ -537,13 +523,10 @@ class Sim:
         """
         if gen != self._gen:
             return
-        t, D, heap = self._t, self._D, self._heap
+        t, D = self._t, self._D
         every = self.params.sample_every
         step = every * self._period
-        last = self._t_end
-        if heap and heap[0][0] <= last:
-            last = heap[0][0] - 1
-        n = 1 + max(0, (last - t) // step)
+        n = 1 + max(0, (self._window_last() - t) // step)
         m1, m2 = self.children
         c1, a1, b1, d1 = gaitmod.event_tick_form(m1)
         c2, a2, b2, d2 = gaitmod.event_tick_form(m2)
@@ -582,29 +565,27 @@ class Sim:
 
     def _handle_root_period(self, gen: int, k: int) -> None:
         """Send period k's two servo frames, each with no body, as its child
-        applies its whole plan; in a sample run, a window of periods (see
-        the module docstring).
+        applies its whole plan; a window of periods (see the module
+        docstring).
 
-        A window period delivers both frames inline: each resyncs its child
-        in delivery order, m1 first on a tie, as its entry would be pushed
-        first. A delivery exactly at the next period's start is inline too,
-        as its entry would outrank that period's. The root's grid never
-        moves, so its event_tick_form is taken once per window. Nothing
-        else runs inside a window, so every resync, mark and sample is the
-        one the heap would have made, in its order.
+        A window period runs both deliveries through _handle_delivery, in
+        delivery order, m1 first on a tie, as its entry would be pushed
+        first. A delivery exactly at the next period's start is run too, as
+        its entry would outrank that period's. A servo frame's action
+        pushes nothing, so the heap head stays fixed for the whole window.
+        The root's grid never moves, so its event_tick_form is taken once
+        per window.
         """
         if gen != self._gen:
             return
-        t, D, heap = self._t, self._D, self._heap
+        t, D = self._t, self._D
         root, (child1, child2) = self.root, self.children
         every = self.params.sample_every
         sampling = not self.emit_setpoints
         action = None if sampling else Sim._apply_plan
-        last = min(self._t_end, heap[0][0] - 1) if heap else self._t_end
+        last = self._window_last()
         c, a, b, den = gaitmod.event_tick_form(root)
         unit = self._tick_unit[root.node_id]
-        marks, samples = self.resync_marks, self.samples
-        last_resync = self._last_resync
         while True:
             t_next = (c + (a + b * 4 * (k + 1)) // den) * unit
             now = (t, D)
@@ -613,29 +594,20 @@ class Sim:
             self.send(m1)
             self.send(m2)
             d1, d2 = m1.delivered[0], m2.delivered[0]
-            late = d1 if d1 > d2 else d2
-            # the sample is the gap between the two deliveries, over one D
-            sample = ((late / D, k, (d2 - d1) * 10**6 / D)
-                      if sampling and k % every == 0 else None)
-            if not sampling or late > last or late > t_next:
-                if sample is not None:
-                    # recorded by the later frame (m2 on a tie, as it is pushed second)
-                    later = m1 if d1 > d2 else m2
-                    later.body = sample
-                    later.action = Sim._record_sample
+            order, late = ((m1, m2), d2) if d1 <= d2 else ((m2, m1), d1)
+            if sampling and k % every == 0:
+                # the gap between the two deliveries, over one D, recorded
+                # by the later frame (m2 on a tie, as it is delivered second)
+                later = order[1]
+                later.body = (late / D, k, (d2 - d1) * 10**6 / D)
+                later.action = Sim._record_sample
+            if late > last or late > t_next:
                 self._push(d1, Sim._handle_delivery, (m1,))
                 self._push(d2, Sim._handle_delivery, (m2,))
                 break
-            pair = ((child1, d1), (child2, d2))
-            for child, d in (pair if d1 <= d2 else pair[::-1]):
-                resync_to_parent(child, root, (d, D))
-                last_resync[child.node_id] = d
-                marks.append(d / D)
-            if sample is None:
-                self._resynced = 1
-            else:  # flagged: both deliveries just resynced
-                samples.append((*sample, 1))
-                self._resynced = 0
+            for msg in order:
+                self._t = msg.delivered[0]
+                self._handle_delivery(msg)
             if t_next > last:
                 break
             k += 1
@@ -652,7 +624,7 @@ class Sim:
             append((now_s, gaitmod.setpoints_for_event(event)))
 
     def _record_sample(self, _child: MoteState, sample: Tuple[float, int, float]) -> None:
-        """A sample run's action on a period's later servo frame."""
+        """A sample run's action on a sampled period's later servo frame."""
         self.samples.append((*sample, self._resynced))
         self._resynced = 0
 

@@ -51,10 +51,6 @@ class MoteState:
         self.origin_local_ticks = 0
         self.gait = None  # gait.GaitArmState once armed
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
 
 def make_mote(node_id: str, clock: DriftingClock,
               parent_id: Optional[str] = None) -> MoteState:

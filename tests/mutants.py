@@ -41,18 +41,19 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the decentralized window sampler (Sim._handle_samples)
-    Mutant("window ignores the heap head", "simnet.py",
-           "if heap and heap[0][0] <= last:", "if False:",
-           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
-            "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
+    # the one window bound (Sim._window_last)
     Mutant("window ignores run_until's bound", "simnet.py",
-           "last = self._t_end\n", "last = heap[0][0] - 1 if heap else self._t_end\n",
+           "min(end, heap[0][0] - 1) if heap else end", "heap[0][0] - 1 if heap else end",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
             "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
     Mutant("window takes a sample at the heap head's time", "simnet.py",
-           "last = heap[0][0] - 1", "last = heap[0][0]",
+           "heap[0][0] - 1", "heap[0][0]",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    # the decentralized window sampler (Sim._handle_samples)
+    Mutant("window ignores the heap head", "simnet.py",
+           "(self._window_last() - t) // step", "(self._t_end - t) // step",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
+            "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
     Mutant("a one-sample window's error is off by 1 us", "simnet.py",
            "append((t / D, k, err, resync))", "append((t / D, k, err + (n == 1), resync))",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
@@ -116,7 +117,7 @@ MUTANTS = (
            ("tests/test_simnet.py::test_stop_quiesces_gait[centralized]",
             "tests/test_golden.py::test_golden[run_centralized]")),
     Mutant("the sample is recorded on the earlier servo frame", "simnet.py",
-           "later = m1 if d1 > d2 else m2", "later = m2 if d1 > d2 else m1",
+           "later = order[1]", "later = order[0]",
            ("tests/test_simnet.py::test_centralized_sample_is_recorded_at_the_later_delivery",)),
     Mutant("a centralized sample's error is rounded to the CSV's decimals", "simnet.py",
            "k, (d2 - d1) * 10**6 / D)", "k, round((d2 - d1) * 10**6 / D, 3))",
@@ -126,21 +127,30 @@ MUTANTS = (
            ("tests/test_simnet.py::test_keepalive_sent_one_period_after_last_resync",)),
     # the windowed centralized relay (Sim._handle_root_period)
     Mutant("relay window ignores the heap head", "simnet.py",
-           "min(self._t_end, heap[0][0] - 1) if heap else self._t_end", "self._t_end",
+           "last = self._window_last()\n", "last = self._t_end\n",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window resyncs in send order, not delivery order", "simnet.py",
-           "(pair if d1 <= d2 else pair[::-1])", "pair",
+           "for msg in order:", "for msg in (m1, m2):",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    Mutant("relay window delivers m2 first on a tie", "simnet.py",
+           "((m1, m2), d2) if d1 <= d2 else", "((m1, m2), d2) if d1 < d2 else",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    Mutant("an inline relay delivery runs at its period's send instant", "simnet.py",
+           "self._t = msg.delivered[0]", "self._t = t",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window delivers inline a frame that lands after the next root period",
            "simnet.py", "late > last or late > t_next:", "late > last:",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     # the keep-alive window (Sim._handle_keepalive_due) and the resync it makes
     Mutant("keep-alive window delivers inline at the heap head's own time", "simnet.py",
-           "if d >= head or d > end:", "if d > head or d > end:",
+           "if d <= self._window_last():", "if d <= self._window_last() + 1:",
            ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
     Mutant("keep-alive window counts the next due from the send, not the delivery",
-           "simnet.py", "t = d + period", "t = t + period",
+           "simnet.py", "self._t = d\n", "pass\n",
            ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
+    Mutant("a keep-alive is sent at a due an exchange since moved", "simnet.py",
+           "if due > self._t:", "if False:",
+           ("tests/test_tsch.py::test_keepalive_due_from_last_resync",)),
     Mutant("a resync reads the parent's first boundary at its current tick, not the next",
            "tsch.py", "(p_clock.rate_den * den) + 1)", "(p_clock.rate_den * den))",
            ("tests/test_tsch.py::test_resync_matches_reference_chain",)),

@@ -8,8 +8,7 @@ delivered pair and action, the same setpoint groups and each child's slot
 grid after every run_until, under both schemes that resync, with a Stop
 and a re-Start off every grid and pauses off every grid. Jitter, base
 latency and drops push some deliveries past the heap's next event, so both
-the inline path and the queued fallback run; at a 10 ms resync period
-under jitter a window holds up to three exchanges.
+the inline path and the queued fallback run.
 """
 
 from fractions import Fraction
@@ -34,7 +33,7 @@ class PerFrameSim(Sim):
         super()._push(t, handler, args)
 
     def _handle_one_keepalive(self, child) -> None:
-        due = self._keepalive_due(child)
+        due = self._last_resync[child.node_id] + self._keepalive
         if due > self._t:
             self._push(due, Sim._handle_keepalive_due, (child,))
             return

@@ -9,8 +9,9 @@ resync marks, every frame's sent and delivered pair, and each child's slot
 grid after every run_until, including when a delivery lands exactly on the
 next root period, on a keep-alive due time or past a pause. Gait periods
 below one 15 ms slot keep frames in flight across root periods, so the
-window's fallback to the heap runs too. Setpoint runs are drawn as well:
-they take the heap path every period, in both.
+window's fallback to the heap runs too. Setpoint runs, drawn half the
+time, take the same window: each delivery applies its child's plan at its
+own instant, so the setpoint groups must match too.
 """
 
 from fractions import Fraction
@@ -70,8 +71,7 @@ def scenarios(draw):
     at = st.one_of(on_period, off_grid)
     commands = draw(st.lists(st.tuples(at, st.sampled_from(list(Verb))), max_size=4))
     pauses = sorted(draw(st.lists(at, max_size=4)))
-    # weighted towards sample runs, the only ones a window takes
-    return params, draw(st.sampled_from([False, False, True])), commands, pauses
+    return params, draw(st.booleans()), commands, pauses
 
 
 def replay(cls, params, emit_setpoints, commands, pauses):
@@ -111,6 +111,9 @@ EXACT = dict(ppm_m1=0.0, ppm_m2=0.0, link=LinkModel(jitter_bound_s=0.0))
                        gait=GaitConfig(period_s=0.75),
                        link=LinkModel(base_latency_s=0.125, jitter_bound_s=0.0)),
           False, [], []))
+# A setpoint run on ppm-0 clocks over an exact link: both servo frames of
+# every period land on the same boundary, and m1's plan is applied first.
+@example((SchemeParams(**EXACT, gait=GaitConfig(period_s=0.75)), True, [], []))
 # A pause between a period's two deliveries: period 0's frame to m1 is
 # dropped, so it lands at 26,541 ticks, after m2's at 25,067; the pause is
 # at 26,112.
@@ -129,12 +132,17 @@ def test_window_relay_matches_per_period_heap(scenario):
 
 def test_relay_window_is_taken():
     # 1,000 root periods: the per-period relay runs a root period and two
-    # deliveries each; the window, one entry per cut (keep-alive dues)
+    # deliveries each; the window, one entry per cut (keep-alive dues), in a
+    # sample run and in a setpoint run alike
     params = SchemeParams(duration_s=1000, link=LinkModel(jitter_bound_s=0.015))
-    counts = []
-    for cls in (Sim, PerPeriodSim):
-        sim = cls(CENTRALIZED, params)
-        sim.inject_command(Verb.START, 0)
-        counts.append(sim.run_until(1000))
-        assert len(sim.samples) == 999
-    assert counts[0] <= 400 < 3000 < counts[1]
+    for emit_setpoints, n_samples, n_groups in ((False, 999, 0), (True, 0, 3996)):
+        counts, records = [], []
+        for cls in (Sim, PerPeriodSim):
+            sim = cls(CENTRALIZED, params, emit_setpoints)
+            sim.inject_command(Verb.START, 0)
+            counts.append(sim.run_until(1000))
+            assert len(sim.samples) == n_samples
+            assert len(sim.servo_setpoints.groups) == n_groups
+            records.append((sim.samples, sim.resync_marks, sim.servo_setpoints.groups))
+        assert records[0] == records[1]
+        assert counts[0] <= 400 < 3000 < counts[1]

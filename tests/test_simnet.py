@@ -61,7 +61,7 @@ def test_three_node_topology():
     sim = new_sim()
     assert sim.root.node_id == "root"
     assert [c.node_id for c in sim.children] == ["m1", "m2"]
-    assert sim.root.is_root and all(not c.is_root for c in sim.children)
+    assert sim.root.parent_id is None and all(c.parent_id == "root" for c in sim.children)
 
 
 def test_identical_config_and_seed_replay_identically():

@@ -53,7 +53,7 @@ def chain_asn_at(node, t_true):
 
 def chain_resync(child, parent, t_true):
     """The (asn_origin, origin_local_ticks) a resync at t_true gives the child."""
-    if child.is_root:
+    if child.parent_id is None:
         raise ValueError("root has no time-source parent to resync to")
     parent_asn = chain_asn_at(parent, t_true)
     parent_tick = chain_slot_boundary_tick(parent, parent_asn + 1)
