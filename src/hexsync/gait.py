@@ -50,12 +50,6 @@ class TimeRef(Enum):
     ASN = "asn"                    # network absolute slot number
 
 
-class GaitHealth(Enum):
-    IN_SYNC = "in-sync"
-    DEGRADED = "degraded"
-    OPPOSED = "opposed"
-
-
 # The dual tripod gait, per phase (phase q fires q quarters into a period):
 # the controller that fires it and its six (servo_id, angle_deg) rows, tripod
 # T1's legs (0, 2, 4) first and then T2's (1, 3, 5). Hip servo = leg, on M1;
@@ -238,19 +232,6 @@ def setpoints_for_event(event: GaitEvent) -> Tuple[Row, ...]:
     this returns them as they are and builds nothing.
     """
     return event.rows
-
-
-def classify_gait(error_us: float, period_s: float) -> GaitHealth:
-    """Health of the gait given the current synchronization error."""
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
-    period_us = period_s * 1e6
-    e = abs(error_us)
-    if e < 0.05 * period_us:
-        return GaitHealth.IN_SYNC
-    if abs(e % period_us - period_us / 2) < 0.10 * period_us:
-        return GaitHealth.OPPOSED
-    return GaitHealth.DEGRADED
 
 
 def servo_trace(sim, t_end) -> List[Tuple[float, Tuple[Row, ...]]]:

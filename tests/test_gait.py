@@ -10,12 +10,10 @@ from hexsync.clock import TICK_US, make_clock
 from hexsync.gait import (
     Controller,
     GaitConfig,
-    GaitHealth,
     TimeRef,
     arm_asn_ref,
     arm_free_running,
     build_schedule,
-    classify_gait,
     events_for_controller,
     gait_event_true_time,
     gait_sync_error,
@@ -239,21 +237,4 @@ def test_period_index_inverts_period_start(ref, ppm, resync, t_arm):
         t = period_start_true_time(node, k)
         assert period_index_at(node, t) == k
         assert period_index_at(node, t - one_ns) == k - 1
-
-
-@pytest.mark.parametrize("error_us,period_s,expected", [
-    (0, 1.0, GaitHealth.IN_SYNC),
-    (2000, 1.0, GaitHealth.IN_SYNC),
-    (500_000, 1.0, GaitHealth.OPPOSED),
-    (450_000, 1.0, GaitHealth.OPPOSED),
-    (200_000, 1.0, GaitHealth.DEGRADED),
-    (-500_000, 1.0, GaitHealth.OPPOSED),
-])
-def test_classify_gait(error_us, period_s, expected):
-    assert classify_gait(error_us, period_s) is expected
-
-
-def test_classify_rejects_bad_period():
-    with pytest.raises(ValueError):
-        classify_gait(0, 0)
 

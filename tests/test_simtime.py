@@ -2,7 +2,8 @@
 
 Inside a Sim, time is an int over a per-sim denominator D. These tests
 check that a frame's delivery slot is the one the old Fraction formula
-chose, that pausing a run at times off D's grid (which rescales D) changes
+chose (ref_delivery, the exact twin's definition in tests/reference_sim.py),
+that pausing a run at times off D's grid (which rescales D) changes
 nothing, and that the event loop itself builds no Fraction and does no
 Fraction arithmetic or comparison. Messages carry integer pairs; their
 exact Fraction times are built only when read.
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_sim import ref_attempts, ref_delivery
 
 from hexsync.simnet import (
     LinkModel,
@@ -27,31 +29,6 @@ from hexsync.tsch import asn_at, resync_to_parent, slot_boundary_true_time
 
 SLOT = Fraction(15, 1000)
 ppms = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-
-
-# -- the Fraction reference for a delivery -----------------------------------
-
-def ref_uniform(seed, stream, index):
-    digest = hashlib.sha256(f"{seed}:{stream}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
-def ref_attempts(link, seed, index):
-    attempt = 0
-    while (link.drop_probability > 0
-           and ref_uniform(seed, "drop", index * 97 + attempt) < link.drop_probability):
-        attempt += 1
-    return attempt
-
-
-def ref_delivery(dst, sent, link, seed, index):
-    """The first slot boundary at or after sent + retransmits + latency."""
-    sent = Fraction(sent) + ref_attempts(link, seed, index) * SLOT
-    latency = link.base_latency_s + link.jitter_bound_s * ref_uniform(seed, "lat", index)
-    arrival = sent + Fraction(latency)
-    a = asn_at(dst, arrival)
-    boundary = slot_boundary_true_time(dst, a)
-    return boundary if boundary == arrival else slot_boundary_true_time(dst, a + 1)
 
 
 @given(ppm=ppms, root_ppm=ppms, seed=st.integers(0, 10**6),

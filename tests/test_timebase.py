@@ -1,8 +1,9 @@
 """The integer time base equals the exact Fraction formulas it replaced.
 
-Each reference below is the rational-arithmetic definition of a
-conversion, evaluated with Fraction operators. The library computes the
-same quantities as integer floor or ceil divisions over each clock's
+Each reference is the rational-arithmetic definition of a conversion,
+evaluated with Fraction operators; they live in tests/reference_sim.py,
+whose exact twin of the simulator is built on them. The library computes
+the same quantities as integer floor or ceil divisions over each clock's
 integer rate pair; every result must be equal, not merely close.
 """
 
@@ -12,6 +13,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_sim import (
+    ref_asn_at,
+    ref_event_tick,
+    ref_first_boundary_slot,
+    ref_gait_event_true_time,
+    ref_gait_sync_error,
+    ref_rate,
+    ref_slot_boundary_true_time,
+    ref_ticks_at,
+    ref_true_time_of_tick,
+    ref_whole_periods_at,
+)
 
 from hexsync.clock import (
     NOMINAL_FREQ_HZ,
@@ -35,7 +48,6 @@ from hexsync.gait import (
 )
 from hexsync.simnet import GAIT_TIME_REF, LinkModel, SchemeId, SchemeParams, Sim, Verb
 from hexsync.tsch import (
-    TICKS_PER_SLOT,
     asn_at,
     first_boundary_tick,
     make_mote,
@@ -53,73 +65,7 @@ times = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=Fa
 resync_times = st.floats(min_value=1, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-# -- Fraction references -----------------------------------------------------
-
-def ref_rate(clock):
-    return NOMINAL_FREQ_HZ * (1 + clock.ppm_error / 10**6)
-
-
-def ref_ticks_at(clock, t):
-    return math.floor(ref_rate(clock) * Fraction(t))
-
-
-def ref_true_time_of_tick(clock, k):
-    return Fraction(k) / ref_rate(clock)
-
-
-def ref_true_time_of_local(clock, local_s):
-    return ref_true_time_of_tick(clock, math.ceil(local_s * NOMINAL_FREQ_HZ))
-
-
-def ref_slot_boundary_true_time(node, asn):
-    target_ticks = node.origin_local_ticks + (asn - node.asn_origin) * TICKS_PER_SLOT
-    return ref_true_time_of_tick(node.clock, math.floor(target_ticks))
-
-
-def ref_asn_at(node, t):
-    elapsed_ticks = ref_ticks_at(node.clock, t) + 1 - node.origin_local_ticks
-    return node.asn_origin + math.ceil(elapsed_ticks / TICKS_PER_SLOT) - 1
-
-
-def ref_whole_periods_at(node, ref, config, t):
-    if ref is TimeRef.FREE_RUNNING:
-        local = Fraction(ref_ticks_at(node.clock, t), NOMINAL_FREQ_HZ)
-        return math.floor(local / Fraction(config.period_s))
-    return ref_asn_at(node, t) // config.period_slots
-
-
-def ref_event_periods(node, k, phase_index):
-    """Periods counted on the node's reference when phase phase_index (a
-    quarter period each) of period k fires."""
-    return node.gait.arm_period_index + k + Fraction(phase_index, 4)
-
-
-def ref_gait_event_true_time(node, k, phase_index):
-    arm = node.gait
-    cfg = arm.config
-    periods = ref_event_periods(node, k, phase_index)
-    if arm.ref is TimeRef.FREE_RUNNING:
-        return ref_true_time_of_local(node.clock, periods * Fraction(cfg.period_s))
-    slot = periods * cfg.period_slots
-    assert slot.denominator == 1  # a multiple of 4 slots puts every phase on a slot
-    return ref_slot_boundary_true_time(node, int(slot))
-
-
-def ref_event_tick(node, k, phase_index):
-    """The local tick of a period-k event, straight from its definition."""
-    arm = node.gait
-    cfg = arm.config
-    periods = ref_event_periods(node, k, phase_index)
-    if arm.ref is TimeRef.FREE_RUNNING:
-        return math.ceil(periods * Fraction(cfg.period_s) * NOMINAL_FREQ_HZ)
-    slot = periods * cfg.period_slots
-    return math.floor(node.origin_local_ticks + (slot - node.asn_origin) * TICKS_PER_SLOT)
-
-
-def ref_gait_sync_error(m1, m2, k):
-    return float((ref_gait_event_true_time(m2, k, 0)
-                  - ref_gait_event_true_time(m1, k, 0)) * 10**6)
-
+# -- helpers -----------------------------------------------------------------
 
 def resynced_mote(node_id, ppm, t_sync, root):
     node = make_mote(node_id, make_clock(ppm), parent_id=root.node_id)
@@ -208,16 +154,6 @@ def test_slot_conversions_match_reference_around_a_resync(ppm, root_ppm, t_sync,
         assert pairwise_sync_error(node, root, asn) == float(
             (boundary - ref_slot_boundary_true_time(root, asn)) * 10**6)
     assert asn_at(node, t_sync) == ref_asn_at(node, t_sync)
-
-
-def ref_first_boundary_slot(node, t):
-    """The smallest slot whose boundary is at or after t, found by search."""
-    asn = ref_asn_at(node, t)  # a start; the two loops settle the slot
-    while ref_slot_boundary_true_time(node, asn) < t:
-        asn += 1
-    while ref_slot_boundary_true_time(node, asn - 1) >= t:
-        asn -= 1
-    return asn
 
 
 @given(ppm=ppms, root_ppm=st.sampled_from(LISTED_PPM), t_sync=resync_times,

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_sim import ref_first_boundary_slot, ref_resync, ref_slot_boundary_tick
 
 from hexsync.clock import TICK_S, TICK_US, as_ratio, make_clock
 from hexsync.simnet import (
@@ -31,47 +32,10 @@ def mote(node_id="n", ppm=0, parent=None):
     return make_mote(node_id, make_clock(ppm), parent_id=parent)
 
 
-# -- the asn_at -> slot_boundary_tick -> ticks_at chain, kept as a reference --
-# resync_to_parent and first_boundary_tick read the first slot boundary at or
-# after a tick with one shared helper; these are the three steps they took.
-
-def chain_ticks_at(clock, t_true):
-    num, den = as_ratio(t_true)
-    if num < 0:
-        raise ValueError(f"t_true {num / den} precedes clock epoch")
-    return clock.rate_num * num // (clock.rate_den * den)
-
-
-def chain_slot_boundary_tick(node, asn):
-    return node.origin_local_ticks + (asn - node.asn_origin) * 12288 // 25
-
-
-def chain_asn_at(node, t_true):
-    elapsed_ticks = chain_ticks_at(node.clock, t_true) + 1 - node.origin_local_ticks
-    return node.asn_origin - (-elapsed_ticks * 25 // 12288) - 1
-
-
-def chain_resync(child, parent, t_true):
-    """The (asn_origin, origin_local_ticks) a resync at t_true gives the child."""
-    if child.parent_id is None:
-        raise ValueError("root has no time-source parent to resync to")
-    parent_asn = chain_asn_at(parent, t_true)
-    parent_tick = chain_slot_boundary_tick(parent, parent_asn + 1)
-    return parent_asn + 1, chain_ticks_at(
-        child.clock, (parent_tick * parent.clock.rate_den, parent.clock.rate_num))
-
-
-def chain_first_boundary_tick(node, t_true):
-    """The boundary tick of asn_at's slot if that boundary falls exactly at
-    t_true, else of the slot after it."""
-    asn = chain_asn_at(node, t_true)
-    tick = chain_slot_boundary_tick(node, asn)
-    if Fraction(tick * node.clock.rate_den, node.clock.rate_num) == Fraction(t_true):
-        return tick
-    return chain_slot_boundary_tick(node, asn + 1)
-
-
-chain_ppms = st.one_of(st.integers(-10, 10), st.floats(-10, 10, allow_nan=False))
+# resync_to_parent and first_boundary_tick read the first slot boundary at
+# or after a tick with one shared integer helper; the exact twin's Fraction
+# definitions (tests/reference_sim.py) are their references.
+ppms = st.one_of(st.integers(-10, 10), st.floats(-10, 10, allow_nan=False))
 
 
 @st.composite
@@ -79,15 +43,15 @@ def resync_cases(draw):
     """A parent whose grid a resync pinned, or the root's, and instants
     around its origin: on a parent boundary tick, one tick before it, and
     off the tick grid."""
-    root = mote("root", ppm=draw(chain_ppms))
+    root = mote("root", ppm=draw(ppms))
     if draw(st.booleans()):
         parent = root
     else:  # a parent re-pinned by its own resync at t0
-        parent = mote("p", ppm=draw(chain_ppms), parent="root")
+        parent = mote("p", ppm=draw(ppms), parent="root")
         resync_to_parent(parent, root, draw(st.fractions(0, 500)))
-    child = mote("c", ppm=draw(chain_ppms), parent="p")
+    child = mote("c", ppm=draw(ppms), parent="p")
     clock = parent.clock
-    tick = chain_slot_boundary_tick(parent, parent.asn_origin + draw(st.integers(-3, 3)))
+    tick = ref_slot_boundary_tick(parent, parent.asn_origin + draw(st.integers(-3, 3)))
     instants = [Fraction(k * clock.rate_den, clock.rate_num) for k in (tick, tick - 1)
                 if k >= 0]
     instants.append(Fraction(max(tick, 0) * clock.rate_den, clock.rate_num)
@@ -106,7 +70,7 @@ def test_resync_matches_reference_chain(case):
     for t in instants:
         for t_true in (t, as_ratio(t)):
             resync_to_parent(child, parent, t_true)
-            assert (child.asn_origin, child.origin_local_ticks) == chain_resync(child, parent, t)
+            assert (child.asn_origin, child.origin_local_ticks) == ref_resync(child, parent, t)
 
 
 @given(case=resync_cases())
@@ -115,7 +79,8 @@ def test_first_boundary_tick_matches_reference_chain(case):
     parent, child, instants = case
     for t in instants:
         for node in (parent, child):
-            assert first_boundary_tick(node, as_ratio(t)) == chain_first_boundary_tick(node, t)
+            assert first_boundary_tick(node, as_ratio(t)) == ref_slot_boundary_tick(
+                node, ref_first_boundary_slot(node, t))
 
 
 def test_resync_refuses_the_root_and_a_time_before_the_epoch():
@@ -127,7 +92,7 @@ def test_resync_refuses_the_root_and_a_time_before_the_epoch():
         with pytest.raises(ValueError):
             resync_to_parent(child, root, t)
         with pytest.raises(ValueError):
-            chain_resync(child, root, t)
+            ref_resync(child, root, Fraction(*t) if type(t) is tuple else t)
 
 
 def test_nominal_slot_length():
