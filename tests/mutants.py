@@ -44,19 +44,19 @@ MUTANTS = (
     # the one window bound (Sim._window_last)
     Mutant("window ignores run_until's bound", "simnet.py",
            "min(end, heap[0][0] - 1) if heap else end", "heap[0][0] - 1 if heap else end",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
             "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
     Mutant("window takes a sample at the heap head's time", "simnet.py",
            "heap[0][0] - 1", "heap[0][0]",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     # the decentralized window sampler (Sim._handle_samples)
     Mutant("window ignores the heap head", "simnet.py",
            "(self._window_last() - t) // step", "(self._t_end - t) // step",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
             "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
     Mutant("a one-sample window's error is off by 1 us", "simnet.py",
            "append((t / D, k, err, resync))", "append((t / D, k, err + (n == 1), resync))",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     Mutant("a decentralized sample is rounded to the CSV's decimals", "simnet.py",
            "append((t / D, k, err, resync))", "append((round(t / D, 6), k, round(err, 3), resync))",
            ("tests/test_timebase.py::test_sim_samples_match_reference_up_to_large_k",)),
@@ -131,26 +131,26 @@ MUTANTS = (
     # the windowed centralized relay (Sim._handle_root_period)
     Mutant("relay window ignores the heap head", "simnet.py",
            "last = self._window_last()\n", "last = self._t_end\n",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window resyncs in send order, not delivery order", "simnet.py",
            "for msg in order:", "for msg in (m1, m2):",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window delivers m2 first on a tie", "simnet.py",
            "((m1, m2), d2) if d1 <= d2 else", "((m1, m2), d2) if d1 < d2 else",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("an inline relay delivery runs at its period's send instant", "simnet.py",
            "self._t = msg.delivered[0]", "self._t = t",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window delivers inline a frame that lands after the next root period",
            "simnet.py", "late > last or late > t_next:", "late > last:",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     # the keep-alive window (Sim._handle_keepalive_due) and the resync it makes
     Mutant("keep-alive window delivers inline at the heap head's own time", "simnet.py",
            "if d <= self._window_last():", "if d <= self._window_last() + 1:",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
     Mutant("keep-alive window counts the next due from the send, not the delivery",
            "simnet.py", "self._t = d\n", "pass\n",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
     Mutant("a keep-alive is sent at a due an exchange since moved", "simnet.py",
            "if due > self._t:", "if False:",
            ("tests/test_tsch.py::test_keepalive_due_from_last_resync",)),

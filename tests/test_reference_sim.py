@@ -1,202 +1,30 @@
 """hexsync's Sim makes exactly what the exact twin in tests/reference_sim.py makes.
 
 The twin runs every scheme with one queue entry per event, on Fraction
-time, from the definitions; Sim runs windows on integer time. After every
-run_until the two must hold the same samples, flags included, the same
-resync marks, every frame's (node, sent, delivered), the same setpoint
-groups and each child's slot grid. A window that is meant to run entries
-as the queue would is checked here: a new window adds @examples below, not
-a reference of its own.
-
-With ppm-0 clocks and an exact link, ties are common: deliveries, samples,
-keep-alive dues and root periods share instants, where equal-time order
-decides. Gait periods below one 15 ms slot keep frames in flight across
-root periods. The twin imports only hexsync's input types, enums and gait
-table, which test_the_twin_imports_only_inputs_from_hexsync checks.
+time, from the definitions; Sim runs windows on integer time.
+tests/differential.py runs the two side by side and compares what each
+has recorded after every run_until. Here the scenarios span all three
+schemes, in sample and setpoint runs; each window's own test (the sampler
+in test_sampler, resync flags in test_resync_flags, the relay in
+test_relay, keep-alives in test_keepalive) draws the scenarios that reach
+it and holds its @examples. A new window adds such a test and examples,
+not a reference of its own. The twin imports only hexsync's input types,
+enums and gait table, which test_the_twin_imports_only_inputs_from_hexsync
+checks.
 """
 
 import ast
-from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from reference_sim import TIME_REF, RefSim
+from differential import check, scenarios
+from hypothesis import given, settings
 
-from hexsync.gait import GaitConfig
-from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Sim, Verb
-
-HORIZON_S = 12
 HEXSYNC_INPUTS = {"SchemeId", "Verb", "SchemeParams", "LinkModel", "GaitConfig", "TimeRef",
                   "Controller", "GAIT_TABLE"}
 
 
-def recorded(sim, frames):
-    """What a run has recorded: samples, resync marks, frames, setpoint
-    groups and the children's slot grids."""
-    return (list(sim.samples), list(sim.resync_marks), list(frames),
-            list(sim.servo_setpoints.groups),
-            [(c.asn_origin, c.origin_local_ticks) for c in sim.children])
-
-
-def check(scheme, params, emit_setpoints, commands, pauses, t_end):
-    """Replay the scenario on Sim and on the twin, comparing what each has
-    recorded after every pause and at t_end; a pause (t, (delay, verb))
-    then injects verb at t + delay."""
-    sim, twin = Sim(scheme, params, emit_setpoints), RefSim(scheme, params, emit_setpoints)
-    frames = []
-    send = sim.send
-
-    def record(msg):
-        send(msg)
-        frames.append((msg.dst.node_id, Fraction(*msg.sent), Fraction(*msg.delivered)))
-
-    sim.send = record
-    for s in (sim, twin):
-        s.inject_command(Verb.START, 0)
-        for t, verb in commands:
-            s.inject_command(verb, t)
-    for t, during in [*pauses, (t_end, None)]:
-        sim.run_until(t)
-        twin.run_until(t)
-        assert recorded(sim, frames) == recorded(twin, twin.frames)
-        if during is not None:
-            delay, verb = during
-            sim.inject_command(verb, t + delay)
-            twin.inject_command(verb, t + delay)
-
-
-@st.composite
-def scenarios(draw):
-    scheme = draw(st.sampled_from(list(SchemeId)))
-    # 0 most of the time, so equal ppm values are common
-    ppm = st.sampled_from([0.0, 0.0, 0.0, -3.7, 1.1, 2.3])
-    # 0.75 s and 100 slots put every sample on a slot boundary at ppm 0;
-    # 8 slots is the shortest ASN period, 1/3 s has no binary expansion,
-    # and 0.01 s is under a slot: the costliest period for the twin, so it
-    # is drawn least often
-    gait = GaitConfig(period_slots=draw(st.sampled_from([68, 68, 100, 12, 8])),
-                      period_s=draw(st.sampled_from([0.75, 0.75, 0.75, 1.0, 1.0, 0.7, 0.7,
-                                                     Fraction(1, 3), 0.06, 0.06, 0.01])))
-    # binary-exact base latencies, so a command sent one latency before an
-    # instant arrives on it; the longest keeps frames in flight for seconds
-    latency = draw(st.sampled_from([0.0, 0.0, 0.0031, 0.125, 1.625]))
-    params = SchemeParams(
-        ppm_m1=draw(ppm), ppm_m2=draw(ppm), ppm_root=draw(ppm),
-        resync_period_s=draw(st.sampled_from([30.0, 2.25, 1.5, 1.0, 0.51, 0.05])),
-        seed=draw(st.integers(0, 2**16)), gait=gait,
-        link=LinkModel(base_latency_s=latency,
-                       jitter_bound_s=draw(st.sampled_from([0.0, 0.0, 0.011, 0.03])),
-                       drop_probability=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))),
-        sample_every=draw(st.sampled_from([1, 1, 2, 3])))
-    period = gait.period_on(TIME_REF[scheme])
-    # at most 300 gait periods, which cuts only the 0.01 s period short
-    horizon = min(HORIZON_S, 300 * period)
-    # a period start, a sample instant (mid-period), or a time off every grid
-    on_grid = st.builds(lambda j, half: (j + half) * period,
-                        st.integers(1, int(horizon / period) - 1),
-                        st.sampled_from([0, Fraction(1, 2)]))
-    off_grid = st.floats(0.001, float(horizon), allow_nan=False).map(Fraction)
-    # a command that lands on such an instant, or up to 10 ms before it
-    landing = st.builds(lambda t, early: max(Fraction(0), t - Fraction(latency) - early),
-                        on_grid, st.sampled_from([Fraction(0), Fraction(1, 100)]))
-    at = st.one_of(off_grid, on_grid, landing)
-    verbs = st.sampled_from(list(Verb))
-    commands = draw(st.lists(st.tuples(at, verbs), max_size=4))
-    pauses = draw(st.lists(
-        st.tuples(at, st.none() | st.tuples(st.sampled_from([Fraction(0), Fraction(1, 3)]),
-                                            verbs)),
-        max_size=3))
-    return (scheme, params, draw(st.booleans()), commands, sorted(pauses, key=lambda p: p[0]),
-            horizon)
-
-
-def example_of(scheme, emit_setpoints=False, commands=(), pauses=(), t_end=HORIZON_S, **params):
-    return example(scenario=(scheme, SchemeParams(**params), emit_setpoints, list(commands),
-                             list(pauses), t_end))
-
-
-EXACT = dict(ppm_m1=0.0, ppm_m2=0.0, link=LinkModel(jitter_bound_s=0.0))
-OPEN_LOOP, SYNCHRONIZED, CENTRALIZED = (SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED,
-                                        SchemeId.S0_CENTRALIZED)
-
-
-# -- the decentralized sampler window --
-# A Stop in flight lands on the sample instant 10.875 s, which a window
-# starting earlier reaches.
-@example_of(OPEN_LOOP, commands=[(Fraction(10875, 1000) - Fraction(1625, 1000), Verb.STOP)],
-            pauses=[(Fraction(5), None), (Fraction(10875, 1000), (Fraction(0), Verb.START))],
-            t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_s=0.75),
-            link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0))
-# Pauses on and between sample instants with keep-alives queued beyond them.
-@example_of(SYNCHRONIZED, commands=[(Fraction(173, 10), Verb.START)],
-            pauses=[(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))],
-            t_end=40, **EXACT, resync_period_s=2.25, gait=GaitConfig(period_slots=100))
-# A Stop and a Start re-arm mid-run (a Start while armed is a no-op); the
-# next Stop and Start, in flight, land on the sample instant 6.75 s.
-@example_of(SYNCHRONIZED, commands=[(t, verb) for t in (Fraction(423, 200),
-                                                         Fraction(27, 4) - Fraction(13, 8))
-                                    for verb in (Verb.STOP, Verb.START)],
-            t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_slots=100),
-            link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0))
-# Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
-@example_of(SYNCHRONIZED, t_end=40, ppm_m1=-5.0, ppm_m2=3.7, resync_period_s=0.51,
-            gait=GaitConfig(period_slots=68))
-# -- resync flags --
-# ppm 0 at 100 slots: sample k sits on slot boundary 100k + 50, and a
-# 2.25 s keep-alive lands on one every 9 samples.
-@example_of(SYNCHRONIZED, pauses=[(Fraction(45, 4), None)], t_end=40, **EXACT,
-            resync_period_s=2.25, gait=GaitConfig(period_slots=100))
-@example_of(CENTRALIZED, commands=[(Fraction(7), Verb.STOP), (Fraction(9), Verb.START)],
-            t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_s=0.06),
-            link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3))
-# -- the centralized relay window --
-# A one-slot gait period on ppm-0 clocks: some frames land exactly on the
-# next root period's start (the first at 0.375 s), which they still precede.
-@example_of(CENTRALIZED, pauses=[(Fraction(3, 8), None)], **EXACT,
-            gait=GaitConfig(period_s=0.015))
-# Keep-alives fall due 0.75 s after the last resync, the instant of the next
-# period's deliveries: each keep-alive outranks them and is sent.
-@example_of(CENTRALIZED, ppm_m1=0.0, ppm_m2=0.0, resync_period_s=0.75,
-            gait=GaitConfig(period_s=0.75),
-            link=LinkModel(base_latency_s=0.125, jitter_bound_s=0.0))
-# A setpoint run on ppm-0 clocks over an exact link: both servo frames of
-# every period land on the same boundary, and m1's plan is applied first.
-@example_of(CENTRALIZED, True, **EXACT, gait=GaitConfig(period_s=0.75))
-# A pause between a period's two deliveries: period 0's frame to m1 is
-# dropped, so it lands at 26,541 ticks, after m2's at 25,067; the pause is
-# at 26,112.
-@example_of(CENTRALIZED, pauses=[(Fraction(51, 64), None)], ppm_m1=0.0, ppm_m2=0.0, seed=5,
-            gait=GaitConfig(period_s=0.75),
-            link=LinkModel(jitter_bound_s=0.0, drop_probability=0.3))
-# A 10 ms gait period, under one slot: frames land after the next period's
-# start, whose frames leave on grids those deliveries have not resynced yet.
-@example_of(CENTRALIZED, gait=GaitConfig(period_s=0.01), link=LinkModel(jitter_bound_s=0.0))
-# -- the keep-alive window --
-# A 10 ms resync period under 30 ms jitter and 30% drops on a drifting root
-# (the run_synchronized_keepalive golden's link): most deliveries land at
-# or past the queue's next entry, the rest are made inline, and jitter
-# puts each delivery after its send, so a window that counted the next due
-# from the send would send it early.
-@example_of(SYNCHRONIZED, pauses=[(Fraction(31, 10), None)], t_end=8,
-            ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=0.01, seed=5,
-            link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3))
-# ppm-0 clocks on an exact link: every delivery lands on the root's slot
-# boundary tick, and keep-alives fall due every gait period, so some
-# deliveries land exactly at the queue head's time; they must be queued
-# behind it, not made inline.
-@example_of(SYNCHRONIZED, t_end=8, **EXACT, resync_period_s=Fraction(51, 50))
-# A Stop and a re-Start off the grid in a setpoint run, with a pause
-# between them.
-@example_of(SYNCHRONIZED, True, [(Fraction(2.3), Verb.STOP), (Fraction(4.71), Verb.START)],
-            [(Fraction(3.3), None)], t_end=8, resync_period_s=0.05,
-            link=LinkModel(base_latency_s=0.0031))
-# Centralized: the servo frames resync both children every period, so a
-# keep-alive is sent only when a resync period is shorter than the gait's.
-@example_of(CENTRALIZED, pauses=[(Fraction(1.7), None)], t_end=8, resync_period_s=0.05,
-            link=LinkModel(jitter_bound_s=0.011, drop_probability=0.1))
 @given(scenario=scenarios())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_sim_matches_the_exact_twin(scenario):
     check(*scenario)
 

@@ -1,14 +1,51 @@
-"""A paused run holds exactly the samples up to its bound.
+"""The window sampler emits exactly the samples one queue entry per sample would.
 
-The window sampler emits every sample within run_until's bound and no
-more, so a run paused at any instant has recorded exactly the samples an
-unpaused run records up to that instant. test_reference_sim compares the
-window sampler with the exact twin, one queue entry per sample.
+The exact twin (tests/reference_sim.py) queues each sample as its own
+entry; the window sampler must record the same samples, flags included,
+after every run_until of a decentralized sample run (a setpoint run
+records no samples). It emits every sample within run_until's bound and
+no more, so a run paused at any instant has recorded exactly the samples
+an unpaused run records up to that instant. Deliveries, keep-alive dues
+and commands cut the windows, including when one lands exactly on a
+sample's instant.
 """
 
-from hexsync.simnet import SchemeId, SchemeParams, Sim, Verb
+from fractions import Fraction
+
+from differential import EXACT, OPEN_LOOP, SYNCHRONIZED, check, example_of, scenarios
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hexsync.gait import GaitConfig
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Sim, Verb
 
 DECENTRALIZED = (SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED)
+
+
+# A Stop in flight lands on the sample instant 10.875 s, which a window
+# starting earlier reaches.
+@example_of(OPEN_LOOP, commands=[(Fraction(10875, 1000) - Fraction(1625, 1000), Verb.STOP)],
+            pauses=[(Fraction(5), None), (Fraction(10875, 1000), (Fraction(0), Verb.START))],
+            t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_s=0.75),
+            link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0))
+# Pauses on and between sample instants with keep-alives queued beyond them.
+@example_of(SYNCHRONIZED, commands=[(Fraction(173, 10), Verb.START)],
+            pauses=[(Fraction(9, 4), None), (Fraction(123, 10), (Fraction(1, 3), Verb.STOP))],
+            t_end=40, **EXACT, resync_period_s=2.25, gait=GaitConfig(period_slots=100))
+# A Stop and a Start re-arm mid-run (a Start while armed is a no-op); the
+# next Stop and Start, in flight, land on the sample instant 6.75 s.
+@example_of(SYNCHRONIZED, commands=[(t, verb) for t in (Fraction(423, 200),
+                                                         Fraction(27, 4) - Fraction(13, 8))
+                                    for verb in (Verb.STOP, Verb.START)],
+            t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_slots=100),
+            link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0))
+# Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
+@example_of(SYNCHRONIZED, t_end=40, ppm_m1=-5.0, ppm_m2=3.7, resync_period_s=0.51,
+            gait=GaitConfig(period_slots=68))
+@given(scenario=scenarios(DECENTRALIZED, st.just(False)))
+@settings(max_examples=50, deadline=None)
+def test_window_sampler_matches_per_sample_heap(scenario):
+    check(*scenario)
 
 
 def test_pause_holds_exactly_the_samples_up_to_its_bound():
