@@ -21,11 +21,13 @@ A run records one of two outputs, as emit_setpoints picks: a sample run
 (the default) records the gait-error samples and no servo setpoints, a
 setpoint run the servo setpoints and no samples. Both record the resync
 marks. A setpoint run records its setpoints in groups (SetpointRecord):
-each phase event a child fires, or a centralized servo frame applies,
-adds one (true_time_s, rows) group, its rows the event's compiled rows as
-gait.setpoints_for_event returns them, so no setpoint object is built.
+each phase event a child fires in the phase window, or a centralized
+servo frame applies, adds one (true_time_s, rows) group, its rows the
+event's compiled rows as gait.setpoints_for_event returns them, one call
+per group, so no setpoint object is built. Groups are appended in the
+order the events fire.
 
-Three handlers run windows: one heap entry that does the work of several,
+Four handlers run windows: one heap entry that does the work of several,
 under one rule. A window may run an entry that would pop next, and runs it
 as the heap would: at an instant strictly before the heap head's time (an
 entry already queued outranks one queued later at an equal time) and at
@@ -49,7 +51,14 @@ while nothing has been pushed since the window's entry popped:
 - a keep-alive due entry sends its frame and runs the delivery when it
   lands within the bound, else queues it (Sim._handle_keepalive_due); the
   delivery's action pushes the child's next due, so that window is one
-  exchange.
+  exchange;
+- a decentralized setpoint run's phases are one entry that walks both
+  children's quarter grids, merged in (time, seq) order, and fires each
+  phase within the bound, then re-queues itself under the next phase's own
+  (time, seq) key (Sim._handle_phases). A child's last phase of period k
+  fixes period k + 1's phases, as local ticks, each taking the seq its own
+  entry would have taken; a phase only records and fixes later phases, so
+  the window pushes nothing.
 Equal-time events still run as one entry each would order them, and
 run_until's count is of heap entries, so a window counts once. Either
 sampler's error is one formula: the gap between two instants over D (two
@@ -104,7 +113,6 @@ from .clock import Value, as_ratio, check_finite, make_clock
 from .gait import (
     Controller,
     GaitConfig,
-    GaitEvent,
     Row,
     TimeRef,
     build_schedule,
@@ -479,8 +487,7 @@ class Sim:
             elif all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
                 if self.emit_setpoints:
-                    for c in self.children:
-                        self._schedule_controller_period(c, 0)
+                    self._start_phases()
                 else:
                     self._start_sampler()
         else:  # Stop
@@ -542,24 +549,72 @@ class Sim:
             t += step
         self._push(t, Sim._handle_samples, (gen, k + every))
 
-    def _schedule_controller_period(self, child: MoteState, k: int) -> None:
-        """Queue the child's period-k phase events, from one event_tick_form:
-        phase q of period k is quarter 4 * k + q of the child's grid."""
-        unit = self._tick_unit[child.node_id]
-        gen = self._gen
-        c, a, b, d = gaitmod.event_tick_form(child)
-        for event in _PLANS[child.node_id]:
-            self._push((c + (a + b * (4 * k + event.phase_index)) // d) * unit,
-                       Sim._handle_controller_phase, (child, gen, k, event))
+    def _start_phases(self) -> None:
+        """Queue the phase window with both children's period-0 phases,
+        each child's from one event_tick_form, m1's first."""
+        pending = tuple(self._period_phases(c, 0, gaitmod.event_tick_form(c))
+                        for c in self.children)
+        # the window's key: its earliest phase's (time over D, seq)
+        t, seq = min((phases[0][0] * self._tick_unit[c.node_id], phases[0][1])
+                     for c, phases in zip(self.children, pending))
+        heapq.heappush(self._heap, (t, seq, Sim._handle_phases, (self._gen, pending)))
 
-    def _handle_controller_phase(self, child: MoteState, gen: int, k: int,
-                                 event: GaitEvent) -> None:
+    def _period_phases(self, child: MoteState, k: int,
+                       form: Tuple[int, int, int, int]) -> List[tuple]:
+        """The child's period-k phases as the phase window carries them, in
+        firing order: (local tick, seq, k, event) each. Phase q of period k
+        is quarter 4 * k + q of the form's grid, and each phase consumes one
+        seq, as a heap entry of its own would."""
+        c, a, b, d = form
+        seq = self._seq
+        self._seq = seq + 2
+        first, last = _PLANS[child.node_id]
+        return [(c + (a + b * (4 * k + first.phase_index)) // d, seq + 1, k, first),
+                (c + (a + b * (4 * k + last.phase_index)) // d, seq + 2, k, last)]
+
+    def _handle_phases(self, gen: int, pending: Tuple[list, list]) -> None:
+        """Fire the earliest pending phase, then the next ones in (time, seq)
+        order while each one's time is within _window_last; then re-queue
+        under the next phase's own (time, seq) key. A window of phases (see
+        the module docstring).
+
+        pending holds each child's pending phases (_period_phases), as
+        local ticks: a resync moves no phase already fixed, and a rescale
+        of D reaches none of them. When a child's last phase of period k
+        fires, its period k + 1 is fixed from its event_tick_form then, as
+        one entry per phase would have queued it; nothing else runs inside
+        a window, so each child's form is taken at most once per window.
+        Re-queued under its next phase's key, the window ties with any
+        other entry exactly as that phase's own entry would.
+        """
         if gen != self._gen:
             return
-        self.servo_setpoints.groups.append(
-            (self._t / self._D, gaitmod.setpoints_for_event(event)))
-        if event is _PLANS[child.node_id][-1]:
-            self._schedule_controller_period(child, k + 1)
+        end = self._window_last()
+        D = self._D
+        children = self.children
+        units = [self._tick_unit[c.node_id] for c in children]
+        forms: List[Optional[Tuple[int, int, int, int]]] = [None, None]
+        append = self.servo_setpoints.groups.append
+        # each child's next phase as its (time over D, seq) heap key
+        heads = [(phases[0][0] * unit, phases[0][1]) for phases, unit in zip(pending, units)]
+        bound = self._t  # the first phase is this entry's own
+        while True:
+            i = 1 if heads[1] < heads[0] else 0
+            t, seq = heads[i]
+            if t > bound:
+                break
+            self._t = t
+            phases = pending[i]
+            _, _, k, event = phases.pop(0)
+            append((t / D, gaitmod.setpoints_for_event(event)))
+            if not phases:  # the child's last phase of period k
+                if forms[i] is None:
+                    forms[i] = gaitmod.event_tick_form(children[i])
+                phases += self._period_phases(children[i], k + 1, forms[i])
+            tick, next_seq, _, _ = phases[0]
+            heads[i] = (tick * units[i], next_seq)
+            bound = end
+        heapq.heappush(self._heap, (t, seq, Sim._handle_phases, (gen, pending)))
 
     # -- centralized (root-timed) control ----------------------------------
 

@@ -73,12 +73,31 @@ MUTANTS = (
            ("tests/test_timebase.py::test_local_periods_match_fraction_reference",
             "tests/test_timebase.py::test_gait_times_match_reference")),
     Mutant("a phase event is queued at its period's start", "simnet.py",
-           "(a + b * (4 * k + event.phase_index)) // d", "(a + b * (4 * k)) // d",
+           "(a + b * (4 * k + last.phase_index)) // d", "(a + b * (4 * k)) // d",
            ("tests/test_simnet.py::test_phase_events_are_queued_at_each_phases_event_tick",
             "tests/test_golden.py::test_golden[trace_synchronized]")),
+    # the phase window (Sim._handle_phases)
     Mutant("a child's next period is scheduled after its first phase", "simnet.py",
-           "if event is _PLANS[child.node_id][-1]:", "if event is _PLANS[child.node_id][0]:",
-           ("tests/test_reference_sim.py::test_sim_matches_the_exact_twin",)),
+           "if not phases:  # the child's last phase", "if len(phases) == 1:  # the first",
+           ("tests/test_phase_window.py::test_phase_window_matches_per_phase_heap",
+            "tests/test_reference_sim.py::test_sim_matches_the_exact_twin")),
+    Mutant("a tie between the children's phases runs m2 first", "simnet.py",
+           "i = 1 if heads[1] < heads[0] else 0", "i = 1 if heads[1][0] <= heads[0][0] else 0",
+           ("tests/test_phase_window.py::test_phase_window_matches_per_phase_heap",)),
+    Mutant("phase window ignores the heap head", "simnet.py",
+           "end = self._window_last()", "end = self._t_end",
+           ("tests/test_phase_window.py::test_phase_window_matches_per_phase_heap",)),
+    Mutant("a pending period is recomputed from the window-start form, not carried",
+           "simnet.py", "forms: List[Optional[Tuple[int, int, int, int]]] = [None, None]\n",
+           "forms = [gaitmod.event_tick_form(c) for c in children]\n"
+           "        for phases, (c, a, b, d) in zip(pending, forms):\n"
+           "            phases[:] = [(c + (a + b * (4 * k + e.phase_index)) // d, s, k, e)\n"
+           "                         for _, s, k, e in phases]\n",
+           ("tests/test_phase_window.py::test_phase_window_matches_per_phase_heap",)),
+    Mutant("phases stop consuming seq", "simnet.py",
+           "self._seq = seq + 2", "self._seq = seq",
+           ("tests/test_simnet.py::test_phase_events_are_queued_at_each_phases_event_tick",
+            "tests/test_phase_window.py::test_phase_window_matches_per_phase_heap")),
     # the gait table
     Mutant("a hip sign flipped in the table", "gait.py",
            "(1, -30.0), (3, -30.0), (5, -30.0)", "(1, -30.0), (3, 30.0), (5, -30.0)",

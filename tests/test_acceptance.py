@@ -7,8 +7,6 @@ at its stated tolerance.
 import random
 import time
 
-import pytest
-
 from hexsync.clock import TICK_US
 from hexsync.cli import dispatch, read_trace_csv
 from hexsync.experiment import run_scheme, sweep_resync_period, time_to_opposition

@@ -1,7 +1,5 @@
 """CLI dispatch, CSV formats, round-trips, reproducibility, plotting."""
 
-import os
-
 import pytest
 
 from hexsync.cli import (

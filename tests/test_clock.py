@@ -1,6 +1,5 @@
 """Crystal model: exact conversions, drift rates, quantization bounds."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsync.clock import (
-    NOMINAL_FREQ_HZ,
     TICK_S,
     local_seconds_at,
     make_clock,

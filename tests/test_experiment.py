@@ -1,7 +1,5 @@
 """Scheme runs, slope fitting, bounds, and the resync-period sweep."""
 
-import math
-
 import pytest
 
 from hexsync.clock import TICK_US

@@ -6,7 +6,8 @@ tests/differential.py runs the two side by side and compares what each
 has recorded after every run_until. Here the scenarios span all three
 schemes, in sample and setpoint runs; each window's own test (the sampler
 in test_sampler, resync flags in test_resync_flags, the relay in
-test_relay, keep-alives in test_keepalive) draws the scenarios that reach
+test_relay, keep-alives in test_keepalive, phases in
+test_phase_window) draws the scenarios that reach
 it and holds its @examples. A new window adds such a test and examples,
 not a reference of its own. The twin imports only hexsync's input types,
 enums and gait table, which test_the_twin_imports_only_inputs_from_hexsync

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from hexsync.clock import TICK_US, DriftingClock, ticks_at
-from hexsync.gait import Controller, GaitConfig, event_tick, servo_trace
+from hexsync.gait import Controller, GaitConfig, event_tick, event_tick_form, servo_trace
 from hexsync.simnet import (
     LinkModel,
     Message,
@@ -253,23 +253,23 @@ def test_a_run_records_setpoints_or_samples(scheme):
                                   GaitConfig(period_slots=12, period_s=0.1234567)],
                          ids=["default", "4-slots-0.7s", "12-slots-non-round-s"])
 def test_phase_events_are_queued_at_each_phases_event_tick(scheme, gait):
-    # a child queues a period's phases from its period-start form, each at
-    # the tick gait.event_tick gives that phase, late periods included
+    # the phase window fixes a child's period from one event_tick_form: two
+    # phases, each taking one seq and carried as the local tick
+    # gait.event_tick gives that phase, late periods included
     sim = new_sim(mode=scheme, emit_setpoints=True, gait=gait, ppm_m1=-3.7, ppm_m2=1.1,
                   ppm_root=2.3, link=LinkModel(drop_probability=0.2))
     sim.inject_command(Verb.START, 0)
     sim.run_until(7.3)
-    queued = []
-    sim._push = lambda t, handler, args: queued.append((t, args))
     for child in sim.children:
+        form = event_tick_form(child)
+        unit = sim._tick_unit[child.node_id]
         for k in (0, 7, 10**9 + 3):
-            queued.clear()
-            sim._schedule_controller_period(child, k)
-            unit = sim._tick_unit[child.node_id]
-            assert len(queued) == 2
-            for t, (_, _, k_queued, event) in queued:
-                assert k_queued == k
-                assert t == event_tick(child, k, event.phase_index) * unit
+            seq = sim._seq
+            phases = sim._period_phases(child, k, form)
+            assert len(phases) == 2 and sim._seq == seq + 2
+            for i, (tick, phase_seq, k_queued, event) in enumerate(phases, 1):
+                assert (k_queued, phase_seq) == (k, seq + i)
+                assert tick * unit == event_tick(child, k, event.phase_index) * unit
 
 
 def test_one_period_emits_24_setpoints():
