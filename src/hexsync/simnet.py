@@ -6,8 +6,11 @@ the run models free-running clocks). Identical (scheme, params) pairs replay
 bit-identically: latency and drop draws are pure functions of the seed and
 a per-message counter, and equal-time events pop in insertion order.
 
-After the resync a frame has one effect, its action, which the sender
-picks when it builds the frame (Message.action):
+A frame is two ints on the run path: its sent time's numerator over D,
+and the delivery time Sim._delivery returns over D. Its delivery is the
+heap entry (d, seq, Sim._handle_delivery, (child, action, body)), or a
+window's direct call with those args: after the resync, a frame has one
+effect, its action, a Sim method the sender picks with its body:
 - a keep-alive queues its child's next keep-alive due, one period on;
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
@@ -40,7 +43,7 @@ while nothing has been pushed since the window's entry popped:
   sampler entry emits every sample within the bound, then re-queues
   itself at the next sample (Sim._handle_samples); a sample only reads;
 - a centralized root period's entry sends the period's two servo frames,
-  whose delivery times Sim.send fixes, and when both land within the bound
+  whose delivery times Sim._delivery fixes, and when both land within the bound
   and no later than the next root period's start, runs both deliveries
   in delivery order (m1 first on a tie); a servo frame's action
   (_apply_plan, _record_sample) pushes nothing, so the entry
@@ -89,14 +92,19 @@ lcm(D, d) and every stored int is multiplied by the same positive factor,
 which keeps their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until tsch.first_boundary_tick finds the receiver's first slot boundary at
-or after it; only that boundary's time is kept. Sim.send fixes it and
-queues nothing: each sender queues the delivery, or runs it in a window.
+or after it; only that boundary's time is kept. Sim._delivery, the one
+frame formula, fixes it and queues nothing: each sender queues the
+delivery, or runs it in a window. Each call is one frame and takes the
+next message index for its draws.
 
-A Message carries its sent and delivered times as exact (num, den) int
-pairs, and the three senders pass the pair (t, D). Floats come from
-int true division, which rounds the same rational as float(Fraction). A
-Fraction is built only when a caller reads one: Sim.now, and a Message's
-sent_true_s and delivered_true_s, which are views built from the pairs.
+A Message is a Command frame (its body the Verb) as Sim.send takes it, or
+any frame a caller sends by hand; the two windows' frames are no Message,
+and do not pass Sim.send. A Message carries its sent and delivered times as exact
+(num, den) int pairs, and the command sender passes the pair (t, D); send
+is one call to _delivery. Floats come from int true division, which
+rounds the same rational as float(Fraction). A Fraction is built only when
+a caller reads one: Sim.now, and a Message's sent_true_s and
+delivered_true_s, which are views built from the pairs.
 """
 
 from __future__ import annotations
@@ -104,6 +112,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import struct
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -121,6 +130,7 @@ from .gait import (
 from .tsch import SLOT_LENGTH_S, MoteState, first_boundary_tick, make_mote, resync_to_parent
 
 _SLOT_NUM, _SLOT_DEN = as_ratio(SLOT_LENGTH_S)  # 3 / 200 s
+_unpack_u64 = struct.Struct(">Q").unpack_from  # a digest's first 8 bytes, big-endian
 
 # each child's plan by node id, its events in phase order: m1 drives the
 # hips (M1), m2 the knees (M2)
@@ -133,10 +143,12 @@ def _draw(prefix, index: int) -> float:
 
     SHA-256 of f"{seed}:{stream}:{index}", prefix being the hash state after
     f"{seed}:{stream}:": SHA-256 hashes a stream of bytes, so that state
-    copied and updated with the index gives the whole string's digest."""
+    copied and updated with the index's decimal digits gives the whole
+    string's digest. The draw is the digest's first 8 bytes, big-endian,
+    over 2**64."""
     h = prefix.copy()
-    h.update(str(index).encode())
-    return int.from_bytes(h.digest()[:8], "big") / 2**64
+    h.update(b"%d" % index)
+    return _unpack_u64(h.digest())[0] / 2**64
 
 
 class Verb(Enum):
@@ -159,23 +171,21 @@ GAIT_TIME_REF = {
 
 
 class Message:
-    """A frame from the root to one of its children; every frame flows that way.
+    """A Command frame from the root to one of its children, or any frame
+    a caller sends by hand; every frame flows root to child.
 
-    Its delivery resyncs dst and then calls action(sim, dst, body), a Sim
-    method the sender picked, or nothing when action is None: such a frame
-    only resyncs. sent and delivered hold the times as exact (num, den)
-    pairs, unreduced; sent may be given as any time value, and delivered is
-    None until Sim.send fixes it. A message is mutable.
+    sent and delivered hold the times as exact (num, den) pairs, unreduced;
+    sent may be given as any time value, and delivered is None until
+    Sim.send fixes it. A message is mutable. The windows' frames are no
+    Message: each is the two ints Sim._delivery takes and returns.
     """
 
-    __slots__ = ("dst", "sent", "body", "action", "delivered")
+    __slots__ = ("dst", "sent", "body", "delivered")
 
-    def __init__(self, dst: MoteState, sent, body: object = None,
-                 action: Optional[Callable[..., None]] = None) -> None:
+    def __init__(self, dst: MoteState, sent, body: object = None) -> None:
         self.dst = dst
         self.sent = sent if type(sent) is tuple else as_ratio(sent)
         self.body = body
-        self.action = action
         self.delivered: Optional[Tuple[int, int]] = None
 
     @property
@@ -200,7 +210,7 @@ class LinkModel(Value):
                      drop_probability=drop_probability)
         if base_latency_s < 0 or jitter_bound_s < 0:
             raise ValueError("latencies must be non-negative")
-        try:  # the longest latency Sim.send can draw, in the float sum it computes
+        try:  # the longest latency Sim._delivery can draw, in the float sum it computes
             longest = float(base_latency_s) + float(jitter_bound_s)
         except OverflowError:
             longest = math.inf
@@ -369,10 +379,13 @@ class Sim:
 
     # -- public operations -------------------------------------------------
 
-    def send(self, msg: Message) -> None:
-        """Fix msg.delivered: the receiver's first slot boundary at or after
-        the sampled link latency; drops retransmit one slot later. It queues
-        nothing: the sender queues the delivery, or runs it in a window."""
+    def _delivery(self, dst: MoteState, s_num: int, s_den: int) -> int:
+        """The one frame formula: a frame sent to dst at s_num / s_den
+        seconds is delivered at the receiver's first slot boundary at or
+        after the sampled link latency, and each drop retransmits it one
+        slot later. Returns that time as an int over D. Each call is one
+        frame, and takes the next message index for its draws; it queues
+        nothing, as the sender queues the delivery or runs it in a window."""
         index = self._msg_index
         self._msg_index = index + 1
         attempt = 0
@@ -383,14 +396,17 @@ class Sim:
         # the latency is a float (the draw is one), so as_integer_ratio is exact
         lat_num, lat_den = (self._base_latency_s + self._jitter_bound_s
                             * _draw(self._lat_prefix, index)).as_integer_ratio()
-        s_num, s_den = msg.sent
-        # arrival = sent + attempt slots + latency, as one exact pair
-        arr_num = ((s_num * _SLOT_DEN + attempt * _SLOT_NUM * s_den) * lat_den
-                   + lat_num * s_den * _SLOT_DEN)
-        arr_den = s_den * _SLOT_DEN * lat_den
-        dst = msg.dst
-        t_del = first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst.node_id]
-        msg.delivered = (t_del, self._D)
+        # arrival = sent + latency + attempt slots, as one exact pair
+        arr_num = s_num * lat_den + lat_num * s_den
+        arr_den = s_den * lat_den
+        if attempt:
+            arr_num = arr_num * _SLOT_DEN + attempt * _SLOT_NUM * arr_den
+            arr_den *= _SLOT_DEN
+        return first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst.node_id]
+
+    def send(self, msg: Message) -> None:
+        """Fix msg.delivered by _delivery; it queues nothing."""
+        msg.delivered = (self._delivery(msg.dst, *msg.sent), self._D)
 
     def inject_command(self, verb: Verb, t_true) -> None:
         t = self._time_int(t_true)
@@ -425,21 +441,24 @@ class Sim:
         # the centralized root applies the command itself; its frames only resync
         action = None if self.scheme is SchemeId.S0_CENTRALIZED else Sim._apply_command
         for child in self.children:
-            msg = Message(child, (self._t, self._D), verb, action)
+            msg = Message(child, (self._t, self._D), verb)
             self.send(msg)
-            self._push(msg.delivered[0], Sim._handle_delivery, (msg,))
+            self._push(msg.delivered[0], Sim._handle_delivery, (child, action, verb))
         if action is None:
             self._apply_command(self.root, verb)
 
-    def _handle_delivery(self, msg: Message) -> None:
-        child = msg.dst
+    def _handle_delivery(self, child: MoteState, action: Optional[Callable[..., None]],
+                         body: object) -> None:
+        """Deliver a frame to child now: resync it, then call
+        action(sim, child, body), a Sim method the sender picked, or nothing
+        more when action is None."""
         if self.resync_enabled:
             resync_to_parent(child, self.root, (self._t, self._D))
             self._last_resync[child.node_id] = self._t
             self.resync_marks.append(self._t / self._D)
             self._resynced = 1
-        if msg.action is not None:
-            msg.action(self, child, msg.body)
+        if action is not None:
+            action(self, child, body)
 
     def _handle_keepalive_due(self, child: MoteState) -> None:
         """Send the child's keep-alive, unless an exchange since resynced it;
@@ -454,14 +473,13 @@ class Sim:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
             return
-        msg = Message(child, (self._t, self._D), None, Sim._requeue_keepalive)
-        self.send(msg)
-        d = msg.delivered[0]
-        if d <= self._window_last():
-            self._t = d
-            self._handle_delivery(msg)
+        arrives = self._delivery(child, self._t, self._D)
+        args = (child, Sim._requeue_keepalive, None)
+        if arrives <= self._window_last():
+            self._t = arrives
+            self._handle_delivery(*args)
         else:
-            self._push(d, Sim._handle_delivery, (msg,))
+            self._push(arrives, Sim._handle_delivery, args)
 
     def _requeue_keepalive(self, child: MoteState, _body: None) -> None:
         """A keep-alive's delivery action: the child is due one period on."""
@@ -638,31 +656,32 @@ class Sim:
         every = self.params.sample_every
         sampling = not self.emit_setpoints
         action = None if sampling else Sim._apply_plan
+        delivery, deliver = self._delivery, self._handle_delivery
         last = self._window_last()
         c, a, b, den = gaitmod.event_tick_form(root)
         unit = self._tick_unit[root.node_id]
         while True:
             t_next = (c + (a + b * 4 * (k + 1)) // den) * unit
-            now = (t, D)
-            m1 = Message(child1, now, None, action)
-            m2 = Message(child2, now, None, action)
-            self.send(m1)
-            self.send(m2)
-            d1, d2 = m1.delivered[0], m2.delivered[0]
-            order, late = ((m1, m2), d2) if d1 <= d2 else ((m2, m1), d1)
+            d1 = delivery(child1, t, D)
+            d2 = delivery(child2, t, D)
+            # each delivery's time and _handle_delivery args, in delivery order
+            if d1 <= d2:
+                early, first, late, later = d1, child1, d2, child2
+            else:
+                early, first, late, later = d2, child2, d1, child1
+            first_args, later_args = (first, action, None), (later, action, None)
             if sampling and k % every == 0:
                 # the gap between the two deliveries, over one D, recorded
                 # by the later frame (m2 on a tie, as it is delivered second)
-                later = order[1]
-                later.body = (late / D, k, (d2 - d1) * 10**6 / D)
-                later.action = Sim._record_sample
+                later_args = (later, Sim._record_sample, (late / D, k, (d2 - d1) * 10**6 / D))
             if late > last or late > t_next:
-                self._push(d1, Sim._handle_delivery, (m1,))
-                self._push(d2, Sim._handle_delivery, (m2,))
+                self._push(early, Sim._handle_delivery, first_args)
+                self._push(late, Sim._handle_delivery, later_args)
                 break
-            for msg in order:
-                self._t = msg.delivered[0]
-                self._handle_delivery(msg)
+            self._t = early
+            deliver(*first_args)
+            self._t = late
+            deliver(*later_args)
             if t_next > last:
                 break
             k += 1

@@ -14,6 +14,7 @@ root periods.
 
 from fractions import Fraction
 
+from frames import record_frames
 from hypothesis import example
 from hypothesis import strategies as st
 from reference_sim import TIME_REF, RefSim
@@ -40,14 +41,7 @@ def check(scheme, params, emit_setpoints, commands, pauses, t_end):
     recorded after every pause and at t_end; a pause (t, (delay, verb))
     then injects verb at t + delay."""
     sim, twin = Sim(scheme, params, emit_setpoints), RefSim(scheme, params, emit_setpoints)
-    frames = []
-    send = sim.send
-
-    def record(msg):
-        send(msg)
-        frames.append((msg.dst.node_id, Fraction(*msg.sent), Fraction(*msg.delivered)))
-
-    sim.send = record
+    sent = record_frames(sim)
     for s in (sim, twin):
         s.inject_command(Verb.START, 0)
         for t, verb in commands:
@@ -55,6 +49,7 @@ def check(scheme, params, emit_setpoints, commands, pauses, t_end):
     for t, during in [*pauses, (t_end, None)]:
         sim.run_until(t)
         twin.run_until(t)
+        frames = [(f.dst.node_id, f.sent_true_s, f.delivered_true_s) for f in sent]
         assert recorded(sim, frames) == recorded(twin, twin.frames)
         if during is not None:
             delay, verb = during

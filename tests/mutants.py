@@ -129,46 +129,64 @@ MUTANTS = (
     Mutant("a servo block is cut only after it passes the block size", "cli.py",
            "if count + n > WRITE_CHUNK_LINES and block:", "if count > WRITE_CHUNK_LINES and block:",
            ("tests/test_csv_blocks.py::test_servo_blocks_end_on_an_instant",)),
+    # the frame draw (simnet._draw)
+    Mutant("a draw reads the digest's bytes 1-8", "simnet.py",
+           "_unpack_u64(h.digest())", "_unpack_u64(h.digest(), 1)",
+           ("tests/test_simnet.py::test_draw_is_the_sha256_of_seed_stream_and_index",)),
     # commands
     Mutant("a Start while armed re-arms the gait", "simnet.py",
            "return  # a Start while armed is a no-op", "pass",
            ("tests/test_simnet.py::test_a_start_while_armed_is_a_no_op",)),
     # frame delivery actions
     Mutant("a centralized Command frame is applied on the child", "simnet.py",
-           "(self._t, self._D), verb, action)", "(self._t, self._D), verb, Sim._apply_command)",
+           "(child, action, verb))", "(child, Sim._apply_command, verb))",
            ("tests/test_simnet.py::test_stop_quiesces_gait[centralized]",
             "tests/test_golden.py::test_golden[run_centralized]")),
+    Mutant("a Command frame's delivery loses its verb", "simnet.py",
+           "(child, action, verb))", "(child, action, None))",
+           ("tests/test_simnet.py::test_stop_quiesces_gait[synchronized]",)),
     Mutant("the sample is recorded on the earlier servo frame", "simnet.py",
-           "later = order[1]", "later = order[0]",
+           "later_args = (later, Sim._record_sample,", "first_args = (first, Sim._record_sample,",
            ("tests/test_simnet.py::test_centralized_sample_is_recorded_at_the_later_delivery",)),
+    Mutant("the sample's time is its period's earlier delivery", "simnet.py",
+           "(late / D, k,", "(early / D, k,",
+           ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),
     Mutant("a centralized sample's error is rounded to the CSV's decimals", "simnet.py",
            "k, (d2 - d1) * 10**6 / D)", "k, round((d2 - d1) * 10**6 / D, 3))",
            ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),
     Mutant("a keep-alive delivery re-queues nothing", "simnet.py",
-           "None, Sim._requeue_keepalive)", "None, None)",
+           "(child, Sim._requeue_keepalive, None)", "(child, None, None)",
            ("tests/test_simnet.py::test_keepalive_sent_one_period_after_last_resync",)),
     # the windowed centralized relay (Sim._handle_root_period)
     Mutant("relay window ignores the heap head", "simnet.py",
            "last = self._window_last()\n", "last = self._t_end\n",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window resyncs in send order, not delivery order", "simnet.py",
-           "for msg in order:", "for msg in (m1, m2):",
+           "            self._t = early\n            deliver(*first_args)\n"
+           "            self._t = late\n            deliver(*later_args)\n",
+           "            for d, args in sorted([(early, first_args), (late, later_args)],\n"
+           "                                  key=lambda e: e[1][0] is not child1):\n"
+           "                self._t = d\n                deliver(*args)\n",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window delivers m2 first on a tie", "simnet.py",
-           "((m1, m2), d2) if d1 <= d2 else", "((m1, m2), d2) if d1 < d2 else",
+           "if d1 <= d2:", "if d1 < d2:",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("an inline relay delivery runs at its period's send instant", "simnet.py",
-           "self._t = msg.delivered[0]", "self._t = t",
+           "self._t = early", "self._t = t",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     Mutant("relay window delivers inline a frame that lands after the next root period",
            "simnet.py", "late > last or late > t_next:", "late > last:",
            ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
+    Mutant("a period's two servo frames share one message index", "simnet.py",
+           "d2 = delivery(child2, t, D)",
+           "self._msg_index -= 1\n            d2 = delivery(child2, t, D)",
+           ("tests/test_relay.py::test_window_relay_matches_per_period_heap",)),
     # the keep-alive window (Sim._handle_keepalive_due) and the resync it makes
     Mutant("keep-alive window delivers inline at the heap head's own time", "simnet.py",
-           "if d <= self._window_last():", "if d <= self._window_last() + 1:",
+           "if arrives <= self._window_last():", "if arrives <= self._window_last() + 1:",
            ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
     Mutant("keep-alive window counts the next due from the send, not the delivery",
-           "simnet.py", "self._t = d\n", "pass\n",
+           "simnet.py", "self._t = arrives\n", "pass\n",
            ("tests/test_keepalive.py::test_keepalive_window_matches_per_frame_heap",)),
     Mutant("a keep-alive is sent at a due an exchange since moved", "simnet.py",
            "if due > self._t:", "if False:",

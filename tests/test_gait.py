@@ -156,7 +156,7 @@ def test_invalid_configs_rejected():
                         ("base_latency_s", lambda: LinkModel(base_latency_s=False))):
         with pytest.raises(ValueError, match=name):
             build()
-    # each latency is a finite number, but Sim.send's float draw would overflow
+    # each latency is a finite number, but Sim._delivery's float draw would overflow
     for base, jitter in ((1.7e308, 1.7e308), (10**400, 0.0)):
         with pytest.raises(ValueError, match=r"base_latency_s \+ jitter_bound_s"):
             LinkModel(base_latency_s=base, jitter_bound_s=jitter)

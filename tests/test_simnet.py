@@ -5,6 +5,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from frames import record_frames
+from reference_sim import ref_uniform
 
 from hexsync.clock import TICK_US, DriftingClock, ticks_at
 from hexsync.gait import Controller, GaitConfig, event_tick, event_tick_form, servo_trace
@@ -15,6 +17,7 @@ from hexsync.simnet import (
     SchemeParams,
     Sim,
     Verb,
+    _draw,
     make_sim,
 )
 from hexsync.tsch import pairwise_sync_error, slot_boundary_true_time
@@ -42,19 +45,6 @@ def expand(groups):
 def trace(sim, t_end):
     """servo_trace's setpoints, one Setpoint per CSV row."""
     return expand(servo_trace(sim, t_end))
-
-
-def record_sends(sim):
-    """Every message the sim sends from now on, in send order."""
-    sent = []
-    send = sim.send
-
-    def record(msg):
-        send(msg)
-        sent.append(msg)
-
-    sim.send = record
-    return sent
 
 
 def test_three_node_topology():
@@ -165,7 +155,7 @@ def test_stop_quiesces_gait(scheme):
     runs = []
     for emit_setpoints in (True, False):
         sim = new_sim(mode=scheme, emit_setpoints=emit_setpoints)
-        sent = record_sends(sim)
+        sent = record_frames(sim)
         sim.inject_command(Verb.START, 0)
         sim.inject_command(Verb.STOP, 20)
         runs.append((sim, sent, trace(sim, 60)))
@@ -177,7 +167,7 @@ def test_stop_quiesces_gait(scheme):
     assert all(sp.true_time_s <= first_stop for sp in setpoints)
     assert all(s[0] <= first_stop for s in sampled.samples)
     # the centralized root stops timing the gait at its own Stop
-    servo = [m for m in sent if m.action is Sim._apply_plan]
+    servo = [m for m in sent if m.kind == "servo"]
     assert bool(servo) == (scheme is SchemeId.S0_CENTRALIZED)
     assert all(m.sent_true_s < 20 for m in servo)
 
@@ -215,17 +205,15 @@ def test_centralized_sample_is_recorded_at_the_later_delivery():
 
 
 def test_centralized_samples_are_the_exact_delivery_gaps():
-    # each sample is built from its period's two servo frames (the frames
-    # that carry no verb and are no keep-alive): the later delivery's time,
-    # and the gap from M1's delivery to M2's in us, each the float nearest
-    # the exact value
+    # each sample is built from its period's two servo frames (those the
+    # root period sends): the later delivery's time, and the gap from M1's
+    # delivery to M2's in us, each the float nearest the exact value
     sim = new_sim(mode=SchemeId.S0_CENTRALIZED, ppm_m1=-3.7, ppm_m2=1.1,
                   link=LinkModel(jitter_bound_s=0.015, drop_probability=0.2))
-    sent = record_sends(sim)
+    sent = record_frames(sim)
     sim.inject_command(Verb.START, 0)
     sim.run_until(60)
-    servo = [m for m in sent
-             if not isinstance(m.body, Verb) and m.action is not Sim._requeue_keepalive]
+    servo = [m for m in sent if m.kind == "servo"]
     expected = []
     for k, (m1, m2) in enumerate(zip(servo[::2], servo[1::2])):
         assert [m1.dst, m2.dst] == sim.children
@@ -293,7 +281,7 @@ def test_same_instant_verbs_apply_in_injection_order(scheme, first, second):
     # order queued: Stop then Start re-arms the gait, while Start then Stop
     # is a no-op followed by a Stop
     sim = new_sim(mode=scheme, emit_setpoints=True, link=LinkModel(jitter_bound_s=0.0))
-    sent = record_sends(sim)
+    sent = record_frames(sim)
     sim.inject_command(Verb.START, 0)
     sim.inject_command(first, 3.0)
     sim.inject_command(second, 3.0)
@@ -355,6 +343,56 @@ def test_non_finite_times_rejected(call, value):
         call(new_sim(), value)
 
 
+# the drop stream keys index * 97 + attempt, so 96 and 97 * k + 96 are a
+# frame's 97th attempt, and 97 the next frame's first; 2**63 and 10**20
+# outgrow a machine word
+DRAW_INDICES = [0, 9, 10, 96, 97, *(97 * k + 96 for k in (1, 2, 10**6)), 2**63, 10**20]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_draw_is_the_sha256_of_seed_stream_and_index(seed):
+    # the twin's definition: the first 8 bytes of the SHA-256 of
+    # f"{seed}:{stream}:{index}", big-endian, over 2**64
+    sim = new_sim(seed=seed)
+    for stream, prefix in (("drop", sim._drop_prefix), ("lat", sim._lat_prefix)):
+        for index in DRAW_INDICES:
+            assert _draw(prefix, index) == ref_uniform(seed, stream, index), (stream, index)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_every_command_frame_passes_send_and_lands_when_it_says(monkeypatch, scheme):
+    # perfbench reads each Stop's delivery time where it wraps Sim.send: so
+    # every Start and Stop frame passes Sim.send with its Verb body, and
+    # _handle_delivery runs it at the msg.delivered that send fixed. The
+    # windows' frames do not pass Sim.send.
+    sent, delivered = [], []
+    send, handle = Sim.send, Sim._handle_delivery
+
+    def record_send(sim, msg):
+        send(sim, msg)
+        sent.append(msg)
+
+    def record_delivery(sim, child, action, body):
+        if isinstance(body, Verb):
+            delivered.append((child.node_id, body.value, sim._t, sim._D))
+        handle(sim, child, action, body)
+
+    monkeypatch.setattr(Sim, "send", record_send)
+    monkeypatch.setattr(Sim, "_handle_delivery", record_delivery)
+    sim = new_sim(mode=scheme, emit_setpoints=True, ppm_m1=-3.7, ppm_root=2.3,
+                  resync_period_s=0.5, gait=GaitConfig(period_s=0.05),
+                  link=LinkModel(jitter_bound_s=0.03, drop_probability=0.3))
+    commands = [(Verb.START, 0), (Verb.START, 5.5), (Verb.STOP, 12.3), (Verb.START, 14),
+                (Verb.STOP, 17.9)]
+    for verb, t in commands:
+        sim.inject_command(verb, t)
+    sim.run_until(30)
+    assert [(m.dst, m.body) for m in sent] == [(c, verb) for verb, _ in commands
+                                               for c in sim.children]
+    assert (sorted((m.dst.node_id, m.body.value, m.delivered_true_s) for m in sent)
+            == sorted((node_id, verb, Fraction(t, D)) for node_id, verb, t, D in delivered))
+
+
 def test_drops_defer_delivery_by_slots():
     sim = new_sim(link=LinkModel(jitter_bound_s=0.0, drop_probability=0.9), seed=7)
     msg = Message(sim.children[1], Fraction(0.001))
@@ -373,14 +411,13 @@ def test_keepalive_sent_one_period_after_last_resync():
     period = 2.7
     sim = new_sim(resync_period_s=period, seed=5,
                   link=LinkModel(jitter_bound_s=0.015, drop_probability=0.2))
-    sent = record_sends(sim)
+    sent = record_frames(sim)
     sim.inject_command(Verb.START, 0)
     sim.run_until(60)
     assert all(m.dst in sim.children for m in sent)
     for child in sim.children:
         deliveries = [m.delivered_true_s for m in sent if m.dst is child]
-        keepalives = [m for m in sent
-                      if m.dst is child and m.action is Sim._requeue_keepalive]
+        keepalives = [m for m in sent if m.dst is child and m.kind == "keepalive"]
         assert len(keepalives) >= 60 / period / 2
         for m in keepalives:
             last = max(t for t in deliveries if t < m.sent_true_s)

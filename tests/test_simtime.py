@@ -5,7 +5,7 @@ check that a frame's delivery slot is the one the old Fraction formula
 chose (ref_delivery, the exact twin's definition in tests/reference_sim.py),
 that pausing a run at times off D's grid (which rescales D) changes
 nothing, and that the event loop itself builds no Fraction and does no
-Fraction arithmetic or comparison. Messages carry integer pairs; their
+Fraction arithmetic or comparison. Frames carry integer pairs; their
 exact Fraction times are built only when read.
 """
 
@@ -13,6 +13,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from frames import record_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_sim import ref_attempts, ref_delivery
@@ -94,9 +95,7 @@ def test_pausing_off_the_grid_changes_nothing(scheme):
 
 def test_off_grid_command_time_is_kept_exactly():
     sim = make_sim(SchemeId.S2_SYNCHRONIZED, SchemeParams())
-    sent = []
-    send = sim.send
-    sim.send = lambda msg: (send(msg), sent.append(msg))
+    sent = record_frames(sim)
     t = Fraction(123, 10**7) + 2  # no clock rate or period has a 10**7 denominator
     sim.inject_command(Verb.START, t)
     sim.run_until(t)
@@ -121,11 +120,9 @@ _LOSSY = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5
 
 def _lossy_sim_with_commands(scheme, emit_setpoints):
     """A lossy-link sim with a Start, a Start while armed and an off-grid
-    Stop queued, and the list every sent message is appended to."""
+    Stop queued, and the list every frame it sends is appended to."""
     sim = make_sim(scheme, _LOSSY, emit_setpoints)
-    sent = []
-    send = sim.send
-    sim.send = lambda msg: (send(msg), sent.append(msg))
+    sent = record_frames(sim)
     sim.inject_command(Verb.START, 0)
     sim.inject_command(Verb.START, 5.5)
     sim.inject_command(Verb.STOP, 12.3)  # a --stop-s value off every grid
@@ -156,7 +153,7 @@ def test_event_loop_does_no_fraction_arithmetic(monkeypatch, scheme):
     (setpoint_sim, sent), (sample_sim, sample_sent) = runs
     assert all(processed) and sent and sample_sent
     assert setpoint_sim.servo_setpoints.groups and sample_sim.samples
-    # messages carry int pairs; no Fraction exists until a caller reads one
+    # frames carry int pairs; no Fraction exists until a caller reads one
     assert built == []
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from frames import record_frames
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_sim import ref_first_boundary_slot, ref_resync, ref_slot_boundary_tick
@@ -197,15 +198,7 @@ def keepalive_sim(period):
     sim = make_sim(SchemeId.S2_SYNCHRONIZED,
                    SchemeParams(resync_period_s=period,
                                 link=LinkModel(jitter_bound_s=0.0)), False)
-    sent = []
-    send = sim.send
-
-    def record(msg):
-        send(msg)
-        sent.append(msg)
-
-    sim.send = record
-    return sim, sent
+    return sim, record_frames(sim)
 
 
 def test_keepalive_due_from_last_resync():
@@ -222,7 +215,7 @@ def test_keepalive_due_from_last_resync():
     sim.run_until(25)
     to_child = [m for m in sent if m.dst is child]
     command = next(m for m in to_child if m.body is Verb.START)
-    keepalives = [m.sent_true_s for m in to_child if m.action is Sim._requeue_keepalive]
+    keepalives = [m.sent_true_s for m in to_child if m.kind == "keepalive"]
     assert 12.4 < command.delivered_true_s <= 12.4 + SLOT_LENGTH_S
     assert keepalives == [10, command.delivered_true_s + 10]
 
@@ -236,7 +229,7 @@ def test_root_has_no_keepalive():
     # fixes the delivery, so the frame's delivery is queued as a sender does
     msg = Message(sim.root, sim.now)
     sim.send(msg)
-    sim._push(msg.delivered[0], Sim._handle_delivery, (msg,))
+    sim._push(msg.delivered[0], Sim._handle_delivery, (sim.root, Sim._requeue_keepalive, None))
     with pytest.raises(ValueError):
         sim.run_until(61)
 
