@@ -9,7 +9,9 @@ Subcommands:
 
 Defaults reproduce the two published 400 s comparison runs; each run
 setting's default is read from SchemeParams(). An optional line-oriented
-key=value file can set defaults; explicit flags win.
+key=value file (--config) supplies flags, read as if placed right after the
+subcommand, so flags given on the command line win. The parser is built
+once, when the module loads, and parsing never changes it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", default=None,
-                       help="key=value file supplying flag defaults")
+                       help="key=value file of flags; the command line's win")
 
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_scheme(run_p)
@@ -91,19 +93,24 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _config_defaults(path: str, subparsers: Dict[str, argparse.ArgumentParser],
-                     subcommand: str) -> Dict[str, object]:
-    """The key=value lines of a --config file, as defaults for subcommand.
+_PARSER, _SUBPARSERS = _build_parser()
 
-    A key that only another subcommand takes is skipped (sweep has no
-    --scheme); a line without '=' or a key no subcommand takes is an error.
-    A flag's value is 1, true or yes, or 0, false or no, in any case, and
-    anything else is an error; every other value stays the string argparse
-    converts with the option's declared type.
+
+def _config_flags(path: str, subcommand: str) -> List[str]:
+    """The key=value lines of a --config file, as subcommand's flags.
+
+    Each value line becomes one --key=value token, so a value that starts
+    with '-' stays the option's value, and argparse converts and checks it
+    as it does a command-line flag. A flag's value is 1, true or yes, which
+    gives the bare flag, or 0, false or no, which gives nothing, in any
+    case; anything else is an error. A later line for a key replaces an
+    earlier one. A key that only another subcommand takes is skipped (sweep
+    has no --scheme); a line without '=' or a key no subcommand takes is an
+    error.
     """
-    options = {name: vars(p.parse_args([])) for name, p in subparsers.items()}
+    options = {name: vars(p.parse_args([])) for name, p in _SUBPARSERS.items()}
     own = options[subcommand]
-    defaults: Dict[str, object] = {}
+    flags: Dict[str, str] = {}  # by dest; "" for a cleared flag
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -117,15 +124,17 @@ def _config_defaults(path: str, subparsers: Dict[str, argparse.ArgumentParser],
             if not any(dest in o for o in options.values()):
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if dest in own:
+                option = "--" + key.replace("_", "-")
                 value = value.strip()
                 if isinstance(own[dest], bool):
                     flag = _FLAG_VALUES.get(value.lower())
                     if flag is None:
                         raise ValueError(f"{path}:{lineno}: {key!r} takes 1/true/yes "
                                          f"or 0/false/no, got {value!r}")
-                    value = flag
-                defaults[dest] = value
-    return defaults
+                    flags[dest] = option if flag else ""
+                else:
+                    flags[dest] = f"{option}={value}"
+    return [f for f in flags.values() if f]
 
 
 def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]:
@@ -134,11 +143,7 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
     they cannot run, the non-finite ones included."""
     # sweep has no --scheme: it always runs the synchronized scheme; trace
     # has no --sample-every: it records no samples
-    name = getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)
-    if name not in _SCHEME_BY_NAME:
-        raise ValueError(f"--scheme must be one of {', '.join(sorted(_SCHEME_BY_NAME))}, "
-                         f"got {name!r}")
-    scheme = _SCHEME_BY_NAME[name]
+    scheme = _SCHEME_BY_NAME[getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)]
     ppm_m1 = (args.ppm_m1 if args.ppm_m1 is not None
               else _DEFAULT_PPM_M1.get(scheme, _DEFAULTS.ppm_m1))
     gait = GaitConfig(period_slots=args.gait_period_slots,
@@ -171,22 +176,6 @@ def trace_csv_lines(trace: ErrorTrace) -> Iterator[str]:
     """
     yield TRACE_HEADER
     yield from _blocks("%.6f,%d,%.3f,%d", trace.samples)
-
-
-def read_trace_csv(path: str) -> List[Tuple[float, int, float, int]]:
-    """Parse a trace CSV back into rows of ErrorTrace.samples' type:
-    (true_time_s, period_index, error_us, resync), at the CSV's precision
-    (times to the microsecond, errors to the nanosecond), so a run's
-    samples read back rounded to those decimals."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            t, k, err, resync = line.strip().split(",")
-            rows.append((float(t), int(k), float(err), int(resync)))
-    return rows
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> Iterator[str]:
@@ -286,17 +275,15 @@ def render_ascii_plot(trace: ErrorTrace) -> str:
 # -- dispatch --------------------------------------------------------------
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser, subparsers = _build_parser()
     argv = list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config:
-            # the file's values become the subcommand's defaults and argv is
-            # parsed again: its flags win, however spelled, and argparse
-            # converts each file value with the option's declared type
-            subparsers[args.subcommand].set_defaults(
-                **_config_defaults(args.config, subparsers, args.subcommand))
-            args = parser.parse_args(argv)
+            # the file's flags go right after the subcommand (the top-level
+            # parser takes no option but -h, so argv[0] is it); argparse keeps
+            # an option's last value, so argv's own flags win, however spelled
+            args = _PARSER.parse_args(
+                [argv[0], *_config_flags(args.config, args.subcommand), *argv[1:]])
         scheme, params = _params_from_args(args)
         if args.subcommand == "run":
             trace = run_error_trace(scheme, params)

@@ -129,6 +129,22 @@ MUTANTS = (
     Mutant("a servo block is cut only after it passes the block size", "cli.py",
            "if count + n > WRITE_CHUNK_LINES and block:", "if count > WRITE_CHUNK_LINES and block:",
            ("tests/test_csv_blocks.py::test_servo_blocks_end_on_an_instant",)),
+    # a --config file's lines as flags (cli._config_flags, cli.dispatch)
+    Mutant("the file's flags are spliced after argv's, so the file wins", "cli.py",
+           "[argv[0], *_config_flags(args.config, args.subcommand), *argv[1:]]",
+           "[*argv, *_config_flags(args.config, args.subcommand)]",
+           ("tests/test_cli.py::test_config_file_defaults_with_flag_override",
+            "tests/test_cli.py::test_abbreviated_or_joined_flag_beats_config_file")),
+    Mutant("a false flag value is spliced as the bare flag", "cli.py",
+           'flags[dest] = option if flag else ""', "flags[dest] = option",
+           ("tests/test_cli.py::test_config_file_sets_a_flag",)),
+    Mutant("a file value is spliced as --key value, two tokens", "cli.py",
+           "return [f for f in flags.values() if f]",
+           'return [t for f in flags.values() if f for t in f.split("=", 1)]',
+           ("tests/test_cli.py::test_config_value_starting_with_a_dash_is_the_value",)),
+    Mutant("dispatch builds its own parser", "cli.py",
+           "args = _PARSER.parse_args(argv)", "args = _build_parser()[0].parse_args(argv)",
+           ("tests/test_cli.py::test_dispatch_builds_no_parser",)),
     # the frame draw (simnet._draw)
     Mutant("a draw reads the digest's bytes 1-8", "simnet.py",
            "_unpack_u64(h.digest())", "_unpack_u64(h.digest(), 1)",

@@ -8,12 +8,13 @@ import random
 import time
 
 from hexsync.clock import TICK_US
-from hexsync.cli import dispatch, read_trace_csv
+from hexsync.cli import dispatch
 from hexsync.experiment import run_scheme, sweep_resync_period, time_to_opposition
 from hexsync.gait import build_schedule
 from hexsync.gait import Controller, events_for_controller
 from hexsync.simnet import LinkModel, SchemeId, SchemeParams
 from paper_gait import JOINT_AT_PHASE, TRIPODS, servo_of, tripod_angle
+from trace_csv import read_trace_csv
 
 TWO_TICKS_US = 2 * TICK_US  # ~61.04 us
 

@@ -1,17 +1,19 @@
 """CLI dispatch, CSV formats, round-trips, reproducibility, plotting."""
 
+import argparse
+
 import pytest
+from trace_csv import read_trace_csv
 
 from hexsync.cli import (
     SERVO_HEADER,
     SWEEP_HEADER,
     TRACE_HEADER,
     dispatch,
-    read_trace_csv,
     render_ascii_plot,
     trace_csv_lines,
 )
-from hexsync.cli import _build_parser, _params_from_args, _write_lines
+from hexsync.cli import _PARSER, _params_from_args, _write_lines
 from hexsync.experiment import ErrorTrace
 from hexsync.simnet import SchemeId, SchemeParams
 
@@ -58,7 +60,7 @@ def test_unwritable_output_exits_one(capsys):
     (["sweep", "--periods", "inf"], None),
     (["trace", "--stop-s", "inf"], None),
     (["run", "--gait-period-s", "nan"], None),
-    (["run"], "scheme=bogus\n"),
+    (["trace"], "stop-s=inf\n"),
     (["run"], "duration-s=inf\n"),
     (["run", "--resync-period-s", "0", "--jitter-s", "0"], None),
     (["run", "--resync-period-s", "-1"], None),
@@ -277,8 +279,7 @@ def test_flag_defaults_are_the_config_objects_defaults(argv, scheme):
     # open-loop run drifts at -5 ppm
     expected = (SchemeParams(ppm_m1=-5.0) if scheme is SchemeId.S1_OPEN_LOOP
                 else SchemeParams())
-    parser, _ = _build_parser()
-    assert _params_from_args(parser.parse_args(argv)) == (scheme, expected)
+    assert _params_from_args(_PARSER.parse_args(argv)) == (scheme, expected)
 
 
 @pytest.mark.parametrize("value,plotted", [("true", True), ("false", False)])
@@ -302,6 +303,24 @@ def test_unconvertible_value_exits_two(tmp_path, capsys, argv, config):
     code, out = run_cli(tmp_path, *argv)
     assert code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--scheme", "bogus"], None),
+    (["run"], "scheme=bogus\n"),
+])
+def test_unknown_scheme_exits_two(tmp_path, capsys, argv, config):
+    # a file's value is a flag, so argparse checks its choices as it does
+    # the command line's; only the substring is asserted, since the list of
+    # choices is formatted differently across Python versions
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -335,3 +354,51 @@ def test_config_key_of_another_subcommand_is_skipped(tmp_path, argv, line):
     configured = tmp_path / "configured.csv"
     assert dispatch(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
     assert configured.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, "duration-s=5\nplot=false\n"])
+def test_dispatch_builds_no_parser(tmp_path, monkeypatch, config):
+    # the one parser is built when hexsync.cli loads, and parsing leaves it
+    # as it was, so no dispatch builds another
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["run", "--duration-s", "5"]
+    if config is not None:
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0 and out.exists()
+    assert built == []
+
+
+def test_config_file_does_not_leak_into_the_next_dispatch(tmp_path):
+    argv = ["run", "--duration-s", "20"]
+    code, fresh = run_cli(tmp_path, *argv)
+    assert code == 0
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("scheme=open-loop\nppm-m1=-8\nseed=7\nsample-every=2\n")
+    configured = tmp_path / "configured.csv"
+    assert dispatch(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
+    assert configured.read_bytes() != fresh.read_bytes()
+    after = tmp_path / "after.csv"
+    assert dispatch(argv + ["--out", str(after)]) == 0
+    assert after.read_bytes() == fresh.read_bytes()
+
+
+def test_config_value_starting_with_a_dash_is_the_value(tmp_path, monkeypatch):
+    # each file line is one --key=value token, so "-dash.csv" cannot be
+    # read as an option
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "dash.cfg"
+    cfg.write_text("out=-dash.csv\nduration-s=5\n")
+    assert dispatch(["run", "--config", str(cfg)]) == 0
+    code, plain = run_cli(tmp_path, "run", "--duration-s", "5")
+    assert code == 0
+    assert (tmp_path / "-dash.csv").read_bytes() == plain.read_bytes()

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsync.cli import _write_lines, read_trace_csv, trace_csv_lines
+from hexsync.cli import _write_lines, trace_csv_lines
 from hexsync.experiment import MIN_WINDOW_SAMPLES, ErrorTrace, fit_drift_slope, run_scheme
 from hexsync.simnet import LinkModel, SchemeId, SchemeParams
+from trace_csv import read_trace_csv
 
 
 def naive_fit_drift_slope(trace: ErrorTrace) -> Optional[float]:

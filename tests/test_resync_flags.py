@@ -17,8 +17,9 @@ from differential import CENTRALIZED, EXACT, SYNCHRONIZED, check, example_of, sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_sim import RefSim
+from trace_csv import read_trace_csv
 
-from hexsync.cli import dispatch, read_trace_csv
+from hexsync.cli import dispatch
 from hexsync.gait import GaitConfig
 from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Verb
 
