@@ -22,9 +22,9 @@ from contextlib import nullcontext
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .experiment import ErrorTrace, SweepRow, build_sim, run_error_trace, sweep_resync_period
+from .experiment import SweepRow, run_sim, sweep_resync_period
 from .gait import GaitConfig, servo_trace
-from .simnet import LinkModel, SchemeId, SchemeParams, Verb
+from .simnet import LinkModel, SchemeId, SchemeParams
 
 _SCHEME_BY_NAME = {s.value: s for s in SchemeId}
 _DEFAULTS = SchemeParams()
@@ -163,8 +163,8 @@ def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]
 
 # -- CSV emission ----------------------------------------------------------
 
-def trace_csv_lines(trace: ErrorTrace) -> Iterator[str]:
-    """The trace as CSV blocks: the header, then its samples' rows,
+def trace_csv_lines(samples: Sequence[Tuple[float, int, float, int]]) -> Iterator[str]:
+    """A run's error samples as CSV blocks: the header, then their rows,
     WRITE_CHUNK_LINES to a block (fewer in the last), newline-separated, so
     that joining the blocks with newlines gives one row per sample. Each
     sample carries its own resync flag. The run's samples are unrounded: a
@@ -175,7 +175,7 @@ def trace_csv_lines(trace: ErrorTrace) -> Iterator[str]:
     as f"{t:.6f},{k},{err:.3f},{resync}" would, for int k and resync.
     """
     yield TRACE_HEADER
-    yield from _blocks("%.6f,%d,%.3f,%d", trace.samples)
+    yield from _blocks("%.6f,%d,%.3f,%d", samples)
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> Iterator[str]:
@@ -251,12 +251,12 @@ def _write_lines(blocks: Iterable[str], path: Optional[str]) -> None:
 PLOT_WIDTH, PLOT_HEIGHT = 72, 16  # the plot's canvas, in characters
 
 
-def render_ascii_plot(trace: ErrorTrace) -> str:
-    """Monospaced scatter of error vs time; cosmetic only."""
-    if not trace.samples:
+def render_ascii_plot(samples: Sequence[Tuple[float, int, float, int]]) -> str:
+    """Monospaced scatter of the samples' error vs time; cosmetic only."""
+    if not samples:
         return "(no samples)"
-    ts = [s[0] for s in trace.samples]
-    es = [s[2] for s in trace.samples]
+    ts = [s[0] for s in samples]
+    es = [s[2] for s in samples]
     t_lo, t_hi = min(ts), max(ts)
     e_lo, e_hi = min(es), max(es)
     t_span = (t_hi - t_lo) or 1.0
@@ -286,19 +286,16 @@ def dispatch(argv: Sequence[str]) -> int:
                 [argv[0], *_config_flags(args.config, args.subcommand), *argv[1:]])
         scheme, params = _params_from_args(args)
         if args.subcommand == "run":
-            trace = run_error_trace(scheme, params)
-            _write_lines(trace_csv_lines(trace), args.out)
+            samples = run_sim(scheme, params).samples
+            _write_lines(trace_csv_lines(samples), args.out)
             if args.plot:
-                print(render_ascii_plot(trace), file=sys.stderr)
+                print(render_ascii_plot(samples), file=sys.stderr)
         elif args.subcommand == "sweep":
             periods = [float(p) for p in args.periods.split(",") if p.strip()]
             rows = sweep_resync_period(periods, params)
             _write_lines(sweep_csv_lines(rows), args.out)
         elif args.subcommand == "trace":
-            sim = build_sim(scheme, params, emit_setpoints=True)
-            if args.stop_s is not None:
-                sim.inject_command(Verb.STOP, args.stop_s)
-            trace = servo_trace(sim, params.duration_s)
+            trace = servo_trace(run_sim(scheme, params, True, args.stop_s).servo_setpoints.groups)
             _write_lines(servo_csv_lines(trace), args.out)
         return 0
     except SystemExit as exc:

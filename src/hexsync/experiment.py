@@ -1,11 +1,11 @@
 """End-to-end runs of the three control schemes and their derived metrics.
 
-Runs a scheme, samples the gait synchronization error once per gait
-period, fits drift slopes, evaluates the analytic error bound, converts a
-slope into a time-to-phase-opposition figure, and sweeps the worst-case
-resync period. run_error_trace runs a scheme and derives nothing;
-run_scheme adds every derived metric, and the sweep only the two its rows
-hold.
+run_sim is the one place a scheme's simulation is started, stopped and
+run; each CLI subcommand reads what it records. run_scheme derives a
+run's summary metrics from its samples: the largest |error|, the drift
+slope fitted between resyncs, the analytic error bound and the time to
+phase opposition. The resync-period sweep derives only the two figures
+its rows hold.
 """
 
 from __future__ import annotations
@@ -48,16 +48,20 @@ def build_sim(scheme: SchemeId, params: SchemeParams,
     return sim
 
 
-def run_error_trace(scheme: SchemeId, params: SchemeParams) -> ErrorTrace:
-    """Run one scheme start-to-finish and return its samples and resync
-    marks; the one place a scheme is started and run. A run that ends
-    before its first sample is an error."""
-    sim = build_sim(scheme, params)
+def run_sim(scheme: SchemeId, params: SchemeParams, emit_setpoints: bool = False,
+            stop_s: Optional[float] = None) -> Sim:
+    """Run one scheme start-to-finish, with a Stop at stop_s if one is
+    given, and return its simulation; the one place a scheme is started
+    and run. A run that records error samples and ends before its first
+    sample is an error; a setpoint run records none."""
+    sim = build_sim(scheme, params, emit_setpoints)
+    if stop_s is not None:
+        sim.inject_command(Verb.STOP, stop_s)
     sim.run_until(params.duration_s)
-    if not sim.samples:
+    if not (emit_setpoints or sim.samples):
         raise ValueError(f"the run ended at {params.duration_s} s, "
                          "before its first sample")
-    return ErrorTrace(sim.samples, sim.resync_marks)
+    return sim
 
 
 def _sync_bound_us(params: SchemeParams) -> float:
@@ -67,7 +71,7 @@ def _sync_bound_us(params: SchemeParams) -> float:
 
 
 def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
-    """Run one scheme with run_error_trace and derive its summary metrics.
+    """Run one scheme with run_sim and derive its summary metrics.
 
     A run too short for two samples has no slope to fit: its slope and
     opposition time are None. The synchronized scheme reports an analytic
@@ -76,7 +80,8 @@ def run_scheme(scheme: SchemeId, params: SchemeParams) -> ExperimentResult:
     the drift between resyncs fits. Only open-loop runs report one (a
     centralized run fits no slope).
     """
-    trace = run_error_trace(scheme, params)
+    sim = run_sim(scheme, params)
+    trace = ErrorTrace(sim.samples, sim.resync_marks)
     max_abs = max(abs(s[2]) for s in trace.samples)
     slope = fit_drift_slope(trace) if len(trace.samples) >= 2 else None
     bound = None
@@ -167,7 +172,7 @@ def sweep_resync_period(periods: Sequence[float],
     rows = []
     for p in map(float, sorted(periods)):
         run = params.replace(resync_period_s=p)
-        trace = run_error_trace(SchemeId.S2_SYNCHRONIZED, run)
-        rows.append(SweepRow(p, max(abs(s[2]) for s in trace.samples),
+        samples = run_sim(SchemeId.S2_SYNCHRONIZED, run).samples
+        rows.append(SweepRow(p, max(abs(s[2]) for s in samples),
                              _sync_bound_us(run)))
     return rows

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .clock import (
     NOMINAL_FREQ_HZ,
@@ -234,20 +234,21 @@ def setpoints_for_event(event: GaitEvent) -> Tuple[Row, ...]:
     return event.rows
 
 
-def servo_trace(sim, t_end) -> List[Tuple[float, Tuple[Row, ...]]]:
-    """Run the simulation to t_end and return its setpoints as one
-    (true_time_s, rows) entry per instant, in time order, each instant's
-    rows ordered by servo id; same-time rows of one servo keep the order
-    they were emitted in.
+def servo_trace(groups: Iterable[Tuple[float, Tuple[Row, ...]]]
+                ) -> List[Tuple[float, Tuple[Row, ...]]]:
+    """A run's recorded setpoints as one (true_time_s, rows) entry per
+    instant, in time order, each instant's rows ordered by servo id;
+    same-time rows of one servo keep the order they were emitted in.
 
-    The run records one (true_time_s, rows) group per phase event, in
-    emission order, and emission time never decreases (a ValueError says
-    otherwise). So an instant is a run of neighbouring equal-time groups,
-    and only its own rows need a stable sort by servo id; (time, servo_id)
-    orders as (time, controller, servo_id) would, since the servo id fixes
-    the controller. Each phase has a slot of its own, but same-time groups
-    still occur: both controllers can fire at one instant, and a
-    centralized servo command applies a whole plan at once.
+    groups is the run's record (simnet's Sim.servo_setpoints.groups): one
+    (true_time_s, rows) group per phase event, in emission order, and
+    emission time never decreases (a ValueError says otherwise). So an
+    instant is a run of neighbouring equal-time groups, and only its own
+    rows need a stable sort by servo id; (time, servo_id) orders as (time,
+    controller, servo_id) would, since the servo id fixes the controller.
+    Each phase has a slot of its own, but same-time groups still occur:
+    both controllers can fire at one instant, and a centralized servo
+    command applies a whole plan at once.
 
     The gait emits a few compiled rows tuples over and over, so an
     instant's sorted rows are cached per combination of its groups' rows.
@@ -255,14 +256,13 @@ def servo_trace(sim, t_end) -> List[Tuple[float, Tuple[Row, ...]]]:
     its Controller member, a Python-level call. The cache keeps each
     key's rows alive, so no identity in it can be reused.
     """
-    sim.run_until(t_end)
     out: List[Tuple[float, Tuple[Row, ...]]] = []
     append = out.append
     # id(rows) of a one-group instant, or the tuple of its groups' ids ->
     # (the groups' rows, the instant's sorted rows)
     merged: Dict[object, Tuple[tuple, Tuple[Row, ...]]] = {}
     last, parts = -math.inf, ()
-    for t, rows in sim.servo_setpoints.groups:
+    for t, rows in groups:
         if t == last:  # another group of the instant just appended
             parts += (rows,)
             key = tuple(map(id, parts))

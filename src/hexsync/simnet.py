@@ -706,7 +706,8 @@ class Sim:
 def make_sim(scheme: SchemeId, params: SchemeParams,
              emit_setpoints: bool = False) -> Sim:
     """Build a simulation at t = 0 with no command queued, so its gait never
-    starts until one is injected (experiment.build_sim queues the Start).
+    starts until one is injected (experiment.build_sim queues the Start,
+    and experiment.run_sim any Stop, then runs it).
     It records servo setpoints if emit_setpoints, else gait-error samples
     (see Sim). Identical (scheme, params) replay identically."""
     return Sim(scheme, params, emit_setpoints)

@@ -21,7 +21,6 @@ from .clock import (
     NOMINAL_FREQ_HZ,
     DriftingClock,
     as_ratio,
-    tick_gap_us,
     ticks_at,
     true_time_of_tick,
 )
@@ -110,9 +109,10 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> None:
     down to the child's own tick grid. The parent's next boundary is its
     first at or after the tick after its tick count at t_true (asn_at's
     slot + 1). The residual misalignment in us, when wanted, is
-    -pairwise_sync_error(child, parent, child.asn_origin), which lies in
-    [0, one child tick). The root has no parent, and a time before the
-    epoch has no tick: both raise ValueError.
+    -ref_pairwise_sync_error(child, parent, child.asn_origin), the exact
+    twin's helper (tests/reference_sim.py), which lies in [0, one child
+    tick). The root has no parent, and a time before the epoch has no
+    tick: both raise ValueError.
     """
     if child.parent_id is None:
         raise ValueError("root has no time-source parent to resync to")
@@ -125,9 +125,4 @@ def resync_to_parent(child: MoteState, parent: MoteState, t_true) -> None:
     # the child's tick count at the parent tick's true time, tick * rate_den / rate_num
     child.origin_local_ticks = (c_clock.rate_num * tick * p_clock.rate_den
                                 // (c_clock.rate_den * p_clock.rate_num))
-
-
-def pairwise_sync_error(a: MoteState, b: MoteState, asn: int) -> float:
-    """Signed true-time difference (us) between two nodes' boundary for one slot."""
-    return tick_gap_us(b.clock, slot_boundary_tick(b, asn), a.clock, slot_boundary_tick(a, asn))
 

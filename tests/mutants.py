@@ -105,15 +105,28 @@ MUTANTS = (
     # the setpoint path: servo_trace's instants and the CSV's suffix cache
     Mutant("an instant's rows left unsorted by servo id", "gait.py",
            "key=itemgetter(1))))", "key=lambda row: 0)))",
-           ("tests/test_golden.py::test_golden[trace_synchronized]",
+           ("tests/test_gait.py::test_servo_trace_merges_a_plain_record_into_instants",
+            "tests/test_golden.py::test_golden[trace_synchronized]",
             "tests/test_setpoint_path.py::test_trace_and_csv_match_reference[synchronized]")),
     Mutant("equal-time groups left unmerged", "gait.py",
            "if t == last:", "if False:",
-           ("tests/test_golden.py::test_golden[trace_centralized]",
+           ("tests/test_gait.py::test_servo_trace_merges_a_plain_record_into_instants",
+            "tests/test_golden.py::test_golden[trace_centralized]",
             "tests/test_setpoint_path.py::test_trace_and_csv_match_reference[centralized]")),
     Mutant("the CSV's suffix cache lets its rows tuples go", "cli.py",
            "hit = suffixes[id(rows)] = (rows, tuple(", "hit = suffixes[id(rows)] = (None, tuple(",
            ("tests/test_setpoint_path.py::test_csv_formats_each_row_as_reference",)),
+    # the one runner (experiment.run_sim)
+    Mutant("run_sim never queues the Stop", "experiment.py",
+           "sim.inject_command(Verb.STOP, stop_s)", "pass",
+           ("tests/test_experiment.py::test_run_sim_queues_the_stop_at_stop_s[synchronized]",
+            "tests/test_golden.py::test_golden[trace_synchronized]")),
+    Mutant("a setpoint run with no samples raises", "experiment.py",
+           "if not (emit_setpoints or sim.samples):", "if not sim.samples:",
+           ("tests/test_experiment.py::test_a_setpoint_run_without_samples_returns[synchronized]",)),
+    Mutant("a sample run with no samples returns", "experiment.py",
+           "if not (emit_setpoints or sim.samples):", "if False:",
+           ("tests/test_cli.py::test_run_ending_before_first_sample_exits_one",)),
     # the CSV blocks (cli._blocks, cli.servo_csv_lines)
     Mutant("the final partial block is dropped", "cli.py",
            "for i in range(0, len(rows), WRITE_CHUNK_LINES):",

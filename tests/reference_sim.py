@@ -103,6 +103,13 @@ def ref_resync(child, parent, t):
     return asn, ref_ticks_at(child.clock, ref_slot_boundary_true_time(parent, asn))
 
 
+def ref_pairwise_sync_error(a, b, asn):
+    """Signed true-time difference (us) between two nodes' boundaries for
+    slot asn: a's minus b's."""
+    return float((ref_slot_boundary_true_time(a, asn) - ref_slot_boundary_true_time(b, asn))
+                 * 10**6)
+
+
 # -- gait ----------------------------------------------------------------------
 
 def ref_whole_periods_at(node, ref, config, t):

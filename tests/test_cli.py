@@ -14,7 +14,6 @@ from hexsync.cli import (
     trace_csv_lines,
 )
 from hexsync.cli import _PARSER, _params_from_args, _write_lines
-from hexsync.experiment import ErrorTrace
 from hexsync.simnet import SchemeId, SchemeParams
 
 
@@ -131,9 +130,12 @@ def test_centralized_sub_slot_period_exits_zero(tmp_path, period_s):
 
 
 def test_run_ending_before_first_sample_exits_one(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "run", "--duration-s", "1.5")
+    code, out = run_cli(tmp_path, "run", "--duration-s", "1.5")
     assert code == 1
-    assert "before its first sample" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "before its first sample" in err
+    assert err == "hexsync: error: the run ended at 1.5 s, before its first sample\n"
+    assert not out.exists()
 
 
 def test_synchronized_run_ignores_free_running_period(tmp_path):
@@ -160,9 +162,8 @@ def test_trace_header_and_formatting(tmp_path):
 
 
 def test_empty_trace_writes_header_only(tmp_path):
-    trace = ErrorTrace(samples=[], resync_marks=[])
     path = tmp_path / "empty.csv"
-    _write_lines(trace_csv_lines(trace), str(path))
+    _write_lines(trace_csv_lines([]), str(path))
     assert path.read_text() == TRACE_HEADER + "\n"
 
 
@@ -233,10 +234,10 @@ def test_config_file_defaults_with_flag_override(tmp_path):
 
 
 def test_ascii_plot_shapes():
-    flat = ErrorTrace(samples=[(float(t), t, 0.0, 0) for t in range(50)], resync_marks=[])
+    flat = [(float(t), t, 0.0, 0) for t in range(50)]
     art = render_ascii_plot(flat)
     assert "*" in art and "max=" in art
-    ramp = ErrorTrace(samples=[(float(t), t, -5.0 * t, 0) for t in range(50)], resync_marks=[])
+    ramp = [(float(t), t, -5.0 * t, 0) for t in range(50)]
     art = render_ascii_plot(ramp)
     rows = [l for l in art.splitlines() if l.startswith("|")]
     first_star = next(i for i, l in enumerate(rows) if "*" in l[:10])

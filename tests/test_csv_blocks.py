@@ -26,15 +26,15 @@ from hexsync.cli import (
     sweep_csv_lines,
     trace_csv_lines,
 )
-from hexsync.experiment import ErrorTrace, SweepRow
+from hexsync.experiment import SweepRow
 from hexsync.gait import Controller
 
 ROW_COUNTS = (0, 1, N - 1, N, N + 1, 2 * N + 1)
 
 
-def reference_trace_csv_lines(trace):
+def reference_trace_csv_lines(samples):
     lines = [TRACE_HEADER]
-    for t, k, err, resync in trace.samples:
+    for t, k, err, resync in samples:
         lines.append(f"{t:.6f},{k},{err:.3f},{resync}")
     return lines
 
@@ -79,9 +79,9 @@ def assert_blocks(blocks, header, want):
                (3 / 128, 7, -0.0, 0), (math.nan, 3, math.inf, 1), (1e300, 4, -1e300, 0)])
 @settings(max_examples=10, deadline=None)
 def test_trace_blocks_match_reference(n, pool):
-    trace = ErrorTrace(cycled(pool, n), [])
-    blocks = list(trace_csv_lines(trace))
-    assert_blocks(blocks, TRACE_HEADER, reference_trace_csv_lines(trace))
+    samples = cycled(pool, n)
+    blocks = list(trace_csv_lines(samples))
+    assert_blocks(blocks, TRACE_HEADER, reference_trace_csv_lines(samples))
     # the header, then the fewest blocks that hold every row
     assert len(blocks) == 1 + -(-n // N)
 
@@ -138,7 +138,6 @@ class FakeFile:
 
 def test_write_lines_writes_each_block_as_it_arrives(monkeypatch):
     samples = cycled([(0.5, 0, -0.0005, 1), (1.5, 1, 2.0625, 0)], 2 * N + 1)
-    trace = ErrorTrace(samples, [])
     log = []
 
     def logged(blocks):
@@ -147,12 +146,12 @@ def test_write_lines_writes_each_block_as_it_arrives(monkeypatch):
             yield block
 
     monkeypatch.setattr(sys, "stdout", FakeFile(log))
-    _write_lines(logged(trace_csv_lines(trace)), None)
+    _write_lines(logged(trace_csv_lines(samples)), None)
     made = [text for what, text in log if what == "made"]
     # each block is written, with its newline, before the next is made
     assert log == [entry for block in made for entry in (("made", block),
                                                          ("write", block + "\n"))]
     assert len(made) == 4
     written = "".join(text for what, text in log if what == "write")
-    assert written == "\n".join(reference_trace_csv_lines(trace)) + "\n"
+    assert written == "\n".join(reference_trace_csv_lines(samples)) + "\n"
 

@@ -6,14 +6,15 @@ from hexsync.clock import TICK_US
 from hexsync.experiment import (
     ErrorTrace,
     analytic_bound_us,
+    build_sim,
     fit_drift_slope,
-    run_error_trace,
     run_scheme,
+    run_sim,
     sweep_resync_period,
     time_to_opposition,
 )
 from hexsync.gait import GaitConfig
-from hexsync.simnet import LinkModel, SchemeId, SchemeParams
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams, Verb
 
 
 def test_s1_linear_drift_matches_paper_run():
@@ -55,6 +56,31 @@ def test_samples_strictly_increasing_and_per_period():
 def test_duration_shorter_than_period_rejected():
     with pytest.raises(ValueError):
         run_scheme(SchemeId.S1_OPEN_LOOP, SchemeParams(duration_s=0.5))
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_run_sim_queues_the_stop_at_stop_s(scheme):
+    params = SchemeParams(duration_s=20)
+    stopped = run_sim(scheme, params, True, 12.3)
+    by_hand = build_sim(scheme, params, True)
+    by_hand.inject_command(Verb.STOP, 12.3)
+    by_hand.run_until(20)
+    assert stopped.servo_setpoints.groups == by_hand.servo_setpoints.groups
+    # the Stop quiesces the gait, which steps on to the end without it
+    assert stopped.servo_setpoints.groups[-1][0] < 12.3 + 1
+    assert run_sim(scheme, params, True).servo_setpoints.groups[-1][0] > 19
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_a_setpoint_run_without_samples_returns(scheme):
+    # a setpoint run records no error samples, however long it runs; a
+    # sample run as short as the first raises
+    for duration_s in (1.0, 5.0):
+        sim = run_sim(scheme, SchemeParams(duration_s=duration_s), True)
+        assert sim.samples == [] and sim.now == duration_s
+    assert sim.servo_setpoints.groups
+    with pytest.raises(ValueError, match="before its first sample"):
+        run_sim(scheme, SchemeParams(duration_s=1.0))
 
 
 def test_fit_slope_exact_synthetic_line():
@@ -173,7 +199,8 @@ def test_sweep_rows_are_run_schemes_figures(ppm_m1, ppm_m2, link):
         run = params.replace(resync_period_s=p)
         r = run_scheme(SchemeId.S2_SYNCHRONIZED, run)
         assert row == (p, r.max_abs_error_us, r.analytic_bound_us)
-        assert r.trace == run_error_trace(SchemeId.S2_SYNCHRONIZED, run)
+        sim = run_sim(SchemeId.S2_SYNCHRONIZED, run)
+        assert r.trace == ErrorTrace(sim.samples, sim.resync_marks)
 
 
 def test_sweep_rejects_empty():

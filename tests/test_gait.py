@@ -19,6 +19,7 @@ from hexsync.gait import (
     gait_sync_error,
     period_index_at,
     period_start_true_time,
+    servo_trace,
     setpoints_for_event,
 )
 from hexsync.simnet import LinkModel, SchemeParams
@@ -238,3 +239,17 @@ def test_period_index_inverts_period_start(ref, ppm, resync, t_arm):
         assert period_index_at(node, t) == k
         assert period_index_at(node, t - one_ns) == k - 1
 
+
+
+def test_servo_trace_merges_a_plain_record_into_instants():
+    # a record as a run keeps it, (true_time_s, rows) groups, with no Sim
+    hips = ((Controller.M1, 3, 30.0), (Controller.M1, 0, -30.0))
+    knees = ((Controller.M2, 8, 25.0), (Controller.M2, 6, -25.0))
+    trace = servo_trace([(0.25, hips), (0.5, knees), (0.5, hips), (0.75, knees)])
+    assert trace == [
+        (0.25, (hips[1], hips[0])),  # one group: its rows by servo id
+        (0.5, (hips[1], hips[0], knees[1], knees[0])),  # both controllers at one time
+        (0.75, (knees[1], knees[0])),
+    ]
+    with pytest.raises(ValueError, match="back in time"):
+        servo_trace([(0.5, hips), (0.25, knees)])

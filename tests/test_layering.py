@@ -6,6 +6,9 @@ cyclic, so every `from .x import ...` and `from . import x` is checked.
 The package root exports nothing, so importing a layer loads that layer and
 the layers below it, and no more; and every name is imported from the
 module that defines it, so no module re-exports another's names.
+An import scan cannot see an object passed in as an argument, so the
+layers below simnet are also checked not to drive a simulation they are
+handed: none reads a Sim's run_until, inject_command or servo_setpoints.
 The CLI's import path is checked too: it must stay free of the standard
 library's heavy introspection modules, which would add to every cold start.
 """
@@ -44,6 +47,15 @@ def test_imports_only_lower_layers(module):
         assert imported in LAYERS, f"{module} imports unknown module {imported}"
         assert LAYERS.index(imported) < LAYERS.index(module), (
             f"{module} imports {imported}, which is not a lower layer")
+
+
+@pytest.mark.parametrize("module", LAYERS[:LAYERS.index("simnet")])
+def test_no_layer_below_simnet_drives_a_sim(module):
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    reads = [f"{module}.py:{node.lineno} reads .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("run_until", "inject_command", "servo_setpoints")]
+    assert reads == []
 
 
 def fresh_import(module: str, report: str) -> str:

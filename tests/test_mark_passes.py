@@ -64,9 +64,9 @@ def test_trace_csv_round_trips_samples(tmp_path, scheme):
                           link=LinkModel(jitter_bound_s=0.011, drop_probability=0.2))
     trace = run_scheme(scheme, params).trace
     path = tmp_path / "trace.csv"
-    _write_lines(trace_csv_lines(trace), str(path))
+    _write_lines(trace_csv_lines(trace.samples), str(path))
     rows = read_trace_csv(str(path))
     assert rows == [(round(t, 6), k, round(e, 3), r) for t, k, e, r in trace.samples]
     again = tmp_path / "again.csv"
-    _write_lines(trace_csv_lines(ErrorTrace(rows, [])), str(again))
+    _write_lines(trace_csv_lines(rows), str(again))
     assert again.read_bytes() == path.read_bytes()

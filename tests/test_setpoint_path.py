@@ -106,13 +106,19 @@ def primed(scheme, params, commands):
     return sim
 
 
+def run_trace(sim, t_end):
+    """servo_trace of the sim's record once it has run to t_end."""
+    sim.run_until(t_end)
+    return servo_trace(sim.servo_setpoints.groups)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
 @given(run=runs())
 @example(run=LOSSY_COMMANDS)
 @settings(max_examples=40, deadline=None)
 def test_trace_and_csv_match_reference(scheme, run):
     params, commands = run
-    got = servo_trace(primed(scheme, params, commands), params.duration_s)
+    got = run_trace(primed(scheme, params, commands), params.duration_s)
 
     ref = primed(scheme, params, commands)
     with mock.patch.object(gait, "setpoints_for_event", reference_expander):
@@ -196,7 +202,7 @@ def test_expanded_rows_add_up_to_the_record_and_the_csv(scheme, tmp_path):
     sim = primed(scheme, params, commands)
     returned = []
     with mock.patch.object(gait, "setpoints_for_event", counting_expander(returned)):
-        text = "\n".join(servo_csv_lines(servo_trace(sim, params.duration_s))) + "\n"
+        text = "\n".join(servo_csv_lines(run_trace(sim, params.duration_s))) + "\n"
     counted = sum(map(len, returned))
     assert len(returned) == len(sim.servo_setpoints.groups)
     assert counted > 24 and counted == len(sim.servo_setpoints) == text.count("\n") - 1
@@ -216,4 +222,4 @@ def test_servo_trace_rejects_a_record_that_goes_back_in_time():
     t, rows = sim.servo_setpoints.groups[-1]
     sim.servo_setpoints.groups.append((t - 0.001, rows))
     with pytest.raises(ValueError, match="back in time"):
-        servo_trace(sim, 5)
+        servo_trace(sim.servo_setpoints.groups)

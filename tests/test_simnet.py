@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 from frames import record_frames
-from reference_sim import ref_uniform
+from reference_sim import ref_pairwise_sync_error, ref_uniform
 
 from hexsync.clock import TICK_US, DriftingClock, ticks_at
 from hexsync.gait import Controller, GaitConfig, event_tick, event_tick_form, servo_trace
@@ -20,7 +20,7 @@ from hexsync.simnet import (
     _draw,
     make_sim,
 )
-from hexsync.tsch import pairwise_sync_error, slot_boundary_true_time
+from hexsync.tsch import slot_boundary_true_time
 
 SLOT = 0.015
 
@@ -43,8 +43,9 @@ def expand(groups):
 
 
 def trace(sim, t_end):
-    """servo_trace's setpoints, one Setpoint per CSV row."""
-    return expand(servo_trace(sim, t_end))
+    """The run's servo_trace up to t_end, one Setpoint per CSV row."""
+    sim.run_until(t_end)
+    return expand(servo_trace(sim.servo_setpoints.groups))
 
 
 def test_three_node_topology():
@@ -96,7 +97,7 @@ def test_root_delivery_triggers_resync():
     assert len(sim.resync_marks) == 2  # one Start delivery per child
     m1 = sim.children[0]
     assert all(t > 0 for t in sim.resync_marks)
-    err = pairwise_sync_error(m1, sim.root, m1.asn_origin)
+    err = ref_pairwise_sync_error(m1, sim.root, m1.asn_origin)
     assert abs(err) < TICK_US
 
 
@@ -107,7 +108,7 @@ def test_resync_coupling_never_worsens_error_to_root():
     for horizon in (40, 70, 100, 130):
         sim.run_until(horizon)
         asn = m1.asn_origin + 10
-        assert abs(pairwise_sync_error(m1, sim.root, asn)) < TICK_US + 8 * 31 / 1e6 * 1e6
+        assert abs(ref_pairwise_sync_error(m1, sim.root, asn)) < TICK_US + 8 * 31 / 1e6 * 1e6
 
 
 def test_free_running_mode_never_resyncs():

