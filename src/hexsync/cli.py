@@ -7,8 +7,10 @@ Subcommands:
   trace  -- one run that records servo setpoints, and no error samples;
             writes the setpoint CSV
 
-Defaults reproduce the two published 400 s comparison runs; each run
-setting's default is read from SchemeParams(). An optional line-oriented
+Defaults reproduce the two published 400 s comparison runs. A run setting
+that is not given reaches SchemeParams, GaitConfig or LinkModel unset and
+takes that class's default; the one default of the CLI's own is open-loop's
+-5 ppm hip clock, the published open-loop run's. An optional line-oriented
 key=value file (--config) supplies flags, read as if placed right after the
 subcommand, so flags given on the command line win. The parser is built
 once, when the module loads, and parsing never changes it.
@@ -26,10 +28,9 @@ from .experiment import SweepRow, run_sim, sweep_resync_period
 from .gait import GaitConfig, servo_trace
 from .simnet import LinkModel, SchemeId, SchemeParams
 
-_SCHEME_BY_NAME = {s.value: s for s in SchemeId}
-_DEFAULTS = SchemeParams()
-# the published open-loop run's hip clock; other schemes take _DEFAULTS.ppm_m1
-_DEFAULT_PPM_M1 = {SchemeId.S1_OPEN_LOOP: -5.0}
+# the config field of each flag whose dest is not that field's name
+_FIELD_OF_DEST = {"gait_period_s": "period_s", "gait_period_slots": "period_slots",
+                  "jitter_s": "jitter_bound_s", "drop_prob": "drop_probability"}
 
 TRACE_HEADER = "true_time_s,period_index,error_us,resync"
 SWEEP_HEADER = "resync_period_s,max_abs_error_us,analytic_bound_us"
@@ -46,31 +47,30 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         description="Simulate decentralized hexapod gait control over a "
                     "time-synchronized three-node wireless network.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    gait, link = _DEFAULTS.gait, _DEFAULTS.link
 
+    # a run setting's flag has no default: what argv and --config leave
+    # unset takes its config class's default (_params_from_args)
     def add_scheme(p):
-        p.add_argument("--scheme", choices=sorted(_SCHEME_BY_NAME),
-                       default=SchemeId.S2_SYNCHRONIZED.value)
+        p.add_argument("--scheme", choices=sorted(s.value for s in SchemeId))
 
     def add_sample_every(p):
-        p.add_argument("--sample-every", type=int, default=_DEFAULTS.sample_every)
+        p.add_argument("--sample-every", type=int)
 
     def add_common(p):
-        p.add_argument("--duration-s", type=float, default=_DEFAULTS.duration_s)
-        p.add_argument("--ppm-m1", type=float, default=None,
+        p.add_argument("--duration-s", type=float)
+        p.add_argument("--ppm-m1", type=float,
                        help="hip controller clock error (default: per scheme)")
-        p.add_argument("--ppm-m2", type=float, default=_DEFAULTS.ppm_m2)
-        p.add_argument("--ppm-root", type=float, default=_DEFAULTS.ppm_root)
-        p.add_argument("--resync-period-s", type=float, default=_DEFAULTS.resync_period_s)
-        p.add_argument("--gait-period-s", type=float, default=gait.period_s)
-        p.add_argument("--gait-period-slots", type=int, default=gait.period_slots)
-        p.add_argument("--base-latency-s", type=float, default=link.base_latency_s)
-        p.add_argument("--jitter-s", type=float, default=link.jitter_bound_s)
-        p.add_argument("--drop-prob", type=float, default=link.drop_probability)
-        p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value file of flags; the command line's win")
+        p.add_argument("--ppm-m2", type=float)
+        p.add_argument("--ppm-root", type=float)
+        p.add_argument("--resync-period-s", type=float)
+        p.add_argument("--gait-period-s", type=float)
+        p.add_argument("--gait-period-slots", type=int)
+        p.add_argument("--base-latency-s", type=float)
+        p.add_argument("--jitter-s", type=float)
+        p.add_argument("--drop-prob", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output CSV path (default stdout)")
+        p.add_argument("--config", help="key=value file of flags; the command line's win")
 
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_scheme(run_p)
@@ -88,7 +88,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     trace_p = sub.add_parser("trace", help="write the servo setpoint trace")
     add_scheme(trace_p)
     add_common(trace_p)
-    trace_p.add_argument("--stop-s", type=float, default=None,
+    trace_p.add_argument("--stop-s", type=float,
                          help="inject a Stop command at this time")
     return parser, sub.choices
 
@@ -138,27 +138,22 @@ def _config_flags(path: str, subcommand: str) -> List[str]:
 
 
 def _params_from_args(args: argparse.Namespace) -> Tuple[SchemeId, SchemeParams]:
-    """Build the run's parameters. Values from argv and from --config both
-    arrive here; GaitConfig, LinkModel and SchemeParams reject the values
-    they cannot run, the non-finite ones included."""
-    # sweep has no --scheme: it always runs the synchronized scheme; trace
-    # has no --sample-every: it records no samples
-    scheme = _SCHEME_BY_NAME[getattr(args, "scheme", SchemeId.S2_SYNCHRONIZED.value)]
-    ppm_m1 = (args.ppm_m1 if args.ppm_m1 is not None
-              else _DEFAULT_PPM_M1.get(scheme, _DEFAULTS.ppm_m1))
-    gait = GaitConfig(period_slots=args.gait_period_slots,
-                      period_s=args.gait_period_s)
-    link = LinkModel(base_latency_s=args.base_latency_s,
-                     jitter_bound_s=args.jitter_s,
-                     drop_probability=args.drop_prob)
-    params = SchemeParams(ppm_m1=ppm_m1, ppm_m2=args.ppm_m2,
-                          ppm_root=args.ppm_root,
-                          duration_s=args.duration_s,
-                          resync_period_s=args.resync_period_s,
-                          seed=args.seed, gait=gait, link=link,
-                          sample_every=getattr(args, "sample_every",
-                                               _DEFAULTS.sample_every))
-    return scheme, params
+    """Build the run's parameters from the settings argv and --config gave;
+    each one not given takes its config class's default. GaitConfig,
+    LinkModel and SchemeParams reject the values they cannot run, the
+    non-finite ones included."""
+    given = {_FIELD_OF_DEST.get(dest, dest): value
+             for dest, value in vars(args).items() if value is not None}
+    # sweep has no --scheme: it always runs the synchronized scheme
+    scheme = SchemeId(given.get("scheme", SchemeId.S2_SYNCHRONIZED.value))
+    if scheme is SchemeId.S1_OPEN_LOOP:  # the published open-loop run's hip clock
+        given.setdefault("ppm_m1", -5.0)
+
+    def fields(cls) -> dict:
+        return {name: given[name] for name in cls._fields if name in given}
+
+    return scheme, SchemeParams(gait=GaitConfig(**fields(GaitConfig)),
+                                link=LinkModel(**fields(LinkModel)), **fields(SchemeParams))
 
 
 # -- CSV emission ----------------------------------------------------------

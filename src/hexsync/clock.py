@@ -30,12 +30,10 @@ def as_ratio(t) -> Tuple[int, int]:
 
     Equal to Fraction(t)'s numerator and denominator, without building a
     Fraction for an int or a float: a float converts via its exact binary
-    value, which is deterministic across runs and platforms. An (n, d) tuple
-    with d > 0 is already such a pair and is returned as it is, unreduced.
-    NaN and +/-inf have no such pair and raise ValueError.
+    value, which is deterministic across runs and platforms. NaN and +/-inf
+    have no such pair and raise ValueError. A caller that may hold an (n, d)
+    pair already tests for it itself.
     """
-    if type(t) is tuple:
-        return t
     if isinstance(t, float):
         try:
             return t.as_integer_ratio()

@@ -103,8 +103,8 @@ and do not pass Sim.send. A Message carries its sent and delivered times as exac
 (num, den) int pairs, and the command sender passes the pair (t, D); send
 is one call to _delivery. Floats come from int true division, which
 rounds the same rational as float(Fraction). A Fraction is built only when
-a caller reads one: Sim.now, and a Message's sent_true_s and
-delivered_true_s, which are views built from the pairs.
+a caller reads one: Sim.now, and a Message's delivered_true_s, a view
+built from its pair.
 """
 
 from __future__ import annotations
@@ -187,11 +187,6 @@ class Message:
         self.sent = sent if type(sent) is tuple else as_ratio(sent)
         self.body = body
         self.delivered: Optional[Tuple[int, int]] = None
-
-    @property
-    def sent_true_s(self) -> Fraction:
-        """The sent time in seconds, exactly."""
-        return Fraction(*self.sent)
 
     @property
     def delivered_true_s(self) -> Optional[Fraction]:

@@ -158,6 +158,25 @@ MUTANTS = (
     Mutant("dispatch builds its own parser", "cli.py",
            "args = _PARSER.parse_args(argv)", "args = _build_parser()[0].parse_args(argv)",
            ("tests/test_cli.py::test_dispatch_builds_no_parser",)),
+    # a run setting not given takes its config class's default (cli._params_from_args)
+    Mutant("the jitter-s flag reaches no config field", "cli.py",
+           '"jitter_s": "jitter_bound_s", ', "",
+           ("tests/test_cli.py::test_each_run_setting_changes_only_its_field[run-jitter-s-argv]",
+            "tests/test_cli.py::test_every_option_reaches_a_config_field_or_the_cli")),
+    Mutant("a setting not given reaches its config class as None", "cli.py",
+           " if value is not None}", "}",
+           ("tests/test_cli.py::test_flag_defaults_are_the_config_objects_defaults"
+            "[argv0-SchemeId.S2_SYNCHRONIZED]",
+            "tests/test_cli.py::test_each_run_setting_changes_only_its_field[run-seed-argv]")),
+    Mutant("open-loop takes SchemeParams's hip clock", "cli.py",
+           'given.setdefault("ppm_m1", -5.0)', "pass",
+           ("tests/test_cli.py::test_flag_defaults_are_the_config_objects_defaults"
+            "[argv3-SchemeId.S1_OPEN_LOOP]",)),
+    Mutant("a command without --scheme runs open-loop", "cli.py",
+           'given.get("scheme", SchemeId.S2_SYNCHRONIZED.value)',
+           'given.get("scheme", SchemeId.S1_OPEN_LOOP.value)',
+           ("tests/test_cli.py::test_flag_defaults_are_the_config_objects_defaults"
+            "[argv1-SchemeId.S2_SYNCHRONIZED]",)),
     # the frame draw (simnet._draw)
     Mutant("a draw reads the digest's bytes 1-8", "simnet.py",
            "_unpack_u64(h.digest())", "_unpack_u64(h.digest(), 1)",

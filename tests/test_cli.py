@@ -1,10 +1,12 @@
 """CLI dispatch, CSV formats, round-trips, reproducibility, plotting."""
 
 import argparse
+from types import SimpleNamespace
 
 import pytest
 from trace_csv import read_trace_csv
 
+from hexsync import cli
 from hexsync.cli import (
     SERVO_HEADER,
     SWEEP_HEADER,
@@ -13,8 +15,9 @@ from hexsync.cli import (
     render_ascii_plot,
     trace_csv_lines,
 )
-from hexsync.cli import _PARSER, _params_from_args, _write_lines
-from hexsync.simnet import SchemeId, SchemeParams
+from hexsync.cli import _FIELD_OF_DEST, _PARSER, _SUBPARSERS, _params_from_args, _write_lines
+from hexsync.gait import GaitConfig
+from hexsync.simnet import LinkModel, SchemeId, SchemeParams
 
 
 def run_cli(tmp_path, *argv):
@@ -234,6 +237,7 @@ def test_config_file_defaults_with_flag_override(tmp_path):
 
 
 def test_ascii_plot_shapes():
+    assert render_ascii_plot([]) == "(no samples)"
     flat = [(float(t), t, 0.0, 0) for t in range(50)]
     art = render_ascii_plot(flat)
     assert "*" in art and "max=" in art
@@ -281,6 +285,78 @@ def test_flag_defaults_are_the_config_objects_defaults(argv, scheme):
     expected = (SchemeParams(ppm_m1=-5.0) if scheme is SchemeId.S1_OPEN_LOOP
                 else SchemeParams())
     assert _params_from_args(_PARSER.parse_args(argv)) == (scheme, expected)
+
+
+# each run-setting flag: a value other than its default, and the change it
+# makes to the params a command without it runs
+RUN_SETTINGS = {
+    "duration-s": ("50", lambda p: p.replace(duration_s=50.0)),
+    "ppm-m1": ("-8", lambda p: p.replace(ppm_m1=-8.0)),
+    "ppm-m2": ("1.1", lambda p: p.replace(ppm_m2=1.1)),
+    "ppm-root": ("2.3", lambda p: p.replace(ppm_root=2.3)),
+    "resync-period-s": ("10", lambda p: p.replace(resync_period_s=10.0)),
+    "gait-period-s": ("0.7", lambda p: p.replace(gait=p.gait.replace(period_s=0.7))),
+    "gait-period-slots": ("8", lambda p: p.replace(gait=p.gait.replace(period_slots=8))),
+    "base-latency-s": ("0.0031", lambda p: p.replace(link=p.link.replace(base_latency_s=0.0031))),
+    "jitter-s": ("0.011", lambda p: p.replace(link=p.link.replace(jitter_bound_s=0.011))),
+    "drop-prob": ("0.3", lambda p: p.replace(link=p.link.replace(drop_probability=0.3))),
+    "seed": ("7", lambda p: p.replace(seed=7)),
+    "sample-every": ("5", lambda p: p.replace(sample_every=5)),
+}
+# the commands each flag is added to; open-loop's own hip clock default
+# must give way to a given --ppm-m1 too
+RUN_SETTING_BASES = {"run": ["run"], "run-open-loop": ["run", "--scheme", "open-loop"],
+                     "sweep": ["sweep"], "trace": ["trace"]}
+
+
+def takes(subcommand, flag):
+    return flag.replace("-", "_") in vars(_PARSER.parse_args([subcommand]))
+
+
+def dispatched_params(monkeypatch, tmp_path, argv):
+    """The SchemeParams dispatch(argv) hands to its runner; nothing is simulated."""
+    seen = []
+
+    def run_sim(scheme, params, *_):
+        seen.append(params)
+        return SimpleNamespace(samples=[], servo_setpoints=SimpleNamespace(groups=[]))
+
+    def sweep_resync_period(periods, params):
+        seen.append(params)
+        return []
+
+    monkeypatch.setattr(cli, "run_sim", run_sim)
+    monkeypatch.setattr(cli, "sweep_resync_period", sweep_resync_period)
+    assert dispatch([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    [params] = seen
+    return params
+
+
+@pytest.mark.parametrize("given_in", ["argv", "config"])
+@pytest.mark.parametrize("base,flag", [
+    pytest.param(base, flag, id=f"{name}-{flag}")
+    for name, base in RUN_SETTING_BASES.items() for flag in RUN_SETTINGS if takes(base[0], flag)])
+def test_each_run_setting_changes_only_its_field(tmp_path, monkeypatch, base, flag, given_in):
+    value, change = RUN_SETTINGS[flag]
+    plain = dispatched_params(monkeypatch, tmp_path, base)
+    if given_in == "argv":
+        argv = [*base, f"--{flag}", value]
+    else:
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        argv = [*base, "--config", str(cfg)]
+    expected = change(plain)
+    assert expected != plain
+    assert dispatched_params(monkeypatch, tmp_path, argv) == expected
+
+
+def test_every_option_reaches_a_config_field_or_the_cli():
+    # a flag whose dest is neither would be parsed and then dropped
+    fields = {*SchemeParams._fields, *GaitConfig._fields, *LinkModel._fields} - {"gait", "link"}
+    cli_own = {"subcommand", "scheme", "out", "config", "plot", "periods", "stop_s"}
+    for subcommand in _SUBPARSERS:
+        for dest in vars(_PARSER.parse_args([subcommand])):
+            assert _FIELD_OF_DEST.get(dest, dest) in fields | cli_own, (subcommand, dest)
 
 
 @pytest.mark.parametrize("value,plotted", [("true", True), ("false", False)])

@@ -10,6 +10,7 @@ from hexsync.clock import (
     TICK_S,
     local_seconds_at,
     make_clock,
+    tick_gap_us,
     ticks_at,
     true_time_of_tick,
 )
@@ -75,8 +76,12 @@ def test_inverse_with_drift_is_exact_rational():
 
 
 def test_tick_before_offset_rejected():
+    c = make_clock(0)
     with pytest.raises(ValueError):
-        true_time_of_tick(make_clock(0), -1)
+        true_time_of_tick(c, -1)
+    for ka, kb in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="precede the clocks' epoch"):
+            tick_gap_us(c, ka, c, kb)
 
 
 @given(ppm=ppm_values, t=times)

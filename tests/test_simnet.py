@@ -136,6 +136,8 @@ def test_past_injection_rejected():
     sim.run_until(10)
     with pytest.raises(ValueError):
         sim.inject_command(Verb.START, 5)
+    with pytest.raises(ValueError, match="precedes current simulation time"):
+        sim.run_until(5)
 
 
 def test_samples_arrive_once_per_gait_period():
@@ -326,6 +328,8 @@ def test_configs_are_immutable_values(value, name, new, bad):
     assert repr(twin) == repr(value)
     changed = value.replace(**{name: new})
     assert changed == type(value)(**{**fields, name: new}) and changed != value
+    # another type never equals a value, even one holding the same fields
+    assert value.__eq__(fields) is NotImplemented and value != fields
     assert getattr(value, name) == old
     # the copy is built through __init__, so its checks run again
     with pytest.raises(ValueError):
