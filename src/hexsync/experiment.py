@@ -10,7 +10,6 @@ its rows hold.
 
 from __future__ import annotations
 
-from statistics import fmean, linear_regression
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import TICK_US
@@ -130,6 +129,9 @@ def fit_drift_slope(trace: ErrorTrace) -> Optional[float]:
             slopes.append(slope)
     if not slopes:
         return None
+    # imported here, as statistics (and the random it loads) would add to
+    # every CLI cold start, and only a run's summary fits a slope
+    from statistics import fmean
     return fmean(slopes)
 
 
@@ -137,6 +139,7 @@ def _slope(ts: List[float], es: List[float]) -> Optional[float]:
     """Least-squares slope of es against ts; None when every t is equal."""
     if min(ts) == max(ts):
         return None
+    from statistics import linear_regression  # off the import path, as in fit_drift_slope
     return linear_regression(ts, es).slope
 
 

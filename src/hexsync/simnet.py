@@ -41,7 +41,10 @@ records its last-resync time, mark and resync flag. The rule holds only
 while nothing has been pushed since the window's entry popped:
 - the decentralized schemes sample the gait error once per period, and a
   sampler entry emits every sample within the bound, then re-queues
-  itself at the next sample (Sim._handle_samples); a sample only reads;
+  itself at the next sample (Sim._handle_samples); a sample only reads.
+  When each child's grid steps whole ticks per sample (an open-loop
+  1.0 s period does; a 68-slot ASN period only every 25 samples), the
+  window is an arithmetic progression and is built in one batch;
 - a centralized root period's entry sends the period's two servo frames,
   whose delivery times Sim._delivery fixes, and when both land within the bound
   and no later than the next root period's start, runs both deliveries
@@ -66,7 +69,8 @@ Equal-time events still run as one entry each would order them, and
 run_until's count is of heap entries, so a window counts once. Either
 sampler's error is one formula: the gap between two instants over D (two
 period starts, or two deliveries), times 10**6 / D as one int / int
-division.
+division. A progression window steps that gap's numerator by one fixed
+int per sample, so it divides the same ints the per-sample formula does.
 
 A sample is a row (true_time_s, period_index, error_us, resync). Its time
 and error are the floats nearest their exact rationals, as int / int
@@ -115,6 +119,8 @@ import math
 import struct
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import truediv
 from typing import Callable, List, Optional, Tuple
 
 from . import gait as gaitmod
@@ -521,9 +527,17 @@ class Sim:
     def _start_sampler(self) -> None:
         # sample 0 sits mid-period: (origin + 1/2) periods
         origin = self.children[0].gait.arm_period_index
-        self._push((2 * origin + 1) * self._period // 2, Sim._handle_samples, (self._gen, 0))
+        # each child's grid steps 4 * sample_every quarters per sample; b and
+        # d of its (c, a, b, d) form stay fixed while it is armed (a resync
+        # moves c and a), so whole ticks now are whole ticks in every window
+        quarters = 4 * self.params.sample_every
+        steps = [divmod(quarters * b, d)
+                 for _, _, b, d in map(gaitmod.event_tick_form, self.children)]
+        ticks = None if any(rest for _, rest in steps) else tuple(whole for whole, _ in steps)
+        self._push((2 * origin + 1) * self._period // 2, Sim._handle_samples,
+                   (self._gen, 0, ticks))
 
-    def _handle_samples(self, gen: int, k: int) -> None:
+    def _handle_samples(self, gen: int, k: int, ticks: Optional[Tuple[int, int]]) -> None:
         """Emit sample k, then k + sample_every, ... while each sample's time
         is within _window_last; then re-queue at the next sample.
 
@@ -533,6 +547,16 @@ class Sim:
         two deliveries. Each child's event_tick_form is taken once per
         window, whatever its size, and the gap rounds the same rational as
         gait.gait_sync_error.
+
+        A window is an arithmetic progression when each child's grid steps a
+        whole number of ticks per sample: when 4 * sample_every * b is a
+        multiple of d in its (c, a, b, d) form. _start_sampler finds this
+        once per arm, and ticks carries each child's ticks per sample, or
+        None. Then each child's period start moves by that many ticks per
+        sample, the gap's numerator by a fixed step, and the window's
+        samples are built in one batch from ranges, with no per-sample
+        arithmetic. Otherwise each sample is computed on its own. Either way
+        the same ints are divided, so the floats are the same.
 
         A sample only reads state and nothing else runs inside a window, so
         each sample reads what its own heap entry would have read. The strict
@@ -553,14 +577,28 @@ class Sim:
         u1, u2 = self._us_units
         # nothing runs inside a window, so only its first sample can follow a mark
         resync, self._resynced = self._resynced, 0
-        append = self.samples.append
-        for k in range(k, k + n * every, every):
+        if ticks is None:
+            append = self.samples.append
+            for k in range(k, k + n * every, every):
+                q = 4 * k
+                err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D
+                append((t / D, k, err, resync))
+                resync = 0
+                t += step
+            k += every
+        else:
+            ticks1, ticks2 = ticks
             q = 4 * k
-            err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D
-            append((t / D, k, err, resync))
-            resync = 0
-            t += step
-        self._push(t, Sim._handle_samples, (gen, k + every))
+            num = (c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1
+            num_step = ticks2 * u2 - ticks1 * u1
+            errs = (map(truediv, range(num, num + n * num_step, num_step), repeat(D))
+                    if num_step else repeat(num / D))
+            t_next, k_next = t + n * step, k + n * every
+            self.samples.extend(zip(map(truediv, range(t, t_next, step), repeat(D)),
+                                    range(k, k_next, every), errs,
+                                    chain((resync,), repeat(0))))
+            t, k = t_next, k_next
+        self._push(t, Sim._handle_samples, (gen, k, ticks))
 
     def _start_phases(self) -> None:
         """Queue the phase window with both children's period-0 phases,

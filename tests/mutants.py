@@ -64,6 +64,19 @@ MUTANTS = (
            "err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D",
            "err = (c2 + (a2 + b2 * q) // d2) * u2 / D - (c1 + (a1 + b1 * q) // d1) * u1 / D",
            ("tests/test_timebase.py::test_sim_samples_match_reference_up_to_large_k",)),
+    # a whole-tick window as an arithmetic progression (Sim._handle_samples)
+    Mutant("a progression gives the first sample's flag to every sample", "simnet.py",
+           "chain((resync,), repeat(0))", "repeat(resync)",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("a progression's error step ignores sample_every", "simnet.py",
+           "quarters = 4 * self.params.sample_every", "quarters = 4",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("the re-queued k is off by one sample", "simnet.py",
+           "t, k = t_next, k_next", "t, k = t_next, k_next + every",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    Mutant("a zero-step progression emits one sample", "simnet.py",
+           "repeat(num / D)", "(num / D,)",
+           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     # the quarter grid (gait._quarter_grid) and its inverse
     Mutant("the grid's inverse counts a point due on the next tick", "gait.py",
            "* d - a - 1) // b", "* d - a) // b",

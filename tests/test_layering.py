@@ -10,7 +10,8 @@ An import scan cannot see an object passed in as an argument, so the
 layers below simnet are also checked not to drive a simulation they are
 handed: none reads a Sim's run_until, inject_command or servo_setpoints.
 The CLI's import path is checked too: it must stay free of the standard
-library's heavy introspection modules, which would add to every cold start.
+library's heavy introspection modules, and of statistics, which only a
+run's slope fit needs; each would add to every cold start.
 """
 
 import ast
@@ -67,7 +68,8 @@ def fresh_import(module: str, report: str) -> str:
 
 
 def test_cli_import_loads_no_introspection_modules():
-    assert fresh_import("cli", "sorted({'dataclasses', 'inspect'} & set(sys.modules))") == "[]\n"
+    heavy = "{'dataclasses', 'inspect', 'statistics'}"
+    assert fresh_import("cli", f"sorted({heavy} & set(sys.modules))") == "[]\n"
 
 
 @pytest.mark.parametrize("module", LAYERS)

@@ -7,11 +7,13 @@ records no samples). It emits every sample within run_until's bound and
 no more, so a run paused at any instant has recorded exactly the samples
 an unpaused run records up to that instant. Deliveries, keep-alive dues
 and commands cut the windows, including when one lands exactly on a
-sample's instant.
+sample's instant. A window on a grid that steps whole ticks per sample is
+built as an arithmetic progression; the last test pins which grids do.
 """
 
 from fractions import Fraction
 
+import pytest
 from differential import EXACT, OPEN_LOOP, SYNCHRONIZED, check, example_of, scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,16 @@ DECENTRALIZED = (SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED)
                                     for verb in (Verb.STOP, Verb.START)],
             t_end=40, ppm_m1=0.0, ppm_m2=0.0, gait=GaitConfig(period_slots=100),
             link=LinkModel(base_latency_s=1.625, jitter_bound_s=0.0))
+# Equal clocks on a 1.0 s grid: a progression whose error never moves.
+@example_of(OPEN_LOOP, pauses=[(Fraction(7, 2), None)], t_end=40, ppm_m1=-3.7, ppm_m2=-3.7,
+            gait=GaitConfig(period_s=1.0))
+# The 68-slot grid steps whole ticks only every 25 samples; keep-alives
+# every 2.25 s resync between samples, so each window opens on a flag.
+@example_of(SYNCHRONIZED, t_end=120, ppm_m1=-3.7, ppm_m2=1.1, resync_period_s=2.25,
+            sample_every=25, gait=GaitConfig(period_slots=68))
+# A Stop and a re-Start off the grid between two samples 2.25 s apart.
+@example_of(OPEN_LOOP, commands=[(Fraction(8, 5), Verb.STOP), (Fraction(29, 10), Verb.START)],
+            t_end=40, ppm_m1=-3.7, ppm_m2=1.1, sample_every=3, gait=GaitConfig(period_s=0.75))
 # Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
 @example_of(SYNCHRONIZED, t_end=40, ppm_m1=-5.0, ppm_m2=3.7, resync_period_s=0.51,
             gait=GaitConfig(period_slots=68))
@@ -62,3 +74,45 @@ def test_pause_holds_exactly_the_samples_up_to_its_bound():
         for t in (0.9, 2.0, 17.3, 17.3, 41.77, 63.001, 99.99):
             paused.run_until(t)
             assert paused.samples == [s for s in full.samples if s[0] <= t]
+
+
+class CountedRows(list):
+    """A sample list that counts the sampler's per-sample appends and its
+    batch extends."""
+
+    def __init__(self):
+        super().__init__()
+        self.appends = self.extends = 0
+
+    def append(self, row):
+        self.appends += 1
+        super().append(row)
+
+    def extend(self, rows):
+        self.extends += 1
+        super().extend(rows)
+
+
+# A grid takes the progression when 4 * sample_every quarters are whole
+# ticks: 1.0 s is 32768 ticks and 0.75 s 24576; a slot is 12288/25 ticks,
+# so 100 slots are whole ticks, and 68 slots only 25 at a time.
+@pytest.mark.parametrize("scheme, gait, sample_every, progression", [
+    (OPEN_LOOP, GaitConfig(period_s=1.0), 1, True),
+    (OPEN_LOOP, GaitConfig(period_s=0.75), 1, True),
+    (SYNCHRONIZED, GaitConfig(period_slots=100), 1, True),
+    (SYNCHRONIZED, GaitConfig(period_slots=68), 25, True),
+    (OPEN_LOOP, GaitConfig(period_s=0.7), 1, False),
+    (OPEN_LOOP, GaitConfig(period_s=Fraction(1, 3)), 1, False),
+    (SYNCHRONIZED, GaitConfig(period_slots=68), 1, False),
+], ids=["1.0s", "0.75s", "100slots", "68slotsx25", "0.7s", "1/3s", "68slots"])
+def test_whole_tick_grids_take_the_progression(scheme, gait, sample_every, progression):
+    sim = Sim(scheme, SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, gait=gait,
+                                   sample_every=sample_every))
+    sim.samples = rows = CountedRows()
+    sim.inject_command(Verb.START, 0)
+    sim.run_until(200)
+    assert len(rows) > 5
+    if progression:
+        assert rows.appends == 0 and rows.extends > 0
+    else:
+        assert rows.appends == len(rows) and rows.extends == 0
