@@ -86,14 +86,17 @@ the two plans are compiled once, when the module loads (_PLANS). Each
 event names its controller and phase, so no handler carries either.
 
 Simulation time is one integer t over a per-sim denominator D: the instant
-t / D seconds. D is the lcm of the three clocks' rate numerators (tick k of
-a clock falls at k * rate_den / rate_num), twice the denominators of both
-gait periods (samples sit mid-period) and the keep-alive period's
+t / D seconds. Sim's constructor fixes D as the lcm of the three clocks'
+rate numerators (tick k of a clock falls at k * rate_den / rate_num), twice
+the denominator of the scheme's gait period, its period on the scheme's
+time reference (samples sit mid-period), and the keep-alive period's
 denominator, so every time the loop queues is an exact int. Heap keys, the
-run bound and keep-alive due times are such ints. A command or run-end
-time whose denominator d does not divide D rescales the sim: D becomes
-lcm(D, d) and every stored int is multiplied by the same positive factor,
-which keeps their order. A frame's arrival (sent
+run bound, last resyncs, tick units and the keep-alive and gait periods
+are such ints. A command or run-end time whose denominator d does not
+divide D rescales the sim, as one multiply: D becomes D' = lcm(D, d), and
+every stored int over D is multiplied by f = D' / D, exactly, as its own
+divisor divides D; nothing is recomputed, and a positive factor keeps
+their order. A frame's arrival (sent
 time, retransmit slots and the latency draw) stays an exact integer pair
 until tsch.first_boundary_tick finds the receiver's first slot boundary at
 or after it; only that boundary's time is kept. Sim._delivery, the one
@@ -293,13 +296,6 @@ class Sim:
         self._resynced = 0
         self.servo_setpoints = SetpointRecord()
 
-        # (num, den) seconds of one gait period on the scheme's time reference
-        self._period_ratio = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
-        self._keepalive_ratio = as_ratio(params.resync_period_s)
-
-        # the time now is _t / _D; every stored time below is over _D
-        self._D = 1
-        self._t = 0
         # (time, seq, handler, args): run_until calls handler(self, *args); seq
         # breaks time ties in insertion order, so handlers are never compared
         self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
@@ -310,17 +306,29 @@ class Sim:
         self._drop_prefix, self._lat_prefix = (
             hashlib.sha256(f"{params.seed}:{stream}:".encode()) for stream in ("drop", "lat"))
         link = params.link
-        self._drop_probability = link.drop_probability
-        self._base_latency_s = link.base_latency_s
-        self._jitter_bound_s = link.jitter_bound_s
+        # (drop probability, base latency, jitter bound), unpacked once per frame
+        self._link = (link.drop_probability, link.base_latency_s, link.jitter_bound_s)
         self._gen = 0  # bumped on every arm and disarm; older-gen timed events are stale
-        self._t_end = 0  # run_until's bound over D; no sample window passes it
+
+        # (num, den) seconds of one gait period on the scheme's time reference,
+        # and of the keep-alive period
+        p_num, p_den = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
+        ka_num, ka_den = as_ratio(params.resync_period_s)
+        nodes = (self.root, *self.children)
+        # the time now is _t / _D; _rescale multiplies every int stored over
+        # _D (the heap keys and each one below) by one factor
+        D = self._D = math.lcm(*(node.clock.rate_num for node in nodes), 2 * p_den, ka_den)
+        self._t = 0
+        self._t_end = 0  # run_until's bound; no window passes it
         # each child's last resync: its keep-alive falls due one period later
-        self._last_resync = {c.node_id: 0 for c in self.children}
-        self._rescale(math.lcm(
-            *(node.clock.rate_num for node in (self.root, *self.children)),
-            2 * self._period_ratio[1],
-            self._keepalive_ratio[1]))
+        self._last_resync = {c: 0 for c in self.children}
+        # D * (seconds per tick), per node: tick k falls at k * unit over D
+        self._tick_unit = {node: node.clock.rate_den * (D // node.clock.rate_num)
+                           for node in nodes}
+        self._keepalive = ka_num * (D // ka_den)
+        # one gait period; even, as 2 * p_den divides D, so the half-period
+        # offset of a sample is an int too
+        self._period = p_num * (D // p_den)
 
         if self.resync_enabled:
             for child in self.children:
@@ -334,26 +342,20 @@ class Sim:
     # -- time and queue plumbing ---------------------------------------------
 
     def _rescale(self, den: int) -> None:
-        """Make den divide D: multiply D and every stored time by one factor."""
+        """Make den divide D: D becomes D' = lcm(D, den), and every stored
+        int over D is multiplied by f = D' / D. That is exact, as each one's
+        own divisor divides D, and a positive factor keeps their order."""
         D = math.lcm(self._D, den)
         f = D // self._D
         self._D = D
         self._t *= f
-        # a positive factor keeps the order, so the list stays a heap
+        self._t_end *= f
         self._heap[:] = [(t * f, *rest) for t, *rest in self._heap]
-        for node_id, t in self._last_resync.items():
-            self._last_resync[node_id] = t * f
-        # D / (seconds per tick), per node: tick k falls at k * unit over D
-        self._tick_unit = {node.node_id: node.clock.rate_den * (D // node.clock.rate_num)
-                           for node in (self.root, *self.children)}
-        # the children's tick units scaled to us: a sample's error is one int / int
-        self._us_units = tuple(self._tick_unit[c.node_id] * 10**6 for c in self.children)
-        ka_num, ka_den = self._keepalive_ratio
-        self._keepalive = ka_num * (D // ka_den)
-        # one gait period over D; even, as 2 * p_den divides D, so the
-        # half-period offset of a sample is an int too
-        p_num, p_den = self._period_ratio
-        self._period = p_num * (D // p_den)
+        for ints in (self._last_resync, self._tick_unit):
+            for node in ints:
+                ints[node] *= f
+        self._keepalive *= f
+        self._period *= f
 
     def _time_int(self, t) -> int:
         """Any time value as an int over D, rescaling first if it needs to."""
@@ -361,10 +363,6 @@ class Sim:
         if self._D % den:
             self._rescale(den)
         return num * (self._D // den)
-
-    def _period_start(self, node: MoteState, k: int) -> int:
-        """The start of the node's gait period k, as an int over D."""
-        return gaitmod.event_tick(node, k, 0) * self._tick_unit[node.node_id]
 
     def _window_last(self) -> int:
         """The last instant a window may run an entry at, as an int over D:
@@ -390,12 +388,12 @@ class Sim:
         index = self._msg_index
         self._msg_index = index + 1
         attempt = 0
-        drop_probability = self._drop_probability
+        drop_probability, base_latency_s, jitter_bound_s = self._link
         if drop_probability > 0:
             while _draw(self._drop_prefix, index * 97 + attempt) < drop_probability:
                 attempt += 1
         # the latency is a float (the draw is one), so as_integer_ratio is exact
-        lat_num, lat_den = (self._base_latency_s + self._jitter_bound_s
+        lat_num, lat_den = (base_latency_s + jitter_bound_s
                             * _draw(self._lat_prefix, index)).as_integer_ratio()
         # arrival = sent + latency + attempt slots, as one exact pair
         arr_num = s_num * lat_den + lat_num * s_den
@@ -403,7 +401,7 @@ class Sim:
         if attempt:
             arr_num = arr_num * _SLOT_DEN + attempt * _SLOT_NUM * arr_den
             arr_den *= _SLOT_DEN
-        return first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst.node_id]
+        return first_boundary_tick(dst, (arr_num, arr_den)) * self._tick_unit[dst]
 
     def send(self, msg: Message) -> None:
         """Fix msg.delivered by _delivery; it queues nothing."""
@@ -455,7 +453,7 @@ class Sim:
         more when action is None."""
         if self.resync_enabled:
             resync_to_parent(child, self.root, (self._t, self._D))
-            self._last_resync[child.node_id] = self._t
+            self._last_resync[child] = self._t
             self.resync_marks.append(self._t / self._D)
             self._resynced = 1
         if action is not None:
@@ -469,7 +467,7 @@ class Sim:
         next; otherwise it is queued. Either way its action queues the
         child's next due, so the window ends with the delivery.
         """
-        due = self._last_resync[child.node_id] + self._keepalive
+        due = self._last_resync[child] + self._keepalive
         if due > self._t:
             # an intervening exchange already resynced this child
             self._push(due, Sim._handle_keepalive_due, (child,))
@@ -501,8 +499,8 @@ class Sim:
                 gaitmod.arm_free_running(node, self.params.gait, now)
             self._gen += 1
             if node is self.root:
-                self._push(self._period_start(node, 0), Sim._handle_root_period,
-                           (self._gen, 0))
+                self._push(gaitmod.event_tick(node, 0, 0) * self._tick_unit[node],
+                           Sim._handle_root_period, (self._gen, 0))
             elif all(c.gait is not None for c in self.children):
                 self._harmonize_origins()
                 if self.emit_setpoints:
@@ -542,8 +540,8 @@ class Sim:
         is within _window_last; then re-queue at the next sample.
 
         Sample k's error is the gap between the children's period-k starts,
-        quarter 4 * k of each child's grid, the instant _period_start
-        gives, subtracted over D as the centralized sampler subtracts its
+        quarter 4 * k of each child's grid times its tick unit, as instants
+        over D, subtracted as the centralized sampler subtracts its
         two deliveries. Each child's event_tick_form is taken once per
         window, whatever its size, and the gap rounds the same rational as
         gait.gait_sync_error.
@@ -574,7 +572,8 @@ class Sim:
         m1, m2 = self.children
         c1, a1, b1, d1 = gaitmod.event_tick_form(m1)
         c2, a2, b2, d2 = gaitmod.event_tick_form(m2)
-        u1, u2 = self._us_units
+        # each child's tick unit scaled to us: an error is one int / int
+        u1, u2 = self._tick_unit[m1] * 10**6, self._tick_unit[m2] * 10**6
         # nothing runs inside a window, so only its first sample can follow a mark
         resync, self._resynced = self._resynced, 0
         if ticks is None:
@@ -606,7 +605,7 @@ class Sim:
         pending = tuple(self._period_phases(c, 0, gaitmod.event_tick_form(c))
                         for c in self.children)
         # the window's key: its earliest phase's (time over D, seq)
-        t, seq = min((phases[0][0] * self._tick_unit[c.node_id], phases[0][1])
+        t, seq = min((phases[0][0] * self._tick_unit[c], phases[0][1])
                      for c, phases in zip(self.children, pending))
         heapq.heappush(self._heap, (t, seq, Sim._handle_phases, (self._gen, pending)))
 
@@ -643,7 +642,7 @@ class Sim:
         end = self._window_last()
         D = self._D
         children = self.children
-        units = [self._tick_unit[c.node_id] for c in children]
+        units = [self._tick_unit[c] for c in children]
         forms: List[Optional[Tuple[int, int, int, int]]] = [None, None]
         append = self.servo_setpoints.groups.append
         # each child's next phase as its (time over D, seq) heap key
@@ -692,7 +691,7 @@ class Sim:
         delivery, deliver = self._delivery, self._handle_delivery
         last = self._window_last()
         c, a, b, den = gaitmod.event_tick_form(root)
-        unit = self._tick_unit[root.node_id]
+        unit = self._tick_unit[root]
         while True:
             t_next = (c + (a + b * 4 * (k + 1)) // den) * unit
             d1 = delivery(child1, t, D)

@@ -77,6 +77,17 @@ MUTANTS = (
     Mutant("a zero-step progression emits one sample", "simnet.py",
            "repeat(num / D)", "(num / D,)",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
+    # the one rescale rule (Sim._rescale): every stored int over D times D' / D
+    Mutant("a rescale leaves the gait period over the old D", "simnet.py",
+           "self._period *= f", "pass",
+           ("tests/test_simtime.py::test_rescale_scales_every_stored_int",)),
+    Mutant("a rescale leaves the keep-alive period over the old D", "simnet.py",
+           "self._keepalive *= f", "pass",
+           ("tests/test_simtime.py::test_rescale_scales_every_stored_int",)),
+    Mutant("a rescale leaves the tick units over the old D", "simnet.py",
+           "for ints in (self._last_resync, self._tick_unit):",
+           "for ints in (self._last_resync,):",
+           ("tests/test_simtime.py::test_rescale_scales_every_stored_int",)),
     # the quarter grid (gait._quarter_grid) and its inverse
     Mutant("the grid's inverse counts a point due on the next tick", "gait.py",
            "* d - a - 1) // b", "* d - a) // b",

@@ -238,6 +238,23 @@ def test_a_run_records_setpoints_or_samples(scheme):
         assert sim.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_sim_stays_under_the_shared_key_limit(scheme):
+    # CPython 3.11 shares a class's attribute key table among its instances
+    # for at most 30 keys. CHANGES.md's FOUND note on Sim's attribute count
+    # measured a 30th attribute (Sim then had 29) slowing sync-sweep by 3.9%
+    # in a paired A/B, and three self.x loads in a loop by 8% in a scratch
+    # class going from 29 to 30 attributes
+    for emit_setpoints in (False, True):
+        sim = new_sim(mode=scheme, emit_setpoints=emit_setpoints, ppm_m1=-3.7,
+                      link=LinkModel(drop_probability=0.2))
+        sim.inject_command(Verb.START, 0)
+        sim.inject_command(Verb.STOP, 12.3)  # off every grid, so D is rescaled
+        sim.run_until(20.7)
+        assert sim.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
+        assert len(vars(sim)) < 30
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED],
                          ids=lambda s: s.value)
 @pytest.mark.parametrize("gait", [GaitConfig(), GaitConfig(period_slots=4, period_s=0.7),
@@ -253,7 +270,7 @@ def test_phase_events_are_queued_at_each_phases_event_tick(scheme, gait):
     sim.run_until(7.3)
     for child in sim.children:
         form = event_tick_form(child)
-        unit = sim._tick_unit[child.node_id]
+        unit = sim._tick_unit[child]
         for k in (0, 7, 10**9 + 3):
             seq = sim._seq
             phases = sim._period_phases(child, k, form)

@@ -18,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_sim import ref_attempts, ref_delivery
 
+from hexsync.clock import as_ratio
+from hexsync.gait import GaitConfig
 from hexsync.simnet import (
+    GAIT_TIME_REF,
     LinkModel,
     Message,
     SchemeId,
     SchemeParams,
+    Sim,
     Verb,
     make_sim,
 )
@@ -91,6 +95,57 @@ def test_pausing_off_the_grid_changes_nothing(scheme):
         assert paused.samples == straight.samples
         assert paused.resync_marks == straight.resync_marks
         assert paused.servo_setpoints.groups == straight.servo_setpoints.groups
+
+
+@pytest.mark.parametrize("emit_setpoints", [False, True], ids=["samples", "setpoints"])
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_rescale_scales_every_stored_int(scheme, emit_setpoints):
+    # a rescale recomputes nothing: each int it stores over D is multiplied
+    # by D' / D, so each still equals its definition over the new D
+    factors = []
+
+    class CheckedSim(Sim):
+        def _rescale(self, den):
+            D, t, t_end = self._D, self._t, self._t_end
+            heap = {seq: key for key, seq, *_ in self._heap}
+            last = dict(self._last_resync)
+            super()._rescale(den)
+            f = self._D // D
+            assert self._D == D * f and self._D % den == 0
+            assert (self._t, self._t_end) == (t * f, t_end * f)
+            assert {seq: key for key, seq, *_ in self._heap} == {
+                seq: key * f for seq, key in heap.items()}
+            assert self._last_resync == {node: t * f for node, t in last.items()}
+            factors.append(f)
+
+    params = SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, ppm_root=2.3, resync_period_s=2.5,
+                          seed=3, gait=GaitConfig(period_slots=12, period_s=0.75),
+                          link=LinkModel(jitter_bound_s=0.011, drop_probability=0.2))
+    sim = CheckedSim(scheme, params, emit_setpoints)
+    period = as_ratio(params.gait.period_on(GAIT_TIME_REF[scheme]))
+    keepalive = as_ratio(params.resync_period_s)
+    # each off-grid time but the last brings D a new factor: a 7, the power
+    # of 2 of the float 12.3, and the primes 10007 and 10009; the float 20.7
+    # needs no more than 12.3's power of 2, so it rescales nothing
+    steps = [(sim.inject_command, Verb.START, 0), (sim.run_until, Fraction(1, 7)),
+             (sim.inject_command, Verb.STOP, 12.3), (sim.run_until, Fraction(10**5, 10007)),
+             (sim.inject_command, Verb.START, Fraction(14 * 10**4, 10009)),
+             (sim.run_until, 20.7)]
+
+    def check_definitions():
+        D = sim._D
+        for node in (sim.root, *sim.children):
+            assert sim._tick_unit[node] == node.clock.rate_den * (D // node.clock.rate_num)
+        for value, (num, den) in ((sim._keepalive, keepalive), (sim._period, period)):
+            assert value == num * (D // den)
+
+    check_definitions()
+    for step, *args in steps:
+        step(*args)
+        check_definitions()
+    assert len(factors) == 4
+    assert sim.resync_marks or scheme is SchemeId.S1_OPEN_LOOP
+    assert any(sim._last_resync.values()) or scheme is SchemeId.S1_OPEN_LOOP
 
 
 def test_off_grid_command_time_is_kept_exactly():
