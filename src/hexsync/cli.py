@@ -53,9 +53,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     def add_scheme(p):
         p.add_argument("--scheme", choices=sorted(s.value for s in SchemeId))
 
-    def add_sample_every(p):
-        p.add_argument("--sample-every", type=int)
-
     def add_common(p):
         p.add_argument("--duration-s", type=float)
         p.add_argument("--ppm-m1", type=float,
@@ -75,13 +72,11 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     run_p = sub.add_parser("run", help="run one scheme and write its error trace")
     add_scheme(run_p)
     add_common(run_p)
-    add_sample_every(run_p)
     run_p.add_argument("--plot", action="store_true",
                        help="print an ASCII error-vs-time plot to stderr")
 
     sweep_p = sub.add_parser("sweep", help="sweep the worst-case resync period")
     add_common(sweep_p)
-    add_sample_every(sweep_p)
     sweep_p.add_argument("--periods", default="30,10",
                          help="comma-separated resync periods in seconds")
 

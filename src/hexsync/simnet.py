@@ -15,8 +15,8 @@ effect, its action, a Sim method the sender picks with its body:
 - a Command frame applies its verb on the child in a decentralized run,
   and does nothing more in a centralized run, whose root applied it;
 - a servo frame applies its child's whole plan in a setpoint run; in a
-  sample run it only resyncs, except that a sampled period's later frame
-  records the centralized sample.
+  sample run it only resyncs, except that each period's later frame
+  records the period's centralized sample.
 A Start that reaches a node whose gait is armed is a no-op: the gait keeps
 its period numbering. A Stop disarms, and a later Start arms afresh.
 
@@ -42,9 +42,9 @@ while nothing has been pushed since the window's entry popped:
 - the decentralized schemes sample the gait error once per period, and a
   sampler entry emits every sample within the bound, then re-queues
   itself at the next sample (Sim._handle_samples); a sample only reads.
-  When each child's grid steps whole ticks per sample (an open-loop
-  1.0 s period does; a 68-slot ASN period only every 25 samples), the
-  window is an arithmetic progression and is built in one batch;
+  When each child's grid steps whole ticks per period (an open-loop
+  1.0 s period and a 100-slot ASN period do; a 68-slot one does not),
+  the window is an arithmetic progression and is built in one batch;
 - a centralized root period's entry sends the period's two servo frames,
   whose delivery times Sim._delivery fixes, and when both land within the bound
   and no later than the next root period's start, runs both deliveries
@@ -231,16 +231,13 @@ class SchemeParams(Value):
     """The one run configuration of the root, M1 (hips) and M2 (knees) network."""
 
     _fields = ("ppm_m1", "ppm_m2", "ppm_root", "duration_s", "resync_period_s", "seed",
-               "gait", "link", "sample_every")
+               "gait", "link")
 
     def __init__(self, ppm_m1: float = -3.0, ppm_m2: float = 0.0, ppm_root: float = 0.0,
                  duration_s: float = 400.0, resync_period_s: float = 30.0, seed: int = 1,
-                 gait: GaitConfig = GaitConfig(), link: LinkModel = LinkModel(),
-                 sample_every: int = 1) -> None:
+                 gait: GaitConfig = GaitConfig(), link: LinkModel = LinkModel()) -> None:
         if type(seed) is not int:
             raise ValueError("seed must be an int")
-        if type(sample_every) is not int or sample_every < 1:
-            raise ValueError("sample_every must be an int >= 1")
         check_finite(ppm_m1=ppm_m1, ppm_m2=ppm_m2, ppm_root=ppm_root,
                      resync_period_s=resync_period_s, duration_s=duration_s)
         if resync_period_s <= 0:
@@ -249,7 +246,7 @@ class SchemeParams(Value):
             raise ValueError("duration_s must be non-negative")
         self.__dict__.update(ppm_m1=ppm_m1, ppm_m2=ppm_m2, ppm_root=ppm_root,
                              duration_s=duration_s, resync_period_s=resync_period_s,
-                             seed=seed, gait=gait, link=link, sample_every=sample_every)
+                             seed=seed, gait=gait, link=link)
 
 
 class SetpointRecord:
@@ -525,19 +522,17 @@ class Sim:
     def _start_sampler(self) -> None:
         # sample 0 sits mid-period: (origin + 1/2) periods
         origin = self.children[0].gait.arm_period_index
-        # each child's grid steps 4 * sample_every quarters per sample; b and
-        # d of its (c, a, b, d) form stay fixed while it is armed (a resync
-        # moves c and a), so whole ticks now are whole ticks in every window
-        quarters = 4 * self.params.sample_every
-        steps = [divmod(quarters * b, d)
-                 for _, _, b, d in map(gaitmod.event_tick_form, self.children)]
+        # each child's grid steps 4 quarters per sample; b and d of its
+        # (c, a, b, d) form stay fixed while it is armed (a resync moves c
+        # and a), so whole ticks now are whole ticks in every window
+        steps = [divmod(4 * b, d) for _, _, b, d in map(gaitmod.event_tick_form, self.children)]
         ticks = None if any(rest for _, rest in steps) else tuple(whole for whole, _ in steps)
         self._push((2 * origin + 1) * self._period // 2, Sim._handle_samples,
                    (self._gen, 0, ticks))
 
     def _handle_samples(self, gen: int, k: int, ticks: Optional[Tuple[int, int]]) -> None:
-        """Emit sample k, then k + sample_every, ... while each sample's time
-        is within _window_last; then re-queue at the next sample.
+        """Emit sample k, then k + 1, ... while each sample's time is within
+        _window_last; then re-queue at the next sample.
 
         Sample k's error is the gap between the children's period-k starts,
         quarter 4 * k of each child's grid times its tick unit, as instants
@@ -547,14 +542,14 @@ class Sim:
         gait.gait_sync_error.
 
         A window is an arithmetic progression when each child's grid steps a
-        whole number of ticks per sample: when 4 * sample_every * b is a
-        multiple of d in its (c, a, b, d) form. _start_sampler finds this
-        once per arm, and ticks carries each child's ticks per sample, or
-        None. Then each child's period start moves by that many ticks per
-        sample, the gap's numerator by a fixed step, and the window's
-        samples are built in one batch from ranges, with no per-sample
-        arithmetic. Otherwise each sample is computed on its own. Either way
-        the same ints are divided, so the floats are the same.
+        whole number of ticks per sample: when 4 * b is a multiple of d in
+        its (c, a, b, d) form. _start_sampler finds this once per arm, and
+        ticks carries each child's ticks per sample, or None. Then each
+        child's period start moves by that many ticks per sample, the gap's
+        numerator by a fixed step, and the window's samples are built in one
+        batch from ranges, with no per-sample arithmetic. Otherwise each
+        sample is computed on its own. Either way the same ints are divided,
+        so the floats are the same.
 
         A sample only reads state and nothing else runs inside a window, so
         each sample reads what its own heap entry would have read. The strict
@@ -565,10 +560,8 @@ class Sim:
         """
         if gen != self._gen:
             return
-        t, D = self._t, self._D
-        every = self.params.sample_every
-        step = every * self._period
-        n = 1 + max(0, (self._window_last() - t) // step)
+        t, D, period = self._t, self._D, self._period
+        n = 1 + max(0, (self._window_last() - t) // period)
         m1, m2 = self.children
         c1, a1, b1, d1 = gaitmod.event_tick_form(m1)
         c2, a2, b2, d2 = gaitmod.event_tick_form(m2)
@@ -578,13 +571,13 @@ class Sim:
         resync, self._resynced = self._resynced, 0
         if ticks is None:
             append = self.samples.append
-            for k in range(k, k + n * every, every):
+            for k in range(k, k + n):
                 q = 4 * k
                 err = ((c2 + (a2 + b2 * q) // d2) * u2 - (c1 + (a1 + b1 * q) // d1) * u1) / D
                 append((t / D, k, err, resync))
                 resync = 0
-                t += step
-            k += every
+                t += period
+            k += 1
         else:
             ticks1, ticks2 = ticks
             q = 4 * k
@@ -592,9 +585,9 @@ class Sim:
             num_step = ticks2 * u2 - ticks1 * u1
             errs = (map(truediv, range(num, num + n * num_step, num_step), repeat(D))
                     if num_step else repeat(num / D))
-            t_next, k_next = t + n * step, k + n * every
-            self.samples.extend(zip(map(truediv, range(t, t_next, step), repeat(D)),
-                                    range(k, k_next, every), errs,
+            t_next, k_next = t + n * period, k + n
+            self.samples.extend(zip(map(truediv, range(t, t_next, period), repeat(D)),
+                                    range(k, k_next), errs,
                                     chain((resync,), repeat(0))))
             t, k = t_next, k_next
         self._push(t, Sim._handle_samples, (gen, k, ticks))
@@ -685,7 +678,6 @@ class Sim:
             return
         t, D = self._t, self._D
         root, (child1, child2) = self.root, self.children
-        every = self.params.sample_every
         sampling = not self.emit_setpoints
         action = None if sampling else Sim._apply_plan
         delivery, deliver = self._delivery, self._handle_delivery
@@ -702,7 +694,7 @@ class Sim:
             else:
                 early, first, late, later = d2, child2, d1, child1
             first_args, later_args = (first, action, None), (later, action, None)
-            if sampling and k % every == 0:
+            if sampling:
                 # the gap between the two deliveries, over one D, recorded
                 # by the later frame (m2 on a tie, as it is delivered second)
                 later_args = (later, Sim._record_sample, (late / D, k, (d2 - d1) * 10**6 / D))
@@ -730,7 +722,7 @@ class Sim:
             append((now_s, gaitmod.setpoints_for_event(event)))
 
     def _record_sample(self, _child: MoteState, sample: Tuple[float, int, float]) -> None:
-        """A sample run's action on a sampled period's later servo frame."""
+        """A sample run's action on each period's later servo frame."""
         self.samples.append((*sample, self._resynced))
         self._resynced = 0
 

@@ -78,8 +78,7 @@ def scenarios(draw, schemes=tuple(SchemeId), emit_setpoints=st.booleans()):
         seed=draw(st.integers(0, 2**16)), gait=gait,
         link=LinkModel(base_latency_s=latency,
                        jitter_bound_s=draw(st.sampled_from([0.0, 0.0, 0.011, 0.03])),
-                       drop_probability=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))),
-        sample_every=draw(st.sampled_from([1, 1, 2, 3])))
+                       drop_probability=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))))
     period = gait.period_on(TIME_REF[scheme])
     # at most 300 gait periods, which cuts only the 0.01 s period short
     horizon = min(HORIZON_S, 300 * period)

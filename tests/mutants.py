@@ -51,7 +51,7 @@ MUTANTS = (
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     # the decentralized window sampler (Sim._handle_samples)
     Mutant("window ignores the heap head", "simnet.py",
-           "(self._window_last() - t) // step", "(self._t_end - t) // step",
+           "(self._window_last() - t) // period", "(self._t_end - t) // period",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",
             "tests/test_sampler.py::test_pause_holds_exactly_the_samples_up_to_its_bound")),
     Mutant("a one-sample window's error is off by 1 us", "simnet.py",
@@ -68,11 +68,8 @@ MUTANTS = (
     Mutant("a progression gives the first sample's flag to every sample", "simnet.py",
            "chain((resync,), repeat(0))", "repeat(resync)",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
-    Mutant("a progression's error step ignores sample_every", "simnet.py",
-           "quarters = 4 * self.params.sample_every", "quarters = 4",
-           ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     Mutant("the re-queued k is off by one sample", "simnet.py",
-           "t, k = t_next, k_next", "t, k = t_next, k_next + every",
+           "t, k = t_next, k_next", "t, k = t_next, k_next + 1",
            ("tests/test_sampler.py::test_window_sampler_matches_per_sample_heap",)),
     Mutant("a zero-step progression emits one sample", "simnet.py",
            "repeat(num / D)", "(num / D,)",
@@ -223,6 +220,10 @@ MUTANTS = (
     Mutant("the sample's time is its period's earlier delivery", "simnet.py",
            "(late / D, k,", "(early / D, k,",
            ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),
+    Mutant("the relay records only even periods' samples", "simnet.py",
+           "if sampling:", "if sampling and k % 2 == 0:",
+           ("tests/test_cli.py::test_run_records_one_sample_per_period[link0-centralized]",
+            "tests/test_relay.py::test_window_relay_matches_per_period_heap")),
     Mutant("a centralized sample's error is rounded to the CSV's decimals", "simnet.py",
            "k, (d2 - d1) * 10**6 / D)", "k, round((d2 - d1) * 10**6 / D, 3))",
            ("tests/test_simnet.py::test_centralized_samples_are_the_exact_delivery_gaps",)),

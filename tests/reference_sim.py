@@ -317,8 +317,7 @@ class RefSim:
     def sample(self, gen, k):
         if gen == self.gen:
             self.record_sample(None, (float(self.now), k, ref_gait_sync_error(*self.children, k)))
-            k += self.params.sample_every
-            self.push(self.sample_time(k), self.sample, gen, k)
+            self.push(self.sample_time(k + 1), self.sample, gen, k + 1)
 
     # -- centralized: the root times the gait and relays it
 
@@ -327,7 +326,7 @@ class RefSim:
             return
         action = self.apply_plan if self.emit_setpoints else None
         (d1, f1), (d2, f2) = [self.send(c, action) for c in self.children]
-        if not self.emit_setpoints and k % self.params.sample_every == 0:
+        if not self.emit_setpoints:
             # the gap between the two deliveries, recorded by the later (m2 on a tie)
             (f1 if d1 > d2 else f2)[:] = [self.record_sample,
                                           (float(max(d1, d2)), k, float((d2 - d1) * 10**6))]

@@ -34,9 +34,10 @@ def test_unknown_flag_exits_two(capsys):
     assert dispatch(["run", "--frobnicate"]) == 2
 
 
-def test_trace_takes_no_sample_every(capsys):
-    # a trace records no error samples, so there are none to thin
-    assert dispatch(["trace", "--sample-every", "2"]) == 2
+@pytest.mark.parametrize("subcommand", ["run", "sweep", "trace"])
+def test_no_subcommand_takes_sample_every(capsys, subcommand):
+    # a sample run records one sample per gait period, with no stride to set
+    assert dispatch([subcommand, "--sample-every", "2"]) == 2
     assert "unrecognized arguments: --sample-every" in capsys.readouterr().err
 
 
@@ -103,16 +104,14 @@ def test_synchronized_run_bounded_with_resync_marks(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["centralized", "open-loop", "synchronized"])
 @pytest.mark.parametrize("link", [[], ["--drop-prob", "0.2", "--jitter-s", "0.03"]])
-def test_sample_every_keeps_every_nth_period(tmp_path, scheme, link):
-    rows = {}
-    for every in ("1", "5"):
-        out = tmp_path / f"every{every}.csv"
-        assert dispatch(["run", "--scheme", scheme, "--duration-s", "60",
-                         "--sample-every", every, *link, "--out", str(out)]) == 0
-        # the resync column depends on which rows exist, so compare without it
-        rows[every] = [r[:3] for r in read_trace_csv(str(out))]
-    assert len(rows["5"]) >= 10
-    assert rows["5"] == [r for r in rows["1"] if r[1] % 5 == 0]
+def test_run_records_one_sample_per_period(tmp_path, scheme, link):
+    # every gait period from period 0 on gives one row, in period order;
+    # a dropped frame is retransmitted, so no centralized period is lost
+    code, out = run_cli(tmp_path, "run", "--scheme", scheme, "--duration-s", "60", *link)
+    assert code == 0
+    indices = [r[1] for r in read_trace_csv(str(out))]
+    assert len(indices) >= 55
+    assert indices == list(range(len(indices)))
 
 
 def test_run_with_one_sample_exits_zero(tmp_path):
@@ -301,7 +300,6 @@ RUN_SETTINGS = {
     "jitter-s": ("0.011", lambda p: p.replace(link=p.link.replace(jitter_bound_s=0.011))),
     "drop-prob": ("0.3", lambda p: p.replace(link=p.link.replace(drop_probability=0.3))),
     "seed": ("7", lambda p: p.replace(seed=7)),
-    "sample-every": ("5", lambda p: p.replace(sample_every=5)),
 }
 # the commands each flag is added to; open-loop's own hip clock default
 # must give way to a given --ppm-m1 too
@@ -405,6 +403,7 @@ def test_unknown_scheme_exits_two(tmp_path, capsys, argv, config):
     ("durration-s=5", "durration-s"),  # an option of no subcommand
     ("duration-s 5", "duration-s 5"),  # no '='
     ("plot=ture", "plot"),  # not a spelling of either flag value
+    ("sample-every=2", "sample-every"),  # a run samples every period; no subcommand takes it
 ])
 def test_malformed_config_line_exits_one(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -420,7 +419,6 @@ def test_malformed_config_line_exits_one(tmp_path, capsys, line, key):
     (["run"], "stop-s=2"),
     (["trace"], "plot=true"),
     (["trace"], "periods=5"),
-    (["trace"], "sample-every=2"),
 ])
 def test_config_key_of_another_subcommand_is_skipped(tmp_path, argv, line):
     argv = argv + ["--duration-s", "5"]
@@ -460,7 +458,7 @@ def test_config_file_does_not_leak_into_the_next_dispatch(tmp_path):
     code, fresh = run_cli(tmp_path, *argv)
     assert code == 0
     cfg = tmp_path / "defaults.cfg"
-    cfg.write_text("scheme=open-loop\nppm-m1=-8\nseed=7\nsample-every=2\n")
+    cfg.write_text("scheme=open-loop\nppm-m1=-8\nseed=7\n")
     configured = tmp_path / "configured.csv"
     assert dispatch(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
     assert configured.read_bytes() != fresh.read_bytes()

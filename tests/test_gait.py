@@ -136,14 +136,15 @@ def test_invalid_configs_rejected():
             GaitConfig(period_s=period_s)
     GaitConfig(period_s=4 / 32768)  # four ticks: the shortest period
     # every configuration type checks itself when built
-    for build in (lambda: SchemeParams(sample_every=0),
-                  lambda: SchemeParams(sample_every=2.0),
-                  lambda: SchemeParams(seed=1.5),
+    for build in (lambda: SchemeParams(seed=1.5),
                   lambda: SchemeParams(seed=1.0),
                   lambda: SchemeParams(resync_period_s=0),
                   lambda: LinkModel(drop_probability=1.0)):
         with pytest.raises(ValueError):
             build()
+    # a sample run records every gait period: there is no stride to set
+    with pytest.raises(TypeError):
+        SchemeParams(sample_every=1)
     # a value of the wrong type, or a negative duration, is named in the message
     for name, build in (("duration_s", lambda: SchemeParams(duration_s=-5.0)),
                         ("duration_s", lambda: SchemeParams(duration_s=float("-inf"))),

@@ -44,13 +44,13 @@ DECENTRALIZED = (SchemeId.S1_OPEN_LOOP, SchemeId.S2_SYNCHRONIZED)
 # Equal clocks on a 1.0 s grid: a progression whose error never moves.
 @example_of(OPEN_LOOP, pauses=[(Fraction(7, 2), None)], t_end=40, ppm_m1=-3.7, ppm_m2=-3.7,
             gait=GaitConfig(period_s=1.0))
-# The 68-slot grid steps whole ticks only every 25 samples; keep-alives
-# every 2.25 s resync between samples, so each window opens on a flag.
+# The 100-slot grid steps whole ticks per sample; keep-alives every 2.25 s
+# resync between samples 1.5 s apart, so each window opens on a flag.
 @example_of(SYNCHRONIZED, t_end=120, ppm_m1=-3.7, ppm_m2=1.1, resync_period_s=2.25,
-            sample_every=25, gait=GaitConfig(period_slots=68))
-# A Stop and a re-Start off the grid between two samples 2.25 s apart.
-@example_of(OPEN_LOOP, commands=[(Fraction(8, 5), Verb.STOP), (Fraction(29, 10), Verb.START)],
-            t_end=40, ppm_m1=-3.7, ppm_m2=1.1, sample_every=3, gait=GaitConfig(period_s=0.75))
+            gait=GaitConfig(period_slots=100))
+# A Stop and a re-Start off the grid between two samples 0.75 s apart.
+@example_of(OPEN_LOOP, commands=[(Fraction(8, 5), Verb.STOP), (Fraction(17, 10), Verb.START)],
+            t_end=40, ppm_m1=-3.7, ppm_m2=1.1, gait=GaitConfig(period_s=0.75))
 # Keep-alives every 0.51 s cut every window of the 68-slot gait to one sample.
 @example_of(SYNCHRONIZED, t_end=40, ppm_m1=-5.0, ppm_m2=3.7, resync_period_s=0.51,
             gait=GaitConfig(period_slots=68))
@@ -93,21 +93,19 @@ class CountedRows(list):
         super().extend(rows)
 
 
-# A grid takes the progression when 4 * sample_every quarters are whole
+# A grid takes the progression when a period's 4 quarters are whole
 # ticks: 1.0 s is 32768 ticks and 0.75 s 24576; a slot is 12288/25 ticks,
-# so 100 slots are whole ticks, and 68 slots only 25 at a time.
-@pytest.mark.parametrize("scheme, gait, sample_every, progression", [
-    (OPEN_LOOP, GaitConfig(period_s=1.0), 1, True),
-    (OPEN_LOOP, GaitConfig(period_s=0.75), 1, True),
-    (SYNCHRONIZED, GaitConfig(period_slots=100), 1, True),
-    (SYNCHRONIZED, GaitConfig(period_slots=68), 25, True),
-    (OPEN_LOOP, GaitConfig(period_s=0.7), 1, False),
-    (OPEN_LOOP, GaitConfig(period_s=Fraction(1, 3)), 1, False),
-    (SYNCHRONIZED, GaitConfig(period_slots=68), 1, False),
-], ids=["1.0s", "0.75s", "100slots", "68slotsx25", "0.7s", "1/3s", "68slots"])
-def test_whole_tick_grids_take_the_progression(scheme, gait, sample_every, progression):
-    sim = Sim(scheme, SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, gait=gait,
-                                   sample_every=sample_every))
+# so 100 slots are whole ticks, and 68 slots are not.
+@pytest.mark.parametrize("scheme, gait, progression", [
+    (OPEN_LOOP, GaitConfig(period_s=1.0), True),
+    (OPEN_LOOP, GaitConfig(period_s=0.75), True),
+    (SYNCHRONIZED, GaitConfig(period_slots=100), True),
+    (OPEN_LOOP, GaitConfig(period_s=0.7), False),
+    (OPEN_LOOP, GaitConfig(period_s=Fraction(1, 3)), False),
+    (SYNCHRONIZED, GaitConfig(period_slots=68), False),
+], ids=["1.0s", "0.75s", "100slots", "0.7s", "1/3s", "68slots"])
+def test_whole_tick_grids_take_the_progression(scheme, gait, progression):
+    sim = Sim(scheme, SchemeParams(ppm_m1=-3.7, ppm_m2=1.1, gait=gait))
     sim.samples = rows = CountedRows()
     sim.inject_command(Verb.START, 0)
     sim.run_until(200)

@@ -281,35 +281,40 @@ def test_period_index_at_inverts_each_period_start(ref, ppm, root_ppm, t_sync, t
        ppm1=ppms, ppm2=ppms, root_ppm=st.sampled_from(LISTED_PPM), period_s=gait_periods,
        period_slots=st.integers(1, 50).map(lambda n: 4 * n),
        jitter=st.sampled_from([0.0, 0.011, 0.015]),
-       sample_every=st.one_of(st.sampled_from([1, 10**6]), st.integers(1, 10**6)))
+       start_periods=st.one_of(st.sampled_from([0, 3 * 10**7]), st.integers(0, 3 * 10**7)))
 @settings(max_examples=100, deadline=None)
 @example(scheme=SchemeId.S1_OPEN_LOOP, ppm1=-3.7, ppm2=1.1, root_ppm=0, period_s=0.7,
-         period_slots=68, jitter=0.011, sample_every=10**6)
+         period_slots=68, jitter=0.011, start_periods=0)
+@example(scheme=SchemeId.S1_OPEN_LOOP, ppm1=-3.7, ppm2=1.1, root_ppm=0, period_s=0.7,
+         period_slots=68, jitter=0.011, start_periods=3 * 10**7)
 def test_sim_samples_match_reference_up_to_large_k(scheme, ppm1, ppm2, root_ppm, period_s,
-                                                   period_slots, jitter, sample_every):
+                                                   period_slots, jitter, start_periods):
     # The window sampler's errors, one window per run: no keep-alive falls
     # due inside it, so the arm state and slot grids that the final
-    # children hold are the ones every sample read. With sample_every up to
-    # 1e6, the last of the 30 samples reaches k near 3e7. In the explicit
-    # example the float 0.7 is just under 0.7, so sample 0 sits at
-    # 1.0499999999999998 s, which rounds to 1.05 at 6 decimals; a sample
-    # rounded anywhere fails on it at once, with nothing to shrink.
+    # children hold are the ones every sample read. With a Start up to 3e7
+    # periods in, the 30 samples' quarters on each child's grid reach near
+    # 1.2e8. In the first explicit example the float 0.7 is just under 0.7,
+    # so sample 0 sits at 1.0499999999999998 s, which rounds to 1.05 at 6
+    # decimals; a sample rounded anywhere fails on it at once, with nothing
+    # to shrink. In the second, the Start comes 2.1e7 s in.
     n = 30
     gait_cfg = GaitConfig(period_slots=period_slots, period_s=period_s)
     params = SchemeParams(ppm_m1=ppm1, ppm_m2=ppm2, ppm_root=root_ppm,
                           resync_period_s=1e10, gait=gait_cfg,
-                          link=LinkModel(jitter_bound_s=jitter), sample_every=sample_every)
+                          link=LinkModel(jitter_bound_s=jitter))
+    period = gait_cfg.period_on(GAIT_TIME_REF[scheme])
+    start = start_periods * Fraction(period)
     sim = Sim(scheme, params)
-    sim.inject_command(Verb.START, 0)
-    sim.run_until(Fraction(1, 20))  # both Starts are delivered by now
+    sim.inject_command(Verb.START, start)
+    delivered = start + Fraction(1, 20)  # both Starts are delivered by now
+    sim.run_until(delivered)
     m1, m2 = sim.children
     origin = m1.gait.arm_period_index
-    period = gait_cfg.period_on(GAIT_TIME_REF[scheme])
-    # the instant of the n-th sample, k = (n - 1) * sample_every
-    sim.run_until(max(Fraction(1, 20), (origin + sample_every * (n - 1) + Fraction(1, 2)) * period))
+    # the instant of the n-th sample, k = n - 1
+    sim.run_until(max(delivered, (origin + n - 1 + Fraction(1, 2)) * period))
     assert len(sim.samples) >= n
     for j, (t, k, error_us, _) in enumerate(sim.samples):
-        assert k == j * sample_every
+        assert k == j
         assert t == float((origin + k + Fraction(1, 2)) * period)
         assert error_us == ref_gait_sync_error(m1, m2, k)
 
